@@ -98,6 +98,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzCSVRows -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzScanBinary -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzScanManifest -fuzztime=30s ./internal/record/
+	$(GO) test -run=XXX -fuzz=FuzzCompleteBody -fuzztime=30s ./internal/service/
 
 examples:
 	@for ex in quickstart gpu-compare concurrency finegrained stopping duet workflow; do \

@@ -687,9 +687,15 @@ func (c *Coordinator) Heartbeat(_ context.Context, leaseID string, token uint64)
 	return c.sched.Heartbeat(leaseID, token)
 }
 
-// Complete implements WorkerAPI.
-func (c *Coordinator) Complete(_ context.Context, leaseID string, token uint64, res RunResult) error {
-	return c.sched.Complete(leaseID, token, res)
+// Complete implements WorkerAPI: a one-run CompleteRuns.
+func (c *Coordinator) Complete(ctx context.Context, leaseID string, token uint64, res RunResult) error {
+	return c.CompleteRuns(ctx, leaseID, token, []RunResult{res})
+}
+
+// CompleteRuns acknowledges a batch of a lease's runs all-or-nothing (see
+// scheduler.Complete); workers use it to settle a whole lease at once.
+func (c *Coordinator) CompleteRuns(_ context.Context, leaseID string, token uint64, results []RunResult) error {
+	return c.sched.Complete(leaseID, token, results...)
 }
 
 // Drain gracefully winds the service down: stop admitting campaigns and

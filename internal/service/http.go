@@ -21,7 +21,9 @@ import (
 //	GET  /campaigns/{id}/result.csv the durable tidy-data row log
 //	POST /lease                     {"worker": ...} → Lease (204 = no work)
 //	POST /leases/{id}/heartbeat     {"token": ...}
-//	POST /leases/{id}/complete      {"token": ..., "result": RunResult}
+//	POST /leases/{id}/complete      {"token": ..., "results": [RunResult...]}
+//	                                (all-or-nothing; 400 = rejected batch,
+//	                                the lease is untouched)
 //	GET  /healthz                   Health snapshot
 //	GET  /metrics                   Prometheus exposition (when a Registry
 //	                                is configured)
@@ -114,15 +116,12 @@ func Handler(c *Coordinator) http.Handler {
 	})
 
 	mux.HandleFunc("POST /leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Token  uint64    `json:"token"`
-			Result RunResult `json:"result"`
-		}
+		var req completeBody
 		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return
 		}
-		if err := c.Complete(r.Context(), r.PathValue("id"), req.Token, req.Result); err != nil {
+		if err := c.CompleteRuns(r.Context(), r.PathValue("id"), req.Token, req.Results); err != nil {
 			if errors.Is(err, ErrStaleLease) {
 				http.Error(w, err.Error(), http.StatusConflict)
 			} else {
@@ -176,9 +175,20 @@ type Client struct {
 	HTTPClient *http.Client
 }
 
-// NewHTTPClient returns a coordinator client.
+// completeBody is the wire form of a batch completion.
+type completeBody struct {
+	Token   uint64      `json:"token"`
+	Results []RunResult `json:"results"`
+}
+
+// NewHTTPClient returns a coordinator client with its own connection pool.
+// Sharing http.DefaultTransport would leave several clients in one process
+// (an in-process worker fleet plus a submitter) contending for its two idle
+// connections per host, closing and redialing TCP connections on nearly
+// every request.
 func NewHTTPClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, HTTPClient: &http.Client{}}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	return &Client{BaseURL: baseURL, HTTPClient: &http.Client{Transport: tr}}
 }
 
 func (cl *Client) client() *http.Client {
@@ -323,12 +333,14 @@ func (cl *Client) Heartbeat(ctx context.Context, leaseID string, token uint64) e
 	return err
 }
 
-// Complete implements WorkerAPI over HTTP.
+// Complete implements WorkerAPI over HTTP: a one-run CompleteRuns.
 func (cl *Client) Complete(ctx context.Context, leaseID string, token uint64, res RunResult) error {
-	body := struct {
-		Token  uint64    `json:"token"`
-		Result RunResult `json:"result"`
-	}{Token: token, Result: res}
-	_, err := cl.doJSON(ctx, http.MethodPost, "/leases/"+leaseID+"/complete", body, nil)
+	return cl.CompleteRuns(ctx, leaseID, token, []RunResult{res})
+}
+
+// CompleteRuns acknowledges a batch of a lease's runs in one round trip.
+func (cl *Client) CompleteRuns(ctx context.Context, leaseID string, token uint64, results []RunResult) error {
+	_, err := cl.doJSON(ctx, http.MethodPost, "/leases/"+leaseID+"/complete",
+		completeBody{Token: token, Results: results}, nil)
 	return err
 }

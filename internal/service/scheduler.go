@@ -56,8 +56,9 @@ type RunResult struct {
 }
 
 // Lease is a batch of measured runs granted to one worker: the contract is
-// "compute these runs of this campaign and Complete each one before the
-// deadline, heartbeating along the way". The fencing token is strictly
+// "compute these runs of this campaign and Complete them before the
+// deadline, heartbeating along the way" — in one batch, or in several
+// batches that together cover every run. The fencing token is strictly
 // monotonic across all leases the coordinator ever issues; once a lease
 // expires, its token is stale forever, so a resurrected worker completing
 // against an old token is rejected instead of double-delivering a run that
@@ -372,23 +373,42 @@ func (s *scheduler) Heartbeat(leaseID string, token uint64) error {
 	return nil
 }
 
-// Complete acknowledges one run of a lease. Fencing first: completions
-// carrying a stale token are rejected — their runs were already reassigned,
-// and accepting them could deliver a run twice. Accepted results are handed
-// to the waiting dispatch backend and count as worker successes.
-func (s *scheduler) Complete(leaseID string, token uint64, res RunResult) error {
+// Complete acknowledges a batch of runs of one lease. Fencing first:
+// completions carrying a stale token are rejected — their runs were already
+// reassigned, and accepting them could deliver a run twice. The batch is
+// all-or-nothing: it must be non-empty, every run must be outstanding on the
+// lease, and no run may appear twice, or nothing is delivered and the lease
+// is untouched. Accepted results are handed to the waiting dispatch backends
+// and count as a worker success.
+func (s *scheduler) Complete(leaseID string, token uint64, results ...RunResult) error {
 	s.mu.Lock()
 	l, ok := s.leases[leaseID]
 	if !ok || l.token != token {
 		s.mu.Unlock()
 		return ErrStaleLease
 	}
-	t, ok := l.tasks[res.Run]
-	if !ok {
+	if len(results) == 0 {
 		s.mu.Unlock()
-		return fmt.Errorf("service: lease %s does not hold run %d", leaseID, res.Run)
+		return fmt.Errorf("service: lease %s: empty completion", leaseID)
 	}
-	delete(l.tasks, res.Run)
+	tasks := make([]*task, len(results))
+	seen := make(map[int]bool, len(results))
+	for i, res := range results {
+		t, ok := l.tasks[res.Run]
+		if !ok {
+			s.mu.Unlock()
+			return fmt.Errorf("service: lease %s does not hold run %d", leaseID, res.Run)
+		}
+		if seen[res.Run] {
+			s.mu.Unlock()
+			return fmt.Errorf("service: lease %s: run %d listed twice", leaseID, res.Run)
+		}
+		seen[res.Run] = true
+		tasks[i] = t
+	}
+	for _, res := range results {
+		delete(l.tasks, res.Run)
+	}
 	l.deadline = s.now().Add(s.ttl) // progress is the best heartbeat
 	if len(l.tasks) == 0 {
 		delete(s.leases, leaseID)
@@ -399,9 +419,11 @@ func (s *scheduler) Complete(leaseID string, token uint64, res RunResult) error 
 	// Deliver outside the lock. The buffer of 1 plus fencing (exactly one
 	// live lease ever holds a task) makes this non-blocking; the default
 	// arm is pure defense.
-	select {
-	case t.result <- res:
-	default:
+	for i, t := range tasks {
+		select {
+		case t.result <- results[i]:
+		default:
+		}
 	}
 	return nil
 }

@@ -15,6 +15,11 @@ import (
 // soak tests under -race) and the HTTP Client implements it over the wire
 // (cmd/sharp-serve fleets) — same protocol, same semantics, one worker
 // implementation for both.
+//
+// Both also implement CompleteRuns (see batchCompleter), which settles a
+// whole lease in one call; a Worker uses it when its API has it and falls
+// back to one Complete per run otherwise, so decorators that wrap only these
+// three methods keep working.
 type WorkerAPI interface {
 	// Lease requests a batch of runs. ErrNoWork when the queue is empty,
 	// ErrDraining during drain, ErrWorkerEvicted while the worker's breaker
@@ -26,16 +31,23 @@ type WorkerAPI interface {
 	Complete(ctx context.Context, leaseID string, token uint64, res RunResult) error
 }
 
+// batchCompleter is the optional batch acknowledgment of a WorkerAPI: all of
+// results land, or none do.
+type batchCompleter interface {
+	CompleteRuns(ctx context.Context, leaseID string, token uint64, results []RunResult) error
+}
+
 // ErrWorkerKilled reports a deliberate (test-injected) worker death.
 var ErrWorkerKilled = errors.New("service: worker killed")
 
 // Worker is a FaaS-style campaign worker: it polls for leases, rebuilds each
-// campaign's deterministic backend from the spec riding in the lease, and
-// computes the leased runs. Workers are stateless by construction — the
-// backend cache is a pure performance optimization (run-ordered synthesis is
-// index-addressed, so a cached stream and a fresh one produce the same
-// bytes for any requested run) — which is what makes worker death free:
-// nothing is lost that a colleague can't recompute.
+// campaign's deterministic backend from the spec riding in the lease,
+// computes the leased runs, and acknowledges them together. Workers are
+// stateless by construction — the backend cache is a pure performance
+// optimization (run-ordered synthesis is index-addressed, so a cached
+// stream and a fresh one produce the same bytes for any requested run) —
+// which is what makes worker death free: nothing is lost that a colleague
+// can't recompute.
 type Worker struct {
 	// ID names the worker in leases, breaker state, and metrics.
 	ID string
@@ -48,10 +60,11 @@ type Worker struct {
 	HeartbeatEvery time.Duration
 	// KillAfter, when > 0, makes the worker die (stop heartbeating and
 	// return ErrWorkerKilled) immediately BEFORE completing its
-	// (KillAfter+1)-th run: it completes exactly KillAfter runs, computes
-	// one more, and vanishes with that result unacknowledged — the worst
-	// crash point, guaranteeing an orphaned leased run that the lease
-	// expiry must recover. 0 = immortal.
+	// (KillAfter+1)-th run: it computes the whole lease holding that run,
+	// acknowledges only the runs before it, so exactly KillAfter runs are
+	// completed, and vanishes with the rest unacknowledged — the worst
+	// crash point, guaranteeing orphaned leased runs that the lease expiry
+	// must recover. 0 = immortal.
 	KillAfter int
 
 	mu        sync.Mutex
@@ -92,7 +105,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// serve computes one lease's batch, heartbeating throughout.
+// serve computes one lease's batch, heartbeating throughout, then
+// acknowledges it.
 func (w *Worker) serve(ctx context.Context, l *Lease) error {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
@@ -118,42 +132,67 @@ func (w *Worker) serve(ctx context.Context, l *Lease) error {
 		}
 	}()
 
-	b, err := w.backendFor(ctx, l.CampaignID, l.Spec)
-	if err != nil {
+	results := make([]RunResult, 0, len(l.Runs))
+	if b, err := w.backendFor(ctx, l.CampaignID, l.Spec); err != nil {
 		// Can't build the backend (bad spec should have been rejected at
 		// admission): complete every run as failed so the campaign surfaces
 		// the error instead of waiting out lease expiry.
 		for _, run := range l.Runs {
-			res := RunResult{Run: run, Err: err.Error()}
-			if cerr := w.API.Complete(ctx, l.ID, l.Token, res); cerr != nil {
-				return nil // stale lease: someone else owns these runs now
-			}
+			results = append(results, RunResult{Run: run, Err: err.Error()})
 		}
-		return nil
+	} else {
+		spec := l.Spec.withDefaults()
+		for _, run := range l.Runs {
+			results = append(results, w.compute(ctx, b, spec, run))
+		}
 	}
 
-	spec := l.Spec.withDefaults()
-	for _, run := range l.Runs {
-		res := w.compute(ctx, b, spec, run)
-		w.mu.Lock()
-		kill := w.KillAfter > 0 && w.completed >= w.KillAfter
-		w.mu.Unlock()
-		if kill {
-			// Die with the computed result in hand, unacknowledged: the
-			// cruelest crash point. stopHB (deferred) silences heartbeats;
-			// the lease expires; the run is reassigned.
-			return ErrWorkerKilled
-		}
-		if err := w.API.Complete(ctx, l.ID, l.Token, res); err != nil {
-			// Stale lease (expired under us) or coordinator gone: drop the
-			// rest of the batch — those runs belong to someone else now.
+	w.mu.Lock()
+	kill := w.KillAfter > 0 && w.completed+len(results) > w.KillAfter
+	if kill {
+		// Acknowledge only the prefix before the cut and die with the
+		// computed suffix in hand, unacknowledged: the cruelest crash
+		// point. stopHB (deferred) silences heartbeats; the lease expires;
+		// the suffix is reassigned.
+		results = results[:w.KillAfter-w.completed]
+	}
+	w.mu.Unlock()
+	if len(results) > 0 {
+		if err := w.ack(ctx, l, results); err != nil {
+			// Stale lease (expired under us) or coordinator gone: the
+			// unacknowledged runs belong to someone else now.
 			return nil
 		}
-		w.mu.Lock()
-		w.completed++
-		w.mu.Unlock()
+	}
+	if kill {
+		return ErrWorkerKilled
 	}
 	return nil
+}
+
+// ack acknowledges results in one CompleteRuns call when the API has it,
+// else one Complete per run, counting every run that landed.
+func (w *Worker) ack(ctx context.Context, l *Lease, results []RunResult) error {
+	if bc, ok := w.API.(batchCompleter); ok {
+		if err := bc.CompleteRuns(ctx, l.ID, l.Token, results); err != nil {
+			return err
+		}
+		w.addCompleted(len(results))
+		return nil
+	}
+	for _, res := range results {
+		if err := w.API.Complete(ctx, l.ID, l.Token, res); err != nil {
+			return err
+		}
+		w.addCompleted(1)
+	}
+	return nil
+}
+
+func (w *Worker) addCompleted(n int) {
+	w.mu.Lock()
+	w.completed += n
+	w.mu.Unlock()
 }
 
 // Completed returns how many runs this worker has successfully acknowledged.
