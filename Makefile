@@ -27,13 +27,14 @@ check:
 
 # Durability suite under the race detector: torn-log repair, flush-policy
 # visibility, checkpoint truncation, and the resume-equals-uninterrupted
-# differentials (core replay and CLI end to end). These are the tests that
+# differentials (core replay and CLI end to end), and the core.Stepper
+# interrupt and failure-budget tests. These are the tests that
 # guard against silent data loss; run them before touching the recording or
 # resume paths.
 crash-test:
-	$(GO) test -race -run 'Crash|Torn|Truncate|Flush|OpenAppend|Resume|Interrupt|RowSink|CloseAlways|Checkpoint|Atomic|Segment|Manifest' \
+	$(GO) test -race -run 'Crash|Torn|Truncate|Flush|OpenAppend|Resume|Interrupt|RowSink|CloseAlways|Checkpoint|Atomic|Segment|Manifest|Stepper' \
 		./internal/record/ ./internal/core/ ./cmd/sharp/
-	SHARP_RECORD_NOMMAP=1 $(GO) test -race -run 'Crash|Torn|Truncate|Flush|OpenAppend|Resume|Segment|Manifest' \
+	SHARP_RECORD_NOMMAP=1 $(GO) test -race -run 'Crash|Torn|Truncate|Flush|OpenAppend|Resume|Segment|Manifest|Stepper' \
 		./internal/record/ ./internal/core/ ./cmd/sharp/
 
 # Campaign-service chaos soak under the race detector: multi-tenant

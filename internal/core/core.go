@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -64,12 +63,11 @@ type Experiment struct {
 	// the local host (or the simulated machine for Sim backends).
 	SUT sysinfo.SUT
 	// Parallel is the number of worker goroutines executing runs
-	// concurrently (values <= 1 run sequentially). The parallel engine
+	// concurrently (values <= 1 run sequentially). Each Step batch then
 	// speculatively executes the runs up to the next CheckEvery boundary
-	// between rule evaluations and merges outcomes in run order, so with a
-	// run-addressable backend (Sim, Chaos, InProcess) the samples, rows and
-	// stop decision are bit-identical to the sequential path. See
-	// DESIGN.md ("Parallel experiment engine").
+	// and merges outcomes in run order, so with a run-addressable backend
+	// (Sim, Chaos, InProcess) the samples, rows and stop decision are
+	// bit-identical to sequential execution. See Stepper.
 	Parallel int
 	// Retry is the per-run retry policy; the zero value (MaxAttempts <= 1)
 	// disables retrying. When enabled the backend is wrapped with
@@ -216,8 +214,8 @@ type Launcher struct {
 	// the one failure mode the Logger must not have.
 	Log RowSink
 	// OnProgress, when set, receives the stopping rule's convergence snapshot
-	// after every merged observation. It is invoked from the single merge
-	// goroutine (sequential loop or parallel engine's ordered merge), so the
+	// after every merged observation. It is invoked from the goroutine
+	// driving the campaign's Stepper, which merges runs in order, so the
 	// callback never races with the rule. Budget-aware schedulers use it to
 	// track per-campaign urgency without polling the rule concurrently.
 	OnProgress func(stopping.Progress)
@@ -235,22 +233,6 @@ func NewLauncher() *Launcher { return &Launcher{Clock: time.Now} }
 // trace emits one campaign event (no-op without a tracer).
 func (l *Launcher) trace(typ string, fields map[string]any) {
 	obs.Emit(l.Tracer, typ, fields)
-}
-
-// traceStop emits the campaign.stop event summarizing the (possibly partial)
-// result.
-func (l *Launcher) traceStop(e Experiment, res *Result) {
-	if l.Tracer == nil {
-		return
-	}
-	l.trace(obs.EventCampaignStop, map[string]any{
-		"experiment":  e.Name,
-		"runs":        res.Runs,
-		"samples":     len(res.Samples),
-		"errors":      res.Errors,
-		"failed_runs": res.FailedRuns,
-		"stop_reason": res.StopReason,
-	})
 }
 
 // traceRuleEval emits the rule.eval event for the convergence check that the
@@ -303,25 +285,6 @@ func (l *Launcher) logRow(res *Result, row record.Row) error {
 	return nil
 }
 
-// interrupted finalizes a partial result at a run boundary after context
-// cancellation: lastRun runs are fully merged, nothing is half-recorded.
-// The campaign.checkpoint event and the ErrInterrupted-wrapped error tell
-// callers the result is resumable.
-func (l *Launcher) interrupted(e Experiment, res *Result, lastRun int, cause error) (*Result, error) {
-	res.Runs = lastRun
-	res.StopReason = fmt.Sprintf("interrupted after run %d", lastRun)
-	res.Finished = l.Clock()
-	if l.Tracer != nil {
-		l.trace(obs.EventCampaignCheckpoint, map[string]any{
-			"experiment": e.Name,
-			"run":        lastRun,
-			"rows":       len(res.Rows),
-		})
-	}
-	l.traceStop(e, res)
-	return res, fmt.Errorf("%w after run %d: %v", ErrInterrupted, lastRun, cause)
-}
-
 // Run executes the experiment until its stopping rule is satisfied and
 // returns the full Result.
 //
@@ -333,188 +296,11 @@ func (l *Launcher) interrupted(e Experiment, res *Result, lastRun int, cause err
 // error wrapping ErrFailureBudget. Configuration errors (unknown workload,
 // cancelled context) still abort immediately.
 func (l *Launcher) Run(ctx context.Context, e Experiment) (*Result, error) {
-	e, res, err := l.start(ctx, e)
-	if err != nil {
+	var s Stepper
+	if err := s.start(ctx, l, e); err != nil {
 		return nil, err
 	}
-	if e.Parallel > 1 {
-		return l.runParallel(ctx, e, res, 0, 0)
-	}
-	return l.runSequential(ctx, e, res, 0, 0)
-}
-
-// start applies defaults, initializes the result, emits campaign.start, and
-// executes the warm-up runs — the campaign prologue shared by Run and
-// NewStepper.
-func (l *Launcher) start(ctx context.Context, e Experiment) (Experiment, *Result, error) {
-	e, err := e.withDefaults()
-	if err != nil {
-		return e, nil, err
-	}
-	res := &Result{
-		Experiment: e,
-		RuleName:   e.Rule.Name(),
-		Started:    l.Clock(),
-	}
-	if l.Tracer != nil {
-		// Thread the tracer down the backend decorator chain (Chaos,
-		// resilience.Wrap, ...) so every execution layer reports into the
-		// same event stream.
-		backend.SetTracer(e.Backend, l.Tracer)
-		l.trace(obs.EventCampaignStart, map[string]any{
-			"experiment":  e.Name,
-			"workload":    e.Workload,
-			"backend":     e.Backend.Name(),
-			"rule":        res.RuleName,
-			"metric":      e.Metric,
-			"seed":        e.Seed,
-			"parallel":    e.Parallel,
-			"concurrency": e.Concurrency,
-		})
-	}
-	// Warm-up runs: executed, discarded. Warm-up failures are tolerated
-	// (the measurement phase judges health), except configuration errors.
-	for w := 0; w < e.WarmupRuns; w++ {
-		if _, err := e.Backend.Invoke(ctx, l.request(e, -(w+1))); err != nil {
-			if errors.Is(err, backend.ErrUnknownWorkload) || ctx.Err() != nil {
-				return e, nil, fmt.Errorf("core: warmup run %d: %w", w+1, err)
-			}
-		}
-	}
-	return e, res, nil
-}
-
-// runSequential executes measured runs startRun+1, startRun+2, ... until the
-// rule stops, folding each into res. consecutiveFailed seeds the failure
-// budget's consecutive-failure counter (non-zero when resuming a campaign
-// whose tail runs failed). Context cancellation finalizes res as a
-// resumable partial result (ErrInterrupted) rather than discarding it.
-func (l *Launcher) runSequential(ctx context.Context, e Experiment, res *Result, startRun, consecutiveFailed int) (*Result, error) {
-	run := startRun
-	for !e.Rule.Done() {
-		if err := ctx.Err(); err != nil {
-			return l.interrupted(e, res, run, err)
-		}
-		run++
-		if l.Tracer != nil {
-			l.trace(obs.EventRunScheduled, map[string]any{"run": run})
-		}
-		invs, invErr := e.Backend.Invoke(ctx, l.request(e, run))
-		if err := l.processRun(ctx, e, res, run, invs, invErr, &consecutiveFailed); err != nil {
-			if errors.Is(err, ErrFailureBudget) {
-				return res, err
-			}
-			if ctx.Err() != nil {
-				// The run was cut short by cancellation; it produced no
-				// merged observation, so the checkpoint is the previous run.
-				return l.interrupted(e, res, run-1, ctx.Err())
-			}
-			return nil, err
-		}
-	}
-	res.Runs = run
-	res.StopReason = e.Rule.Explain()
-	res.Finished = l.Clock()
-	l.traceStop(e, res)
-	return res, nil
-}
-
-// processRun folds one run's invocation outcome into the result and the
-// stopping rule — the single code path shared by the sequential loop and the
-// parallel engine's ordered merge, which is what guarantees both produce
-// identical rows, samples and stop decisions. It reads the clock exactly
-// once per run (in run order), handles whole-run and per-instance failures,
-// and enforces the failure budget. A returned error wrapping
-// ErrFailureBudget means res was finalized as a partial result; any other
-// error aborts the campaign.
-func (l *Launcher) processRun(ctx context.Context, e Experiment, res *Result, run int, invs []backend.Invocation, invErr error, consecutiveFailed *int) error {
-	now := l.Clock()
-	if invErr != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if errors.Is(invErr, backend.ErrUnknownWorkload) {
-			return fmt.Errorf("core: run %d: %w", run, invErr)
-		}
-		// Whole-run failure: record it as data and keep going.
-		res.Errors++
-		if err := l.logRow(res, l.errorRow(e, now, run, backend.Invocation{}, invErr)); err != nil {
-			return err
-		}
-	}
-	sum, ok := 0.0, 0
-	for _, inv := range invs {
-		if inv.Err != nil {
-			res.Errors++
-			if err := l.logRow(res, l.errorRow(e, now, run, inv, inv.Err)); err != nil {
-				return err
-			}
-			continue
-		}
-		// Deterministic row order: metrics sorted by name, not map order —
-		// byte-identical logs are what make crash recovery and resume
-		// differential-testable.
-		names := make([]string, 0, len(inv.Metrics))
-		for metricName := range inv.Metrics {
-			names = append(names, metricName)
-		}
-		sort.Strings(names)
-		for _, metricName := range names {
-			err := l.logRow(res, record.Row{
-				Timestamp:  now,
-				Experiment: e.Name,
-				Workload:   e.Workload,
-				Backend:    e.Backend.Name(),
-				Machine:    inv.Worker,
-				Day:        e.Day,
-				Run:        run,
-				Instance:   inv.Instance,
-				Metric:     metricName,
-				Value:      inv.Metrics[metricName],
-				Unit:       unitFor(metricName),
-				Status:     record.StatusOK,
-				Attempt:    attempts(inv),
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if v, has := inv.Metrics[e.Metric]; has {
-			sum += v
-			ok++
-		}
-	}
-	if ok == 0 {
-		res.FailedRuns++
-		*consecutiveFailed = *consecutiveFailed + 1
-		if l.Tracer != nil {
-			l.trace(obs.EventRunMerged, map[string]any{"run": run, "status": "failed"})
-		}
-		if over, why := e.FailureBudget.exceeded(*consecutiveFailed, res.FailedRuns, run); over {
-			res.Runs = run
-			res.StopReason = "failure budget exceeded: " + why
-			res.Finished = l.Clock()
-			l.traceStop(e, res)
-			return fmt.Errorf("%w after run %d: %s", ErrFailureBudget, run, why)
-		}
-		return nil
-	}
-	*consecutiveFailed = 0
-	v := sum / float64(ok)
-	res.Samples = append(res.Samples, v)
-	if l.Tracer != nil {
-		fields := map[string]any{"run": run, "status": "ok"}
-		if finite(v) {
-			fields["value"] = v
-		}
-		l.trace(obs.EventRunMerged, fields)
-	}
-	e.Rule.Add(v)
-	l.traceRuleEval(e.Rule)
-	if l.OnProgress != nil {
-		l.OnProgress(stopping.Snapshot(e.Rule))
-	}
-	return nil
+	return s.complete(ctx)
 }
 
 // attempts normalizes an invocation's attempt count (0 = undecorated single

@@ -1,6 +1,6 @@
 package core
 
-// Differential determinism tests for the parallel experiment engine: for
+// Differential determinism tests for batched (parallel) campaign execution: for
 // every stopping rule, Launcher.Run with Parallel N > 1 must produce
 // byte-identical SaveCSV output, identical samples and an identical
 // StopReason to the sequential path — including under chaos fault injection.

@@ -25,13 +25,12 @@ package core
 //
 // Non-deterministic backends (FaaS, local exec) resume correctly too; they
 // simply continue measuring, without the bit-identity guarantee. The same
-// caveat as the parallel engine applies to retries: resilience.Wrap
+// caveat as parallel execution applies to retries: resilience.Wrap
 // consumes extra draws at arrival time, so campaigns with retries enabled
 // resume validly but not bit-identically.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"sharp/internal/backend"
@@ -49,68 +48,40 @@ import (
 // The returned Result spans the whole campaign: replayed rows and samples
 // plus the newly measured ones.
 func (l *Launcher) Resume(ctx context.Context, e Experiment, rows []record.Row) (*Result, error) {
-	e, err := e.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Experiment: e,
-		RuleName:   e.Rule.Name(),
-		Started:    l.Clock(),
-	}
-	lastRun, consecutiveFailed, err := l.replayRows(e, res, rows)
-	if err != nil {
+	var s Stepper
+	if err := s.open(l, e, rows); err != nil {
 		return nil, err
 	}
 	if l.Tracer != nil {
-		backend.SetTracer(e.Backend, l.Tracer)
 		l.trace(obs.EventCampaignResume, map[string]any{
-			"experiment": e.Name,
-			"workload":   e.Workload,
-			"backend":    e.Backend.Name(),
-			"rule":       res.RuleName,
-			"seed":       e.Seed,
-			"from_run":   lastRun,
+			"experiment": s.e.Name,
+			"workload":   s.e.Workload,
+			"backend":    s.e.Backend.Name(),
+			"rule":       s.res.RuleName,
+			"seed":       s.e.Seed,
+			"from_run":   s.run,
 			"rows":       len(rows),
-			"samples":    len(res.Samples),
+			"samples":    len(s.res.Samples),
 		})
 	}
 	// Budget parity: if the replayed prefix already exhausted the failure
 	// budget, the original campaign aborted — report the same outcome
 	// instead of measuring past it.
-	if over, why := e.FailureBudget.exceeded(consecutiveFailed, res.FailedRuns, lastRun); over {
-		res.Runs = lastRun
-		res.StopReason = "failure budget exceeded: " + why
-		res.Finished = l.Clock()
-		l.traceStop(e, res)
-		return res, fmt.Errorf("%w after run %d: %s", ErrFailureBudget, lastRun, why)
+	if err := s.overBudget(); err != nil {
+		return s.res, err
 	}
 	// Fast-forward the backend stream: warm-ups first (they consumed draws
 	// before run 1 originally), then skip the completed measured runs.
-	for w := 0; w < e.WarmupRuns; w++ {
-		if _, err := e.Backend.Invoke(ctx, l.request(e, -(w+1))); err != nil {
-			if errors.Is(err, backend.ErrUnknownWorkload) || ctx.Err() != nil {
-				return nil, fmt.Errorf("core: resume warmup run %d: %w", w+1, err)
-			}
-		}
+	if err := s.prepare(ctx, "resume "); err != nil {
+		return nil, err
 	}
-	if lastRun > 0 {
-		if _, err := backend.SkipRuns(e.Backend, e.Workload, e.Day, e.Concurrency, lastRun); err != nil {
+	if s.run > 0 {
+		if _, err := backend.SkipRuns(s.e.Backend, s.e.Workload, s.e.Day, s.e.Concurrency, s.run); err != nil {
 			return nil, fmt.Errorf("core: resume: fast-forward backend: %w", err)
 		}
 	}
-	if e.Rule.Done() {
-		// The interrupt landed exactly on the stop decision: nothing to do.
-		res.Runs = lastRun
-		res.StopReason = e.Rule.Explain()
-		res.Finished = l.Clock()
-		l.traceStop(e, res)
-		return res, nil
-	}
-	if e.Parallel > 1 {
-		return l.runParallel(ctx, e, res, lastRun, consecutiveFailed)
-	}
-	return l.runSequential(ctx, e, res, lastRun, consecutiveFailed)
+	// A log cut exactly on the stop decision finishes without a run.
+	return s.complete(ctx)
 }
 
 // ReplayLog reconstructs the completed Result of a recorded campaign from
@@ -126,32 +97,19 @@ func (l *Launcher) Resume(ctx context.Context, e Experiment, rows []record.Row) 
 // rows are re-sent to the Log sink — the caller (the result cache) decides
 // how to surface the replay.
 func (l *Launcher) ReplayLog(e Experiment, rows []record.Row) (*Result, error) {
-	e, err := e.withDefaults()
-	if err != nil {
+	var s Stepper
+	// A clock-only launcher: the replay emits no events and streams no rows.
+	if err := s.open(&Launcher{Clock: l.Clock}, e, rows); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Experiment: e,
-		RuleName:   e.Rule.Name(),
-		Started:    l.Clock(),
+	if err := s.overBudget(); err != nil {
+		return s.res, err
 	}
-	lastRun, consecutiveFailed, err := l.replayRows(e, res, rows)
-	if err != nil {
-		return nil, err
-	}
-	res.Runs = lastRun
-	if over, why := e.FailureBudget.exceeded(consecutiveFailed, res.FailedRuns, lastRun); over {
-		res.StopReason = "failure budget exceeded: " + why
-		res.Finished = l.Clock()
-		return res, fmt.Errorf("%w after run %d: %s", ErrFailureBudget, lastRun, why)
-	}
-	if !e.Rule.Done() {
+	if !s.e.Rule.Done() {
 		return nil, fmt.Errorf("core: replay: log is not a completed campaign: rule %q not satisfied after %d runs",
-			res.RuleName, lastRun)
+			s.res.RuleName, s.run)
 	}
-	res.StopReason = e.Rule.Explain()
-	res.Finished = l.Clock()
-	return res, nil
+	return s.Finish(""), nil
 }
 
 // replayRows folds the recorded rows of runs 1..lastRun into res and the

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sharp/internal/backend"
@@ -105,71 +106,88 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // cancelAfter cancels a context once n measured-run invocations have been
-// requested, simulating an operator interrupt mid-campaign.
+// requested, simulating an operator interrupt mid-campaign. Invocations may
+// arrive from parallel workers, so the count is atomic.
 type cancelAfter struct {
 	backend.Backend
 	cancel context.CancelFunc
-	after  int
-	seen   int
+	after  int64
+	seen   atomic.Int64
 }
 
 func (c *cancelAfter) Unwrap() backend.Backend { return c.Backend }
 
 func (c *cancelAfter) Invoke(ctx context.Context, req backend.Request) ([]backend.Invocation, error) {
-	if req.Run >= 1 {
-		c.seen++
-		if c.seen == c.after {
-			c.cancel()
-		}
+	if req.Run >= 1 && c.seen.Add(1) == c.after {
+		c.cancel()
 	}
 	return c.Backend.Invoke(ctx, req)
 }
 
 func TestInterruptThenResumeEqualsUninterrupted(t *testing.T) {
 	dir := t.TempDir()
-	// Reference: uninterrupted.
+	// Reference: uninterrupted, sequential.
 	fullPath := filepath.Join(dir, "full.csv")
 	full, _ := runToCSV(t, buildExperiment(t, "ks", 1, false), fullPath)
 
-	// Interrupt during run 7's invocation: the cancelled run produces
-	// nothing, so the checkpoint is run 6.
-	e := buildExperiment(t, "ks", 1, false)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	e.Backend = &cancelAfter{Backend: e.Backend, cancel: cancel, after: 7}
-	l := newFakeLauncher()
-	partial, err := l.Run(ctx, e)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("want ErrInterrupted, got %v", err)
-	}
-	if partial == nil || partial.Runs != 6 {
-		t.Fatalf("partial result: runs=%d err=%v", partial.Runs, err)
-	}
-	if !strings.Contains(partial.StopReason, "interrupted after run 6") {
-		t.Errorf("stop reason %q", partial.StopReason)
-	}
-	// The partial rows must be exactly the uninterrupted prefix.
-	want := rowPrefix(full.Rows, 6)
-	if len(partial.Rows) != len(want) {
-		t.Fatalf("partial rows %d != prefix %d", len(partial.Rows), len(want))
-	}
+	for _, tc := range []struct {
+		parallel   int
+		after      int64 // cancel during this measured-run invocation
+		checkpoint int
+	}{
+		// Sequential: interrupt during run 7's invocation. The cancelled
+		// run produces nothing, so the checkpoint is run 6.
+		{parallel: 1, after: 7, checkpoint: 6},
+		// Parallel: KS checks every 10 samples, so runs 1-10 form the
+		// first batch and the 17th invocation falls in the second. The
+		// merge stops before that batch's first run: the checkpoint is
+		// the last merged run, 10.
+		{parallel: 4, after: 17, checkpoint: 10},
+	} {
+		t.Run(fmt.Sprintf("p%d", tc.parallel), func(t *testing.T) {
+			e := buildExperiment(t, "ks", tc.parallel, false)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			e.Backend = &cancelAfter{Backend: e.Backend, cancel: cancel, after: tc.after}
+			l := newFakeLauncher()
+			partial, err := l.Run(ctx, e)
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("want ErrInterrupted, got %v", err)
+			}
+			if partial == nil || partial.Runs != tc.checkpoint {
+				t.Fatalf("partial result: runs=%d err=%v, want checkpoint %d", partial.Runs, err, tc.checkpoint)
+			}
+			if want := fmt.Sprintf("interrupted after run %d", tc.checkpoint); !strings.Contains(partial.StopReason, want) {
+				t.Errorf("stop reason %q", partial.StopReason)
+			}
+			// The partial rows must be exactly the uninterrupted prefix,
+			// ending at the checkpoint run.
+			want := rowPrefix(full.Rows, tc.checkpoint)
+			if len(partial.Rows) != len(want) {
+				t.Fatalf("partial rows %d != prefix %d", len(partial.Rows), len(want))
+			}
+			if last := partial.Rows[len(partial.Rows)-1].Run; last != tc.checkpoint {
+				t.Fatalf("last recorded run %d, want checkpoint %d", last, tc.checkpoint)
+			}
 
-	// Resume from the partial log.
-	e2 := buildExperiment(t, "ks", 1, false)
-	l2 := newFakeLauncherAt(partial.Runs)
-	res, err := l2.Resume(context.Background(), e2, partial.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPath := filepath.Join(dir, "resumed.csv")
-	if err := res.SaveCSV(resPath); err != nil {
-		t.Fatal(err)
-	}
-	if got, wantCSV := readFileT(t, resPath), readFileT(t, fullPath); got != wantCSV {
-		t.Error("resumed CSV differs from uninterrupted")
-	}
-	if res.StopReason != full.StopReason || res.Runs != full.Runs {
-		t.Errorf("resume outcome %d %q != %d %q", res.Runs, res.StopReason, full.Runs, full.StopReason)
+			// Resume from the partial log.
+			e2 := buildExperiment(t, "ks", tc.parallel, false)
+			l2 := newFakeLauncherAt(partial.Runs)
+			res, err := l2.Resume(context.Background(), e2, partial.Rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resPath := filepath.Join(dir, fmt.Sprintf("resumed-p%d.csv", tc.parallel))
+			if err := res.SaveCSV(resPath); err != nil {
+				t.Fatal(err)
+			}
+			if got, wantCSV := readFileT(t, resPath), readFileT(t, fullPath); got != wantCSV {
+				t.Error("resumed CSV differs from uninterrupted")
+			}
+			if res.StopReason != full.StopReason || res.Runs != full.Runs {
+				t.Errorf("resume outcome %d %q != %d %q", res.Runs, res.StopReason, full.Runs, full.StopReason)
+			}
+		})
 	}
 }
 
@@ -268,19 +286,25 @@ func TestRowSinkStreamsAndAborts(t *testing.T) {
 
 // TestResumeAtStopBoundary resumes a log that already satisfies the rule.
 func TestResumeAtStopBoundary(t *testing.T) {
-	full, err := newFakeLauncher().Run(context.Background(), buildExperiment(t, "fixed", 1, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := newFakeLauncherAt(full.Runs).Resume(
-		context.Background(), buildExperiment(t, "fixed", 1, false), full.Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs != full.Runs || res.StopReason != full.StopReason {
-		t.Errorf("boundary resume: %d %q != %d %q", res.Runs, res.StopReason, full.Runs, full.StopReason)
-	}
-	if len(res.Samples) != len(full.Samples) {
-		t.Errorf("samples %d != %d", len(res.Samples), len(full.Samples))
+	for _, parallel := range []int{1, 4} {
+		full, err := newFakeLauncher().Run(context.Background(), buildExperiment(t, "fixed", parallel, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := newFakeLauncherAt(full.Runs).Resume(
+			context.Background(), buildExperiment(t, "fixed", parallel, false), full.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Runs != full.Runs || res.StopReason != full.StopReason {
+			t.Errorf("parallel=%d: boundary resume: %d %q != %d %q",
+				parallel, res.Runs, res.StopReason, full.Runs, full.StopReason)
+		}
+		if len(res.Samples) != len(full.Samples) {
+			t.Errorf("parallel=%d: samples %d != %d", parallel, len(res.Samples), len(full.Samples))
+		}
+		if res.Finished != full.Finished {
+			t.Errorf("parallel=%d: finished %v != %v", parallel, res.Finished, full.Finished)
+		}
 	}
 }

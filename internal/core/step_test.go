@@ -33,8 +33,9 @@ func stepExperiment(t *testing.T, rule stopping.Rule) Experiment {
 }
 
 // TestStepperMatchesRun is the equivalence pin: a campaign driven to rule
-// completion through any sequence of Step batch sizes produces the same
-// samples, rows, runs and stop reason as Run's sequential path.
+// completion through any sequence of Step batch sizes, sequential or
+// parallel, produces the same samples, rows, runs and stop reason as a
+// sequential Run.
 func TestStepperMatchesRun(t *testing.T) {
 	mkRule := func() stopping.Rule { return stopping.NewKS(0.1, stopping.Bounds{MaxSamples: 400}) }
 	want, err := pinnedLauncher().Run(context.Background(), stepExperiment(t, mkRule()))
@@ -42,31 +43,35 @@ func TestStepperMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, batches := range [][]int{{1}, {7}, {10}, {3, 10, 1, 25}} {
-		st, err := pinnedLauncher().NewStepper(context.Background(), stepExperiment(t, mkRule()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; !st.Done(); i++ {
-			n := batches[i%len(batches)]
-			ran, err := st.Step(context.Background(), n)
+	for _, parallel := range []int{1, 4} {
+		for _, batches := range [][]int{{1}, {7}, {10}, {3, 10, 1, 25}} {
+			e := stepExperiment(t, mkRule())
+			e.Parallel = parallel
+			st, err := pinnedLauncher().NewStepper(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ran > n {
-				t.Fatalf("Step(%d) ran %d", n, ran)
+			for i := 0; !st.Done(); i++ {
+				n := batches[i%len(batches)]
+				ran, err := st.Step(context.Background(), n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ran > n {
+					t.Fatalf("parallel %d: Step(%d) ran %d", parallel, n, ran)
+				}
 			}
-		}
-		got := st.Finish("")
-		if got.Runs != want.Runs || got.StopReason != want.StopReason {
-			t.Fatalf("batches %v: runs/reason = %d/%q, want %d/%q",
-				batches, got.Runs, got.StopReason, want.Runs, want.StopReason)
-		}
-		if !reflect.DeepEqual(got.Samples, want.Samples) {
-			t.Fatalf("batches %v: samples diverged", batches)
-		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("batches %v: rows diverged", batches)
+			got := st.Finish("")
+			if got.Runs != want.Runs || got.StopReason != want.StopReason {
+				t.Fatalf("parallel %d, batches %v: runs/reason = %d/%q, want %d/%q",
+					parallel, batches, got.Runs, got.StopReason, want.Runs, want.StopReason)
+			}
+			if !reflect.DeepEqual(got.Samples, want.Samples) {
+				t.Fatalf("parallel %d, batches %v: samples diverged", parallel, batches)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("parallel %d, batches %v: rows diverged", parallel, batches)
+			}
 		}
 	}
 }

@@ -353,18 +353,6 @@ func Read(r io.Reader) ([]Row, error) {
 	return readInto(r, nil)
 }
 
-// ReadHint is Read with an expected row count: dst is preallocated to hint
-// rows up front, so replaying a log of known length costs one allocation
-// instead of a grow-and-copy cascade. A hint of 0 (or a wrong hint) is
-// safe — it only affects capacity.
-func ReadHint(r io.Reader, hint int) ([]Row, error) {
-	var dst []Row
-	if hint > 0 {
-		dst = make([]Row, 0, hint)
-	}
-	return readInto(r, dst)
-}
-
 // readInto streams rows from r, appending to dst (which may carry
 // preallocated capacity).
 func readInto(r io.Reader, dst []Row) ([]Row, error) {

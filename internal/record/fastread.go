@@ -471,77 +471,3 @@ func ReadFileInto(path string, dst []Row) ([]Row, error) {
 	defer f.Close()
 	return readInto(bufio.NewReaderSize(f, 1<<16), dst)
 }
-
-// ReadRuns decodes only the rows whose Run index falls within [lo, hi]. On
-// the mapped path, data blocks whose frame-header run range does not overlap
-// the window are skipped without being decoded or checksum-verified (the
-// frame header is trusted for skipped blocks — use ReadFile for a fully
-// validating read), so a small run window out of a multi-gigabyte log
-// touches only the frames plus the overlapping blocks. Without mmap it
-// degrades to a filtered streaming scan.
-func ReadRuns(path string, lo, hi int) ([]Row, error) {
-	if hi < lo {
-		return nil, nil
-	}
-	format, err := sniffRead(path)
-	if err != nil {
-		return nil, err
-	}
-	switch format {
-	case formatSegmented:
-		return readRunsSegmented(path, lo, hi)
-	case FormatBinary:
-		m, err := openMapped(path)
-		if err != nil {
-			return nil, err
-		}
-		if m != nil {
-			defer m.unmap()
-			return readRunsMapped(m.data, lo, hi, nil)
-		}
-	}
-	var out []Row
-	err = StreamFile(path, func(batch []Row) error {
-		for i := range batch {
-			if batch[i].Run >= lo && batch[i].Run <= hi {
-				out = append(out, batch[i])
-			}
-		}
-		return nil
-	})
-	return out, err
-}
-
-// readRunsMapped is the block-skipping ranged read over one mapped log,
-// appending matching rows to dst.
-func readRunsMapped(data []byte, lo, hi int, dst []Row) ([]Row, error) {
-	w, err := walkMapped(data)
-	if err != nil {
-		return nil, err
-	}
-	batch := make([]Row, binBlockRows)
-	for i, ref := range w.refs {
-		if ref.lastRun < lo || ref.firstRun > hi {
-			continue // frame header proves no overlap
-		}
-		if ref.n > len(batch) { // oversized foreign block: see streamMapped
-			batch = make([]Row, ref.n)
-		}
-		blk := batch[:ref.n]
-		if derr := decodeRef(data, ref, w.dict, blk); derr != nil {
-			if w.err == nil && !w.torn && ref.end() == int64(len(data)) {
-				return dst, nil // torn final block: silently dropped
-			}
-			return nil, fmt.Errorf("record: corrupt block at offset %d: %s", w.refs[i].off, derr)
-		}
-		for j := range blk {
-			if blk[j].Run >= lo && blk[j].Run <= hi {
-				dst = append(dst, blk[j])
-			}
-		}
-	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	return dst, nil
-}

@@ -201,37 +201,6 @@ func TestReadFileInto(t *testing.T) {
 	}
 }
 
-// TestReadRuns checks the ranged read against a filtered full read, on both
-// the block-skipping mapped path and the streaming fallback.
-func TestReadRuns(t *testing.T) {
-	path := binPath(t, "runs.sharpb")
-	all := runRows(2500, 4) // 10000 rows: several blocks with FlushEvery default
-	writeBinary(t, path, all, Options{})
-	for _, window := range [][2]int{{1, 2500}, {7, 9}, {2400, 2600}, {9000, 9999}, {5, 4}} {
-		lo, hi := window[0], window[1]
-		var want []Row
-		for _, r := range all {
-			if r.Run >= lo && r.Run <= hi {
-				want = append(want, r)
-			}
-		}
-		got, err := ReadRuns(path, lo, hi)
-		if err != nil {
-			t.Fatalf("[%d,%d]: %v", lo, hi, err)
-		}
-		if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
-			t.Fatalf("[%d,%d]: got %d rows, want %d", lo, hi, len(got), len(want))
-		}
-	}
-	t.Run("fallback", func(t *testing.T) {
-		t.Setenv(NoMmapEnv, "1")
-		got, err := ReadRuns(path, 7, 9)
-		if err != nil || len(got) != 12 {
-			t.Fatalf("fallback ReadRuns = (%d rows, %v), want 12", len(got), err)
-		}
-	})
-}
-
 // writeOversizedBlockLog writes a structurally valid binary log whose single
 // data block holds more than binBlockRows rows — never produced by SHARP's
 // writer, but legal under the frame rules and accepted by the streaming
@@ -298,10 +267,6 @@ func TestMappedOversizedBlock(t *testing.T) {
 			return nil
 		}); err != nil || !reflect.DeepEqual(want, streamed) {
 			t.Fatalf("p=%d: mapped stream = (%d rows, %v)", p, len(streamed), err)
-		}
-		runs, err := ReadRuns(path, rows[0].Run, rows[len(rows)-1].Run)
-		if err != nil || !reflect.DeepEqual(want, runs) {
-			t.Fatalf("p=%d: ReadRuns = (%d rows, %v)", p, len(runs), err)
 		}
 	}
 	t.Run("corrupt-classification", func(t *testing.T) {

@@ -343,47 +343,6 @@ func streamSegmented(path string, sink func([]Row) error) error {
 	return nil
 }
 
-// readRunsSegmented is the ranged read over a segmented log.
-func readRunsSegmented(path string, lo, hi int) ([]Row, error) {
-	m, _, err := loadManifest(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []Row
-	for i := 0; i <= len(m.entries); i++ {
-		sp := segPath(path, i)
-		active := i == len(m.entries)
-		if active && activeSegMissing(sp) {
-			break
-		}
-		ml, err := openMapped(sp)
-		if err == nil && ml != nil {
-			out, err = func() ([]Row, error) {
-				defer ml.unmap()
-				return readRunsMapped(ml.data, lo, hi, out)
-			}()
-		} else if err == nil {
-			_, _, err = streamSegment(sp, func(batch []Row) error {
-				for j := range batch {
-					if batch[j].Run >= lo && batch[j].Run <= hi {
-						out = append(out, batch[j])
-					}
-				}
-				return nil
-			})
-		}
-		if err != nil {
-			// Only the active segment may legitimately be absent; a missing
-			// sealed segment is hard corruption, never a silent partial read.
-			if active && os.IsNotExist(err) {
-				break
-			}
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // ---- writer ----
 
 // segWriter appends rows to a segmented log: a binWriter on the active

@@ -110,17 +110,6 @@ func TestSegmentedRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(want, streamed) {
 		t.Fatal("segmented stream differs from single-file rows")
 	}
-	runsWant, err := ReadRuns(single, 12, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runsGot, err := ReadRuns(path, 12, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(runsWant, runsGot) {
-		t.Fatal("segmented ReadRuns differs from single-file ReadRuns")
-	}
 }
 
 // TestSegmentedRunsNeverSpanSegments verifies the roll invariant: every run's
@@ -438,9 +427,6 @@ func TestSegmentedEmptyActiveSegment(t *testing.T) {
 		}); err != nil || !reflect.DeepEqual(all[:sealed], streamed) {
 			t.Fatalf("StreamFile = (%d rows, %v), want the %d sealed rows", len(streamed), err, sealed)
 		}
-		if runs, err := ReadRuns(path, 1, wantLast); err != nil || !reflect.DeepEqual(all[:sealed], runs) {
-			t.Fatalf("ReadRuns = (%d rows, %v), want the %d sealed rows", len(runs), err, sealed)
-		}
 		if err := TruncateRows(path, sealed); err != nil {
 			t.Fatalf("TruncateRows(%d) = %v, want nil", sealed, err)
 		}
@@ -520,17 +506,14 @@ func TestSegmentedEmptyActiveSegment(t *testing.T) {
 }
 
 // TestSegmentedMissingSealedSegmentIsError proves a deleted *sealed* segment
-// is hard corruption on every read surface — ReadRuns included, which must
-// not silently return a partial result.
+// is hard corruption on every read surface, mapped and streaming: no reader
+// may silently return a partial result.
 func TestSegmentedMissingSealedSegmentIsError(t *testing.T) {
 	all := runRows(40, 3)
 	path := filepath.Join(t.TempDir(), "gone.sharpb")
 	writeSegmented(t, path, all, 10)
 	if err := os.Remove(segPath(path, 0)); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ReadRuns(path, 1, 40); err == nil {
-		t.Fatal("ReadRuns accepted a missing sealed segment")
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("ReadFile accepted a missing sealed segment")
@@ -540,8 +523,8 @@ func TestSegmentedMissingSealedSegmentIsError(t *testing.T) {
 	}
 	t.Run("nommap", func(t *testing.T) {
 		t.Setenv(NoMmapEnv, "1")
-		if _, err := ReadRuns(path, 1, 40); err == nil {
-			t.Fatal("ReadRuns (no mmap) accepted a missing sealed segment")
+		if _, err := ReadFile(path); err == nil {
+			t.Fatal("ReadFile (no mmap) accepted a missing sealed segment")
 		}
 	})
 }

@@ -88,7 +88,7 @@ type CampaignSpec struct {
 	// stream position.
 	WarmupRuns int `json:"warmup_runs,omitempty"`
 	// Parallel is the coordinator-side speculative batch width (the
-	// launcher's parallel engine); results are byte-identical at any value.
+	// launcher's batched Stepper mode); results are byte-identical at any value.
 	Parallel int `json:"parallel,omitempty"`
 	// Chaos optionally injects deterministic faults.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
