@@ -100,6 +100,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzScanBinary -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzScanManifest -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzCompleteBody -fuzztime=30s ./internal/service/
+	$(GO) test -run=XXX -fuzz=FuzzHalvesKS -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/stream/
 
 examples:
 	@for ex in quickstart gpu-compare concurrency finegrained stopping duet workflow; do \

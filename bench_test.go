@@ -419,12 +419,12 @@ func BenchmarkLauncherOverhead(b *testing.B) {
 // DESIGN.md):
 //
 //   - check-*: one check at n=1000 in isolation. The incremental rule keeps
-//     both prefix halves as sorted multisets, so a check is a single O(n)
-//     merge walk; the pre-rewrite recompute policy re-sorts both halves
-//     first, O(n log n) with two fresh copies.
+//     block summaries of both prefix halves, so a check folds O(n/32) of
+//     them; the pre-rewrite recompute policy re-sorts both halves first,
+//     O(n log n) with two fresh copies.
 //   - campaign-*: a full 1000-sample campaign with an unreachable threshold,
 //     paying for all 100 checks at growing n (amortizing the incremental
-//     path's per-sample sorted inserts against the repeated re-sorts).
+//     path's per-sample block inserts against the repeated re-sorts).
 func BenchmarkStoppingCheckIncrementalVsRecompute(b *testing.B) {
 	const n = 1000
 	data := randx.SampleN(randx.NewBimodalNormal(randx.New(benchSeed), 1.0, 0.01, 1.06, 0.01, 0.55), n)

@@ -28,7 +28,7 @@ func (c *fakeCell) Done() bool { return c.runs >= c.need }
 
 func (c *fakeCell) Progress() stopping.Progress {
 	if c.runs == 0 {
-		return stopping.Progress{Rule: "fake", N: 0} // unevaluated: +Inf urgency
+		return stopping.Progress{N: 0} // unevaluated: +Inf urgency
 	}
 	remaining := float64(c.need-c.runs) / float64(c.need)
 	if remaining < 0 {
@@ -36,7 +36,7 @@ func (c *fakeCell) Progress() stopping.Progress {
 	}
 	// Descending statistic toward threshold 1: urgency = stat/threshold.
 	return stopping.Progress{
-		Rule: "fake", N: c.runs, Done: c.Done(),
+		N: c.runs, Done: c.Done(),
 		Statistic: c.weight * remaining, Threshold: 1, HasEval: true,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func normData(seed uint64, n int, mu, sigma float64) []float64 {
@@ -141,6 +142,27 @@ func TestKSSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKSStatisticNaNTiesFirst: NaNs sort first and tie, as sort.Float64s
+// orders them, so they form the walk's first tie group instead of stalling
+// it. a = [NaN 1 2], b = [NaN 3]: the gaps after NaN, 1 and 2 are 1/6, 1/6
+// and 1/2.
+func TestKSStatisticNaNTiesFirst(t *testing.T) {
+	nan := math.NaN()
+	got := make(chan float64, 1)
+	go func() { got <- KSStatistic([]float64{1, nan, 2}, []float64{3, nan}) }()
+	select {
+	case d := <-got:
+		if d != 0.5 {
+			t.Fatalf("KS = %v, want 0.5", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("KSStatistic did not return within 10s on NaN input")
+	}
+	if d := KSStatistic([]float64{nan, nan}, []float64{nan}); d != 0 {
+		t.Fatalf("all-NaN KS = %v, want 0", d)
 	}
 }
 

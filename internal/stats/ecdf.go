@@ -50,8 +50,10 @@ func KSStatistic(xs, ys []float64) float64 {
 }
 
 // KSStatisticSorted is KSStatistic for already ascending-sorted samples; it
-// skips the O(n log n) copies so incremental callers (stats/stream.Halves)
-// pay only the O(n+m) merge walk per evaluation.
+// skips the O(n log n) copies so callers that keep their samples sorted
+// (similarity's order statistics) pay only the O(n+m) merge walk. That
+// walk, shared with KSStatistic, is the reference the block-summary
+// stream.Halves is differential-tested against.
 func KSStatisticSorted(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 1
@@ -64,6 +66,17 @@ func ksSorted(a, b []float64) float64 {
 	na, nb := float64(len(a)), float64(len(b))
 	var i, j int
 	var d, fa, fb float64
+	// sort.Float64s puts NaNs first, all tied. Consume that tie group here:
+	// NaN == NaN is false, so the loop below would never advance past one.
+	for i < len(a) && a[i] != a[i] {
+		i++
+	}
+	for j < len(b) && b[j] != b[j] {
+		j++
+	}
+	if i+j > 0 {
+		d = abs(float64(i)/na - float64(j)/nb)
+	}
 	for i < len(a) && j < len(b) {
 		x := a[i]
 		if b[j] < x {

@@ -13,10 +13,11 @@ import (
 // quantile, median, IQR, ECDF and MAD queries are bit-identical to the
 // recompute path — without the O(n log n) sort per convergence check.
 //
-// For the sample sizes stopping rules see (MaxSamples defaults to 1000) the
-// memmove is a few hundred bytes and far cheaper than re-sorting; a
-// Fenwick-indexed multiset would shave the memmove but lose the cheap
-// contiguous Sorted() view every stats query needs.
+// For the sample sizes stopping rules see (MaxSamples defaults to 1000;
+// sweeps run up to 4000) the memmove is at most a few tens of kilobytes and
+// far cheaper than re-sorting; a Fenwick-indexed multiset would shave the
+// memmove but lose the cheap contiguous Sorted() view every stats query
+// needs. NaNs sort first and tie, as sort.Float64s orders them.
 type OrderStats struct {
 	sorted []float64
 	dev    []float64 // scratch buffer for MAD
@@ -24,7 +25,7 @@ type OrderStats struct {
 
 // Add inserts x, keeping the multiset sorted.
 func (o *OrderStats) Add(x float64) {
-	i := sort.SearchFloat64s(o.sorted, x)
+	i := o.search(x)
 	o.sorted = append(o.sorted, 0)
 	copy(o.sorted[i+1:], o.sorted[i:])
 	o.sorted[i] = x
@@ -32,12 +33,23 @@ func (o *OrderStats) Add(x float64) {
 
 // Remove deletes one occurrence of x. It reports whether x was present.
 func (o *OrderStats) Remove(x float64) bool {
-	i := sort.SearchFloat64s(o.sorted, x)
-	if i >= len(o.sorted) || o.sorted[i] != x {
+	i := o.search(x)
+	if i >= len(o.sorted) || !same(o.sorted[i], x) {
 		return false
 	}
 	o.sorted = append(o.sorted[:i], o.sorted[i+1:]...)
 	return true
+}
+
+// search returns the first index whose element does not sort before x in
+// sort.Float64s order, where NaNs come first: NaN lands at 0, and for any
+// other x the NaN prefix fails SearchFloat64s's >= test like a smaller
+// number.
+func (o *OrderStats) search(x float64) int {
+	if x != x {
+		return 0
+	}
+	return sort.SearchFloat64s(o.sorted, x)
 }
 
 // AddSortedBatch merges an ascending-sorted batch into the multiset in one
@@ -55,7 +67,7 @@ func (o *OrderStats) AddSortedBatch(batch []float64) {
 	w := n + k - 1
 	i, j := n-1, k-1
 	for j >= 0 {
-		if i >= 0 && o.sorted[i] > batch[j] {
+		if i >= 0 && before(batch[j], o.sorted[i]) {
 			o.sorted[w] = o.sorted[i]
 			i--
 		} else {
@@ -77,16 +89,16 @@ func (o *OrderStats) RemoveSortedBatch(batch []float64) bool {
 	all := true
 	w, j := 0, 0
 	for i := 0; i < len(o.sorted); i++ {
-		if j < len(batch) && o.sorted[i] == batch[j] {
+		if j < len(batch) && same(o.sorted[i], batch[j]) {
 			j++ // drop this occurrence
 			continue
 		}
 		// Batch values absent from the multiset must not stall the scan.
-		for j < len(batch) && batch[j] < o.sorted[i] {
+		for j < len(batch) && before(batch[j], o.sorted[i]) {
 			j++
 			all = false
 		}
-		if j < len(batch) && o.sorted[i] == batch[j] {
+		if j < len(batch) && same(o.sorted[i], batch[j]) {
 			j++
 			continue
 		}

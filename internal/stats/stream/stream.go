@@ -10,8 +10,8 @@
 //	OrderStats   O(log n)+mv  Quantile/Median O(1)  stats.Quantile (bit-identical)
 //	                          ECDF Eval O(log n)    stats.ECDF (bit-identical)
 //	                          MAD O(n)              stats.MAD (bit-identical)
-//	Halves       O(log n)+mv  prefix-halves KS O(n) stats.KSStatistic (bit-identical,
-//	                                                no sorts)
+//	Halves       O(log n+B)   prefix-halves KS      stats.KSStatistic (bit-identical,
+//	                          O(n/B+B), B = 32      no sorts)
 //
 // Bit-identity notes. KahanSum replays exactly the compensated summation
 // stats.Sum performs, in the same element order, so Mean is bit-identical to

@@ -174,29 +174,62 @@ func TestOrderStatsRemove(t *testing.T) {
 	}
 }
 
+// halvesStreams returns arrival sequences that stress the block summaries
+// behind Halves.KS: long enough for the summary path, tie groups that span
+// many blocks, sorted arrival, infinities and NaNs.
+func halvesStreams(n int) map[string][]float64 {
+	out := streams(n)
+	rng := rand.New(rand.NewPCG(3, 5))
+	gen := func(f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	out["heavy ties"] = gen(func(int) float64 { return float64(rng.IntN(40)) })
+	out["three values"] = gen(func(int) float64 { return float64(rng.IntN(3)) })
+	out["ascending"] = gen(func(i int) float64 { return float64(i) })
+	out["descending"] = gen(func(i int) float64 { return float64(-i / 3) })
+	out["drift"] = gen(func(i int) float64 { return float64(i)/100 + rng.NormFloat64() })
+	out["infinities"] = gen(func(int) float64 {
+		switch rng.IntN(10) {
+		case 0:
+			return math.Inf(1)
+		case 1:
+			return math.Inf(-1)
+		}
+		return rng.NormFloat64()
+	})
+	out["nan"] = gen(func(i int) float64 {
+		if rng.IntN(8) == 0 || i > n/2 && rng.IntN(3) == 0 {
+			return math.NaN()
+		}
+		return math.Floor(50 * rng.Float64())
+	})
+	return out
+}
+
 func TestHalvesMatchesSplitHalvesKS(t *testing.T) {
-	for name, xs := range streams(400) {
-		var h Halves
-		for i, x := range xs {
-			h.Add(x)
-			prefix := xs[:i+1]
-			first, second := stats.SplitHalves(prefix)
-			if h.First().N() != len(first) || h.Second().N() != len(second) {
-				t.Fatalf("%s: partition size mismatch at n=%d: got %d/%d want %d/%d",
-					name, i+1, h.First().N(), h.Second().N(), len(first), len(second))
+	n := 5000
+	if testing.Short() {
+		n = 800
+	}
+	for name, xs := range halvesStreams(n) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var h Halves
+			for i, x := range xs {
+				h.Add(x)
+				prefix := xs[:i+1]
+				if got, want := h.KS(), stats.KSStatistic(stats.SplitHalves(prefix)); got != want {
+					t.Fatalf("KS at n=%d: got %v want %v", i+1, got, want)
+				}
 			}
-			if got, want := h.KS(), stats.KSStatistic(first, second); got != want {
-				t.Fatalf("%s: KS at n=%d: got %v want %v", name, i+1, got, want)
+			if h.N() != len(xs) {
+				t.Fatalf("N = %d, want %d", h.N(), len(xs))
 			}
-		}
-		// The maintained halves are exactly the sorted half-multisets.
-		first, _ := stats.SplitHalves(xs)
-		sortedFirst := stats.SortedCopy(first)
-		for j, v := range h.First().Sorted() {
-			if v != sortedFirst[j] {
-				t.Fatalf("%s: first-half multiset diverged at %d", name, j)
-			}
-		}
+		})
 	}
 }
 
@@ -346,4 +379,41 @@ func equalFloats(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestOrderStatsOrdersNaNLikeSort: NaN sorts first, as sort.Float64s puts
+// it, whatever the arrival order — and Remove finds it there.
+func TestOrderStatsOrdersNaNLikeSort(t *testing.T) {
+	nan := math.NaN()
+	rng := rand.New(rand.NewPCG(19, 23))
+	inputs := [][]float64{{3, nan, 1, 2, 5, 4}, {nan, nan, 1}, {2, 1, nan}}
+	for len(inputs) < 50 {
+		xs := make([]float64, 1+rng.IntN(60))
+		for i := range xs {
+			xs[i] = math.Floor(10 * rng.Float64())
+			if rng.IntN(4) == 0 {
+				xs[i] = nan
+			}
+		}
+		inputs = append(inputs, xs)
+	}
+	for _, xs := range inputs {
+		var o, batched OrderStats
+		for _, x := range xs {
+			o.Add(x)
+		}
+		batched.AddSortedBatch(stats.SortedCopy(xs))
+		want := stats.SortedCopy(xs)
+		if !equalFloats(o.Sorted(), want) || !equalFloats(batched.Sorted(), want) {
+			t.Fatalf("%v: Add gives %v, AddSortedBatch %v, want %v", xs, o.Sorted(), batched.Sorted(), want)
+		}
+		if !batched.RemoveSortedBatch(stats.SortedCopy(xs)) || batched.N() != 0 {
+			t.Fatalf("%v: RemoveSortedBatch left %v", xs, batched.Sorted())
+		}
+		for _, x := range xs {
+			if !o.Remove(x) {
+				t.Fatalf("%v: Remove(%v) reported absent from %v", xs, x, o.Sorted())
+			}
+		}
+	}
 }

@@ -470,3 +470,51 @@ func TestIncrementalRulesMatchRecomputeTightBounds(t *testing.T) {
 			NewModalityStability(2, b), &refModalityStability{base: newBase(b), StableChecks: 2}, xs)
 	}
 }
+
+// TestIncrementalKSMatchesRecomputeEveryCheck drives the KS rule and Meta
+// (whose multimodal and self-similarity families delegate to KS) to
+// MaxSamples 5000 under unreachable thresholds, so every check runs, and
+// CheckEvery 7 lands checks at odd n (na != nb) as well as even. Every KS
+// statistic must equal the recompute path's bit for bit, not just the stop
+// decisions.
+func TestIncrementalKSMatchesRecomputeEveryCheck(t *testing.T) {
+	b := Bounds{MaxSamples: 5000, CheckEvery: 7}
+	cfg := MetaConfig{CIThreshold: -1, KSThreshold: -1, MedianThreshold: -1, ESSTarget: math.Inf(1), SelfThreshold: -1}
+	metaKSChecks := 0
+	for name, xs := range diffStreams(5, 5000) {
+		ks, ksRef := NewKS(-1, b), &refKS{base: newBase(b), Threshold: -1, current: 1}
+		meta, metaRef := NewMeta(cfg, b), &refMeta{base: newBase(b), cfg: cfg.withDefaults()}
+		for i, x := range xs {
+			ks.Add(x)
+			ksRef.Add(x)
+			if ks.current != ksRef.current {
+				t.Fatalf("ks/%s: statistic at n=%d: incremental=%v recompute=%v", name, i+1, ks.current, ksRef.current)
+			}
+			meta.Add(x)
+			metaRef.Add(x)
+			if meta.Done() != metaRef.Done() {
+				t.Fatalf("meta/%s: Done diverged at n=%d", name, i+1)
+			}
+			ev, ok := meta.LastEval()
+			if !ok || ev.N != i+1 {
+				continue
+			}
+			switch meta.lastClass {
+			case classify.Constant, classify.Normal, classify.Uniform, classify.Logistic, classify.LogNormal,
+				classify.LogUniform, classify.HeavyTailed, classify.Autocorrelated:
+				continue
+			}
+			metaKSChecks++
+			if want := stats.KSStatistic(stats.SplitHalves(xs[:i+1])); ev.Statistic != want {
+				t.Fatalf("meta/%s [%s]: KS at n=%d: incremental=%v recompute=%v", name, meta.lastClass, i+1, ev.Statistic, want)
+			}
+		}
+		if ks.N() != 5000 || meta.N() != metaRef.N() || meta.Explain() != metaRef.Explain() {
+			t.Fatalf("%s: final state diverged: ks n=%d, meta %q vs %q", name, ks.N(), meta.Explain(), metaRef.Explain())
+		}
+	}
+	if metaKSChecks == 0 {
+		t.Fatal("no Meta check went through the KS families")
+	}
+	t.Logf("%d Meta checks answered by KS", metaKSChecks)
+}

@@ -8,8 +8,6 @@ import "math"
 // scores cells on these snapshots to decide where the next batch of runs
 // goes.
 type Progress struct {
-	// Rule is the rule's Name().
-	Rule string
 	// N is the number of observations the rule has seen.
 	N int
 	// Done mirrors Rule.Done().
@@ -68,8 +66,7 @@ type Progressor interface {
 	Progress() Progress
 }
 
-// Progress implements Progressor for every rule embedding base. The Rule
-// name is filled by Snapshot (base does not know its outer type).
+// Progress implements Progressor for every rule embedding base.
 func (b *base) Progress() Progress {
 	p := Progress{N: len(b.samples), Done: b.done, Ascending: b.ascending}
 	if b.hasFinite {
@@ -80,15 +77,13 @@ func (b *base) Progress() Progress {
 	return p
 }
 
-// Snapshot returns the rule's Progress with the Rule name filled in. Rules
-// that do not implement Progressor yield a name/N/Done-only snapshot whose
-// Urgency is +Inf until done — the scheduler treats opaque rules as always
-// worth feeding.
+// Snapshot returns the rule's Progress without allocating: the budget
+// scheduler takes one per cell on every pick. Rules that do not implement
+// Progressor yield an N/Done-only snapshot whose Urgency is +Inf until
+// done — the scheduler treats opaque rules as always worth feeding.
 func Snapshot(r Rule) Progress {
 	if pr, ok := r.(Progressor); ok {
-		p := pr.Progress()
-		p.Rule = r.Name()
-		return p
+		return pr.Progress()
 	}
-	return Progress{Rule: r.Name(), N: r.N(), Done: r.Done()}
+	return Progress{N: r.N(), Done: r.Done()}
 }

@@ -35,7 +35,7 @@ func TestSnapshotBeforeFirstEval(t *testing.T) {
 		r.Add(1 + 0.01*float64(i))
 	}
 	p := Snapshot(r)
-	if p.Rule != r.Name() || p.N != 5 || p.HasEval || !math.IsInf(p.Urgency(), 1) {
+	if p.N != 5 || p.HasEval || !math.IsInf(p.Urgency(), 1) {
 		t.Fatalf("pre-eval snapshot = %+v (urgency %v)", p, p.Urgency())
 	}
 }
@@ -132,7 +132,7 @@ func TestSnapshotOpaqueRule(t *testing.T) {
 	r := &opaqueRule{}
 	r.Add(0)
 	p := Snapshot(r)
-	if p.Rule != "opaque" || p.N != 1 || !math.IsInf(p.Urgency(), 1) {
+	if p.N != 1 || !math.IsInf(p.Urgency(), 1) {
 		t.Fatalf("opaque snapshot = %+v (urgency %v)", p, p.Urgency())
 	}
 	for !r.Done() {
@@ -140,5 +140,32 @@ func TestSnapshotOpaqueRule(t *testing.T) {
 	}
 	if u := Snapshot(r).Urgency(); u != 0 {
 		t.Fatalf("done opaque urgency = %v", u)
+	}
+}
+
+// TestSnapshotAllocationFree: the budget scheduler snapshots every cell on
+// every pick, so a snapshot must not allocate — for built-in rules and
+// opaque ones alike.
+func TestSnapshotAllocationFree(t *testing.T) {
+	b := Bounds{MinSamples: 10, MaxSamples: 500, CheckEvery: 10}
+	rules := map[string]Rule{
+		"ks":     NewKS(0.05, b),
+		"ci":     NewCI(0.95, 0.05, b),
+		"meta":   NewMeta(MetaConfig{}, b),
+		"fixed":  NewFixed(40),
+		"opaque": &opaqueRule{},
+	}
+	for name, r := range rules {
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 30; i++ {
+			r.Add(10 + rng.NormFloat64())
+		}
+		var p Progress
+		if allocs := testing.AllocsPerRun(100, func() { p = Snapshot(r) }); allocs != 0 {
+			t.Errorf("%s: Snapshot allocates %v times per call", name, allocs)
+		}
+		if p.N != r.N() {
+			t.Errorf("%s: snapshot N = %d, rule N = %d", name, p.N, r.N())
+		}
 	}
 }

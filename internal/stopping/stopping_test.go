@@ -1,11 +1,14 @@
 package stopping
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"sharp/internal/randx"
 	"sharp/internal/similarity"
+	"sharp/internal/stats"
 )
 
 func drive(t *testing.T, s randx.Sampler, r Rule) []float64 {
@@ -243,5 +246,33 @@ func TestTailStabilityDefaults(t *testing.T) {
 	}
 	if r.Name() != "tail-stability-0.02" {
 		t.Fatalf("name = %q", r.Name())
+	}
+}
+
+// TestKSRuleNaNTerminates: backend.ParseMetrics accepts "NaN", so a NaN
+// observation can reach the KS rule; its check must still finish and match
+// the recompute path, which sorts NaN first.
+func TestKSRuleNaNTerminates(t *testing.T) {
+	xs := make([]float64, 40)
+	for i := range xs {
+		xs[i] = 100 + float64(i%7)
+	}
+	xs[13] = math.NaN()
+	got := make(chan float64, 1)
+	go func() {
+		r := NewKS(0.02, Bounds{})
+		for _, x := range xs {
+			r.Add(x)
+		}
+		ev, _ := r.LastEval()
+		got <- ev.Statistic
+	}()
+	select {
+	case ks := <-got:
+		if want := stats.KSStatistic(stats.SplitHalves(xs)); ks != want {
+			t.Fatalf("KS with a NaN sample = %v, want %v", ks, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("KS rule did not finish a check within 10s of a NaN sample")
 	}
 }
