@@ -15,14 +15,14 @@
 //	<key>.sharpb       the cell's rows (binary columnar log, atomic write)
 //	<key>.json         entry metadata — written last, so it is the commit
 //	                   point: an entry exists iff its .json does
-//	counters.json      persisted hit/miss/store counters
+//	counters.json      persisted hit/miss/store counters (advisory)
 //
-// Crash safety mirrors the record package: both files are written via fsx
-// (temp + rename), and the .json commit point is ordered after the rows, so
-// a crash mid-Put leaves at worst an orphaned rows file that the next Put
-// overwrites and Prune sweeps. Deletion inverts the order: Prune removes the
-// .json first, so a crash mid-prune never leaves a committed entry whose
-// rows are gone.
+// Crash safety mirrors the record package: both entry files are written
+// via fsx (temp + sync + rename), and the .json commit point is ordered
+// after the rows, so a crash mid-Put leaves at worst an orphaned rows file
+// that the next Put overwrites and Prune sweeps. Deletion inverts the
+// order: Prune removes the .json first, so a crash mid-prune never leaves
+// a committed entry whose rows are gone.
 package cache
 
 import (
@@ -285,6 +285,28 @@ func (s *Store) list() ([]listedEntry, error) {
 	return out, nil
 }
 
+// writeCounters replaces counters.json through a temp file and a rename,
+// so a reader sees the old or the new counters, never a torn file. Unlike
+// fsx.WriteFile it syncs neither the file nor the directory: the counters
+// are advisory (Open resets them when the file is missing or corrupt), and
+// an fsync pair under s.mu on every Get and Put would serialize parallel
+// sweep cells on them.
+func (s *Store) writeCounters(data []byte) error {
+	f, err := os.CreateTemp(s.dir, countersFile+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	err = errors.Join(err, f.Chmod(0o644), f.Close())
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(s.dir, countersFile))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
 // count persists one counter bump and emits the event/metric.
 func (s *Store) count(result, event string, fields map[string]any) {
 	s.mu.Lock()
@@ -299,7 +321,7 @@ func (s *Store) count(result, event string, fields map[string]any) {
 	data, err := json.Marshal(&s.counters)
 	if err == nil {
 		// Advisory: a failed counters write never fails the lookup.
-		_ = fsx.WriteFile(filepath.Join(s.dir, countersFile), append(data, '\n'), 0o644)
+		_ = s.writeCounters(append(data, '\n'))
 	}
 	s.mu.Unlock()
 	if s.Tracer != nil {

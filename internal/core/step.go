@@ -45,7 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"sharp/internal/backend"
@@ -68,6 +68,9 @@ type Stepper struct {
 	// outs holds a parallel batch's invocation outcomes, reused across
 	// batches.
 	outs []outcome
+	// names is processRun's metric-name scratch, reused across
+	// invocations.
+	names []string
 	// terminal is set once the campaign reached a final state mid-Step
 	// (failure budget, interrupt, sink error); the matching error is
 	// returned from any further Step.
@@ -345,12 +348,12 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 		// Deterministic row order: metrics sorted by name, not map order —
 		// byte-identical logs are what make crash recovery and resume
 		// differential-testable.
-		names := make([]string, 0, len(inv.Metrics))
+		s.names = s.names[:0]
 		for metricName := range inv.Metrics {
-			names = append(names, metricName)
+			s.names = append(s.names, metricName)
 		}
-		sort.Strings(names)
-		for _, metricName := range names {
+		slices.Sort(s.names)
+		for _, metricName := range s.names {
 			err := l.logRow(res, record.Row{
 				Timestamp:  now,
 				Experiment: s.e.Name,

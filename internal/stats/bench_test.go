@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -105,11 +106,18 @@ func BenchmarkJarqueBera1k(b *testing.B) {
 	}
 }
 
+// BenchmarkBootstrapCI covers a small sample and the report's scale: a
+// 31 252-sample campaign log with the report's 500 resamples.
 func BenchmarkBootstrapCI(b *testing.B) {
-	x := benchData(300)
-	rng := rand.New(rand.NewPCG(3, 4))
-	for i := 0; i < b.N; i++ {
-		BootstrapCI(rng, x, 200, 0.95, Mean)
+	for _, c := range []struct{ n, resamples int }{{300, 200}, {31252, 500}} {
+		b.Run(fmt.Sprintf("n=%d/R=%d", c.n, c.resamples), func(b *testing.B) {
+			x := benchData(c.n)
+			rng := rand.New(rand.NewPCG(3, 4))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BootstrapCI(rng, x, c.resamples, 0.95, Mean)
+			}
+		})
 	}
 }
 

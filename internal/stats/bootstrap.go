@@ -2,53 +2,107 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
-	"sort"
+	"runtime"
+	"sync"
 )
-
-// Bootstrap draws resamples of xs and evaluates stat on each, returning the
-// sorted resample statistics. The rand source makes results reproducible.
-func Bootstrap(rng *rand.Rand, xs []float64, resamples int, stat func([]float64) float64) []float64 {
-	n := len(xs)
-	out := make([]float64, resamples)
-	buf := make([]float64, n)
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.IntN(n)]
-		}
-		out[r] = stat(buf)
-	}
-	sort.Float64s(out)
-	return out
-}
 
 // BootstrapCI returns the percentile bootstrap confidence interval for stat
 // at the given level. It is distribution-free, which matters for the
 // multimodal and heavy-tailed performance data SHARP targets.
 //
-// Only the two percentile endpoints of the resample distribution are
-// needed, so instead of Bootstrap's full O(R log R) sort the endpoints are
-// extracted by expected-O(R) quickselect (quantileSelect); the resample
-// scratch buffer is allocated once and reused across all R resamples. The
-// selected order statistics are exactly those the sorted path would read,
-// so the interval is bit-identical to the previous implementation.
+// Determinism contract: the interval is a function of (rng state, xs,
+// resamples, level, stat) alone. BootstrapCI takes exactly one Uint64 from
+// rng (none when xs is empty) as a seed. Resample r draws its len(xs)
+// indices from its own rand.PCG, whose two seed words are outputs 2r+1 and
+// 2r+2 of a SplitMix64 generator started at that seed, and reduces them to
+// [0, len(xs)) exactly as rand.Rand.IntN does. The resamples are split
+// across runtime.GOMAXPROCS(0) goroutines, but since no resample reads
+// another's generator, neither the worker count nor the split can change a
+// bit of the result.
+//
+// stat is called concurrently, each call on a distinct buffer; it must not
+// mutate shared state. The buffer is reused after stat returns, so stat
+// must not retain it. The two endpoints are picked from the resample
+// statistics by expected-O(R) quickselect (quantileSelect).
 func BootstrapCI(rng *rand.Rand, xs []float64, resamples int, level float64, stat func([]float64) float64) Interval {
 	if len(xs) == 0 {
 		return Interval{Level: level}
 	}
-	n := len(xs)
+	seed := rng.Uint64()
 	boots := make([]float64, resamples)
-	buf := make([]float64, n)
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.IntN(n)]
-		}
-		boots[r] = stat(buf)
+	workers := min(runtime.GOMAXPROCS(0), resamples)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*resamples/workers, (w+1)*resamples/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resampleRange(xs, seed, boots[lo:hi], lo, stat)
+		}()
 	}
+	wg.Wait()
 	alpha := 1 - level
 	low := quantileSelect(boots, alpha/2)
 	high := quantileSelect(boots, 1-alpha/2)
 	return Interval{Low: low, High: high, Level: level}
+}
+
+// resampleRange fills out[i] with stat of resample first+i, reusing one
+// len(xs) buffer for all of them.
+func resampleRange(xs []float64, seed uint64, out []float64, first int, stat func([]float64) float64) {
+	n := uint64(len(xs))
+	buf := make([]float64, n)
+	var src rand.PCG
+	for i := range out {
+		src.Seed(resampleSeed(seed, first+i))
+		if n&(n-1) == 0 {
+			// Power of two: IntN masks instead of multiplying.
+			for j := range buf {
+				buf[j] = xs[src.Uint64()&(n-1)]
+			}
+		} else {
+			for j := range buf {
+				hi, lo := bits.Mul64(src.Uint64(), n)
+				if lo < n {
+					hi = redraw(&src, n, hi, lo)
+				}
+				buf[j] = xs[hi]
+			}
+		}
+		out[i] = stat(buf)
+	}
+}
+
+// redraw finishes Lemire's multiply-and-reject bounded draw, the reduction
+// rand.Rand.IntN applies when n is not a power of two: the caller takes
+// hi, lo = x·n for a fresh x and keeps hi unless lo < n, which is rare
+// enough to leave the division here, out of the inlined loop.
+func redraw(src *rand.PCG, n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(src.Uint64(), n)
+	}
+	return hi
+}
+
+// resampleSeed returns the two PCG seed words of resample r: outputs 2r+1
+// and 2r+2 of a SplitMix64 generator started at seed, computed directly
+// rather than by stepping the generator. SplitMix64's finalizer spreads
+// neighbouring resample indices over the whole PCG state space, so the
+// resample streams do not overlap in practice.
+func resampleSeed(seed uint64, r int) (uint64, uint64) {
+	const gamma uint64 = 0x9e3779b97f4a7c15
+	k := 2 * uint64(r)
+	return splitMix64(seed + (k+1)*gamma), splitMix64(seed + (k+2)*gamma)
+}
+
+// splitMix64 is SplitMix64's output finalizer (Steele, Lea and Flood 2014).
+func splitMix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // quantileSelect returns the Hyndman-Fan type-7 p-quantile of xs — the same

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -357,19 +358,125 @@ func TestQuantileSelectMatchesSorted(t *testing.T) {
 	}
 }
 
-// TestBootstrapCIMatchesSortedPath checks the select-based BootstrapCI is
-// bit-identical to the original sort-everything implementation.
+// bootstrapReference is the serial test oracle of BootstrapCI's resampling
+// scheme, written from its documented contract rather than its code: one
+// seed from rng feeds a sequential SplitMix64 generator, each resample
+// takes the generator's next two outputs as its PCG seed words and draws
+// its indices through rand.Rand.IntN, and the resample statistics come
+// back sorted.
+func bootstrapReference(rng *rand.Rand, xs []float64, resamples int, stat func([]float64) float64) []float64 {
+	sm := rng.Uint64()
+	next := func() uint64 {
+		sm += 0x9e3779b97f4a7c15
+		z := sm
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	out := make([]float64, resamples)
+	buf := make([]float64, len(xs))
+	for r := range out {
+		hi := next()
+		lo := next()
+		draw := rand.New(rand.NewPCG(hi, lo))
+		for i := range buf {
+			buf[i] = xs[draw.IntN(len(xs))]
+		}
+		out[r] = stat(buf)
+	}
+	return SortedCopy(out)
+}
+
+// TestBootstrapCIMatchesSortedPath checks the parallel, select-based
+// BootstrapCI bit for bit against the serial sort-everything oracle. The
+// sample sizes cover IntN's power-of-two mask (1, 256) and its
+// multiply-and-reject path.
 func TestBootstrapCIMatchesSortedPath(t *testing.T) {
-	xs := benchData(300)
-	for _, level := range []float64{0.9, 0.95, 0.99} {
-		got := BootstrapCI(rand.New(rand.NewPCG(3, 4)), xs, 500, level, Mean)
-		boots := Bootstrap(rand.New(rand.NewPCG(3, 4)), xs, 500, Mean)
-		alpha := 1 - level
-		wantLow := QuantileSorted(boots, alpha/2)
-		wantHigh := QuantileSorted(boots, 1-alpha/2)
-		if got.Low != wantLow || got.High != wantHigh {
-			t.Errorf("level %v: CI [%v, %v], want [%v, %v]",
-				level, got.Low, got.High, wantLow, wantHigh)
+	for _, n := range []int{1, 7, 256, 300} {
+		xs := benchData(n)
+		for _, level := range []float64{0.9, 0.95, 0.99} {
+			for _, stat := range []func([]float64) float64{Mean, Median} {
+				got := BootstrapCI(rand.New(rand.NewPCG(3, 4)), xs, 500, level, stat)
+				boots := bootstrapReference(rand.New(rand.NewPCG(3, 4)), xs, 500, stat)
+				alpha := 1 - level
+				wantLow := QuantileSorted(boots, alpha/2)
+				wantHigh := QuantileSorted(boots, 1-alpha/2)
+				if got.Low != wantLow || got.High != wantHigh {
+					t.Errorf("n %d level %v: CI [%v, %v], want [%v, %v]",
+						n, level, got.Low, got.High, wantLow, wantHigh)
+				}
+			}
+		}
+	}
+}
+
+// TestBootstrapCIIndependentOfWorkers checks the determinism contract: the
+// interval bits do not depend on GOMAXPROCS, including resample counts
+// below the worker count.
+func TestBootstrapCIIndependentOfWorkers(t *testing.T) {
+	xs := bimodalData(21, 301, 10, 14, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, resamples := range []int{1, 2, 500} {
+		var want Interval
+		for i, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := BootstrapCI(rand.New(rand.NewPCG(5, 6)), xs, resamples, 0.95, Mean)
+			if i == 0 {
+				want = got
+				continue
+			}
+			if math.Float64bits(got.Low) != math.Float64bits(want.Low) ||
+				math.Float64bits(got.High) != math.Float64bits(want.High) {
+				t.Errorf("resamples %d GOMAXPROCS %d: CI %v, want %v (GOMAXPROCS 1)",
+					resamples, procs, got, want)
+			}
+		}
+	}
+}
+
+// TestBootstrapCIDrawsOneSeed checks BootstrapCI advances rng by exactly
+// one draw, and leaves it untouched on empty input.
+func TestBootstrapCIDrawsOneSeed(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	BootstrapCI(rng, benchData(50), 100, 0.95, Mean)
+	after := rng.Uint64()
+	ref := rand.New(rand.NewPCG(7, 8))
+	ref.Uint64()
+	if want := ref.Uint64(); after != want {
+		t.Errorf("rng advanced by more than one draw: next %x, want %x", after, want)
+	}
+
+	if ci := BootstrapCI(rng, nil, 100, 0.9, Mean); ci != (Interval{Level: 0.9}) {
+		t.Errorf("empty xs: CI %+v, want the zero interval at level 0.9", ci)
+	}
+	if want := ref.Uint64(); rng.Uint64() != want {
+		t.Error("empty xs advanced rng")
+	}
+}
+
+// TestBootstrapCIMedianConcurrent runs a sorting statistic across several
+// workers; under -race it checks that the workers share no buffer.
+func TestBootstrapCIMedianConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	xs := bimodalData(22, 400, 5, 9, 0.5)
+	ci := BootstrapCI(rand.New(rand.NewPCG(9, 10)), xs, 400, 0.95, Median)
+	if med := Median(xs); !ci.Contains(med) {
+		t.Errorf("median CI %v excludes the sample median %v", ci, med)
+	}
+}
+
+// TestBootstrapCIAgreesWithTInterval checks the bootstrap mean CI against
+// the t interval on normal data, where both are valid: each endpoint lies
+// within 10% of the t interval's width of its counterpart.
+func TestBootstrapCIAgreesWithTInterval(t *testing.T) {
+	for _, n := range []int{300, 31252} {
+		xs := normData(23, n, 1, 0.05)
+		boot := BootstrapCI(rand.New(rand.NewPCG(uint64(n), 0x5eed)), xs, 500, 0.95, Mean)
+		tci := MeanCI(xs, 0.95)
+		tol := 0.1 * tci.Width()
+		if math.Abs(boot.Low-tci.Low) > tol || math.Abs(boot.High-tci.High) > tol {
+			t.Errorf("n %d: bootstrap CI [%v, %v] strays more than %v from t CI [%v, %v]",
+				n, boot.Low, boot.High, tol, tci.Low, tci.High)
 		}
 	}
 }
