@@ -21,11 +21,9 @@ func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	to := fs.String("to", "auto", "output encoding: csv | binary | auto (by output extension: .sharpb = binary)")
 	segmentRows := fs.Int("segment-rows", 0, "roll a binary output into ~N-row segments under <out>.seg/ (0 = single file)")
-	parallel := fs.Int("parallel", 0, "worker goroutines decoding binary input blocks (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	record.SetReadParallelism(*parallel)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("convert: usage: sharp convert [--to csv|binary] <in> <out>")
 	}

@@ -16,7 +16,7 @@ func testRows(n, run int) []record.Row {
 	ts := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
 	for i := range rows {
 		rows[i] = record.Row{
-			Timestamp: ts.Add(time.Duration(i) * time.Second),
+			Timestamp:  ts.Add(time.Duration(i) * time.Second),
 			Experiment: "exp", Workload: "hotspot", Backend: "sim",
 			Machine: "m1", Day: 1, Run: run + i, Instance: 1, Attempt: 1,
 			Metric: "exec_time", Value: float64(i) + 0.5, Unit: "seconds",

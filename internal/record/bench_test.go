@@ -119,8 +119,9 @@ func BenchmarkReplay1e6(b *testing.B) {
 // BenchmarkRecordReplaySpeedup1e6 times one record+replay cycle of a million
 // rows in each format against an in-memory stream and reports the binary/CSV
 // speedup. Record is a buffered encode of every row; replay streams the log
-// back through record.Stream into a per-run accumulator fold (the shape of
-// resume's replay). Memory targets isolate the codec from the benchmark
+// back in reused batches — the binary log through the serial frame-walk
+// stream over its in-memory bytes, the CSV log through streamCSV — into a
+// per-run accumulator fold (the shape of resume's replay). Memory targets isolate the codec from the benchmark
 // host's disk throughput — on a ~100 MB/s disk the write() calls alone would
 // dominate both formats; the on-disk advantage shows up separately as
 // bin_bytes_per_row (68 vs ~130 for CSV). speedup_x is gated as a floor (the
@@ -131,7 +132,7 @@ func BenchmarkRecordReplaySpeedup1e6(b *testing.B) {
 	replay := func(data []byte, format Format) {
 		n, runs, lastRun := 0, 0, -1
 		var sum float64
-		err := Stream(bytes.NewReader(data), format, func(batch []Row) error {
+		fold := func(batch []Row) error {
 			for i := range batch {
 				if batch[i].Run != lastRun {
 					lastRun, runs = batch[i].Run, runs+1
@@ -142,7 +143,13 @@ func BenchmarkRecordReplaySpeedup1e6(b *testing.B) {
 				n++
 			}
 			return nil
-		})
+		}
+		var err error
+		if format == FormatBinary {
+			_, err = streamLog(data, fold)
+		} else {
+			err = streamCSV(bytes.NewReader(data), fold)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,15 +219,15 @@ func BenchmarkRecordReplaySpeedup1e6(b *testing.B) {
 }
 
 // BenchmarkReplay1e7 measures the mapped zero-copy reader against the
-// streaming scanner on a ten-million-row log — resume replay at the scale
-// where allocator traffic dominates. The streaming leg is the PR 7 crash
-// replay exactly: a buffered scan appending into an unhinted slab, because a
-// crash repair has just invalidated the sidecar index, so ReadFile gets no
-// capacity hint and grow-and-copies its way through ~2 GB of rows (it is
-// timed once — it is the expensive thing being replaced). The mapped leg is
-// ReadFileInto reusing its slab, the shape of the service recovery loop.
-// mmap_speedup_x is gated as a floor in BENCH_pr9.json: the mapped path must
-// stay >=3x the streaming scanner.
+// streaming scanner it replaced on a ten-million-row log — resume replay at
+// the scale where allocator traffic dominates. The streaming leg is the
+// original crash replay exactly (scanReference): a buffered scan appending
+// into an unhinted slab, because a crash repair has just invalidated the
+// sidecar index, so it gets no capacity hint and grow-and-copies its way
+// through ~2 GB of rows (it is timed once — it is the expensive thing being
+// replaced). The mapped leg is ReadFileInto reusing its slab, the shape of
+// the service recovery loop. mmap_speedup_x is gated as a floor in
+// BENCH_pr9.json: the mapped path must stay >=3x the streaming scanner.
 func BenchmarkReplay1e7(b *testing.B) {
 	if !mmapSupported {
 		b.Skip("no mmap on this platform")
@@ -250,7 +257,7 @@ func BenchmarkReplay1e7(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer f.Close()
-		_, rows, err := scanBinaryDst(f, nil)
+		_, rows, err := scanReference(f, nil, true, nil)
 		if err != nil || len(rows) != n {
 			b.Fatalf("streaming decoded %d rows, err=%v", len(rows), err)
 		}

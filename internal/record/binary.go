@@ -8,6 +8,8 @@
 // OpenAppend / TruncateRows / TruncateTrailingRun / ReadFile surfaces: the
 // crash-repair semantics (torn tail vs interior corruption) mirror the CSV
 // scanner exactly, so core.Launcher, Resume, and sharp-serve work unchanged.
+// This file holds the format and the writer; every read goes through the
+// frame walk in fastread.go.
 //
 // On-disk layout (all integers little-endian; see DESIGN.md §12):
 //
@@ -29,7 +31,7 @@
 // start, data end) and is written atomically on Close. It is advisory: a
 // freshness check (file size == dataEnd and a CRC over the file's tail)
 // detects staleness after a crash, in which case readers fall back to the
-// full validating scan.
+// full validating walk.
 package record
 
 import (
@@ -506,29 +508,12 @@ func encodeDataBlock(rows []Row, dict map[string]uint32) []byte {
 	return p
 }
 
-// decodeDataBlock decodes a columnar payload of n rows, validating dict ids
-// and nanosecond ranges (so a scan that accepts a block guarantees it also
-// decodes), appending to dst. Decoding runs column by column: each pass
-// streams sequentially through one column of the (cache-resident) payload
-// and one field of the freshly appended rows.
-func decodeDataBlock(payload []byte, n int, dict []string, dst []Row) ([]Row, error) {
-	base := len(dst)
-	if cap(dst)-base < n {
-		grown := make([]Row, base, base+n+(base+n)/4)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:base+n]
-	if err := decodeBlockInto(payload, n, dict, dst[base:base+n:base+n]); err != nil {
-		return dst[:base], err
-	}
-	return dst, nil
-}
-
 // decodeBlockInto decodes a columnar payload of n rows into blk (len n),
-// overwriting every field, so callers may hand it recycled Row storage. It
-// is the shared core of the streaming scanner and the mmap fast path, which
-// decodes blocks directly into disjoint windows of a preallocated slab.
+// validating dict ids and nanosecond ranges and overwriting every field, so
+// callers may hand it recycled Row storage: the stream's reused batch, or a
+// disjoint window of the slab reader's preallocated destination. Decoding
+// runs column by column: each pass streams sequentially through one column
+// of the (cache-resident) payload and one field of the rows.
 func decodeBlockInto(payload []byte, n int, dict []string, blk []Row) error {
 	le := binary.LittleEndian
 	for i := range blk {
@@ -624,163 +609,18 @@ func decodeBlockInto(payload []byte, n int, dict []string, blk []Row) error {
 	return nil
 }
 
-// binBlock records where a data block sits in the file.
-type binBlock struct {
-	off      int64 // frame start offset
-	rows     int
-	firstRow int // global row index of the block's first row
-}
-
-// binScan is the binary analogue of scanResult.
+// binScan is the binary analogue of scanResult: the accepted prefix of a
+// binary log as found by walk, and its data blocks.
 type binScan struct {
-	rows         int
+	rows int
+	// lastRun and runStartRows are the CSV scanner's run bookkeeping over
+	// the accepted rows; only streamLog tracks them.
 	lastRun      int
 	runStartRows int
 	dataEnd      int64 // offset past the last valid block
 	torn         bool
 	dict         []string
-	blocks       []binBlock
-}
-
-// scanBinary streams a binary log, validating framing, checksums, and
-// decodability of every block, and locates the crash-consistent truncation
-// point. The torn/corrupt policy mirrors the CSV scanner: an incomplete or
-// invalid final block (EOF reached, nothing after it) is a torn tail left by
-// a crash and is repairable; an invalid block with data after it is hard
-// corruption. When collect is true the decoded rows are returned.
-func scanBinary(r io.Reader, collect bool) (binScan, []Row, error) {
-	return scanBinaryImpl(r, nil, collect, nil)
-}
-
-// scanBinaryDst is scanBinary collecting into a caller-preallocated slice.
-func scanBinaryDst(r io.Reader, dst []Row) (binScan, []Row, error) {
-	return scanBinaryImpl(r, dst, true, nil)
-}
-
-// scanBinaryStream is scanBinary delivering each decoded block to sink
-// instead of materializing the log; the batch slice is reused between calls.
-func scanBinaryStream(r io.Reader, sink func([]Row) error) (binScan, error) {
-	sc, _, err := scanBinaryImpl(r, nil, false, sink)
-	return sc, err
-}
-
-func scanBinaryImpl(r io.Reader, dst []Row, collect bool, sink func([]Row) error) (binScan, []Row, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var sc binScan
-	magic := make([]byte, len(binMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != binMagic {
-		return sc, nil, errors.New("record: missing binary magic")
-	}
-	sc.dataEnd = int64(len(binMagic))
-	rows := dst
-	frame := make([]byte, binFrameLen)
-	var payload []byte // reused across blocks; nothing decoded retains it
-	for {
-		blockOff := sc.dataEnd
-		if _, err := io.ReadFull(br, frame); err != nil {
-			if err == io.EOF {
-				return sc, rows, nil
-			}
-			if err == io.ErrUnexpectedEOF {
-				sc.torn = true // partial frame: crash signature
-				return sc, rows, nil
-			}
-			return sc, nil, fmt.Errorf("record: %w", err)
-		}
-		kind := frame[0]
-		nRows := int(binary.LittleEndian.Uint32(frame[1:]))
-		firstRun := int(int32(binary.LittleEndian.Uint32(frame[5:])))
-		lastRun := int(int32(binary.LittleEndian.Uint32(frame[9:])))
-		payloadLen := int(binary.LittleEndian.Uint32(frame[13:]))
-		wantCRC := binary.LittleEndian.Uint32(frame[17:])
-		// Structural sanity. The writer emits only well-formed frames, and a
-		// crash can only truncate the stream (leaving a partial frame or
-		// payload, handled above/below), so a complete frame that is
-		// structurally impossible is corruption, not a crash.
-		switch {
-		case kind != binKindDict && kind != binKindData:
-			return sc, nil, fmt.Errorf("record: corrupt block at offset %d: unknown kind 0x%02x", blockOff, kind)
-		case payloadLen > binMaxPayload || nRows <= 0:
-			return sc, nil, fmt.Errorf("record: corrupt block at offset %d: implausible frame", blockOff)
-		case kind == binKindData && payloadLen != nRows*binRowBytes:
-			return sc, nil, fmt.Errorf("record: corrupt block at offset %d: payload/row-count mismatch", blockOff)
-		}
-		if cap(payload) < payloadLen {
-			payload = make([]byte, payloadLen)
-		}
-		payload = payload[:payloadLen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				sc.torn = true // partial payload: crash signature
-				return sc, rows, nil
-			}
-			return sc, nil, fmt.Errorf("record: %w", err)
-		}
-		_, peekErr := br.Peek(1)
-		final := peekErr == io.EOF
-		// fail reports a bad block: torn if it is the file's final block
-		// (a disk-level torn write), hard corruption otherwise.
-		fail := func(msg string) (binScan, []Row, error) {
-			if final {
-				sc.torn = true
-				return sc, rows, nil
-			}
-			return sc, nil, fmt.Errorf("record: corrupt block at offset %d: %s", blockOff, msg)
-		}
-		if crc := crc32.Update(crc32.Update(0, binCRC, frame[:17]), binCRC, payload); crc != wantCRC {
-			return fail("checksum mismatch")
-		}
-		switch kind {
-		case binKindDict:
-			got := 0
-			for off := 0; off < len(payload); {
-				if off+4 > len(payload) {
-					return fail("truncated dictionary entry")
-				}
-				l := int(binary.LittleEndian.Uint32(payload[off:]))
-				off += 4
-				if l < 0 || off+l > len(payload) {
-					return fail("dictionary entry overruns payload")
-				}
-				sc.dict = append(sc.dict, string(payload[off:off+l]))
-				off += l
-				got++
-			}
-			if got != nRows {
-				return fail(fmt.Sprintf("dictionary has %d entries, frame says %d", got, nRows))
-			}
-		case binKindData:
-			before := len(rows)
-			var err error
-			rows, err = decodeDataBlock(payload, nRows, sc.dict, rows)
-			if err != nil {
-				rows = rows[:before]
-				return fail(err.Error())
-			}
-			block := rows[before:]
-			if block[0].Run != firstRun || block[len(block)-1].Run != lastRun {
-				rows = rows[:before]
-				return fail("frame run range disagrees with rows")
-			}
-			sc.blocks = append(sc.blocks, binBlock{off: blockOff, rows: nRows, firstRow: sc.rows})
-			for i := range block {
-				if block[i].Run != sc.lastRun {
-					sc.lastRun = block[i].Run
-					sc.runStartRows = sc.rows
-				}
-				sc.rows++
-			}
-			if sink != nil {
-				if err := sink(block); err != nil {
-					return sc, nil, err
-				}
-			}
-			if !collect {
-				rows = rows[:before]
-			}
-		}
-		sc.dataEnd = blockOff + int64(binFrameLen+payloadLen)
-	}
+	refs         []blockRef
 }
 
 // ---- sidecar index ----
@@ -863,30 +703,6 @@ func (ix *binIndex) fresh(f *os.File) bool {
 
 // ---- read-side dispatch targets ----
 
-// readBinaryFile decodes all rows of a binary log, preallocating from the
-// sidecar index when it is fresh.
-func readBinaryFile(path string) ([]Row, error) {
-	if rows, _, ok, err := readBinaryFileFast(path, nil); ok {
-		return rows, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	// The index row count is only a capacity hint here; the scan still
-	// validates every block.
-	var dst []Row
-	if ix := loadBinIndex(path); ix != nil && ix.fresh(f) && ix.rows > 0 {
-		dst = make([]Row, 0, ix.rows)
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-	}
-	_, rows, err := scanBinaryDst(f, dst)
-	return rows, err
-}
-
 // scanBinaryFile is the ScanFile implementation for binary logs. A fresh
 // sidecar index answers in O(1) without touching the row data — this is
 // what makes clean resume a seek instead of a parse.
@@ -899,7 +715,7 @@ func scanBinaryFile(path string) (rows, lastRun int, torn bool, err error) {
 	if ix := loadBinIndex(path); ix != nil && ix.fresh(f) {
 		return ix.rows, ix.lastRun, false, nil
 	}
-	sc, _, err := scanBinary(f, false)
+	sc, err := streamLogFile(path, nil)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -921,13 +737,12 @@ func openAppendBinary(path string, o Options) (*Writer, int, error) {
 // binWriter, so the segmented log can reuse the same repair-and-position
 // logic on its active segment.
 func openAppendBinaryCore(path string, o Options) (*binWriter, int, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	sc, err := streamLogFile(path, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	sc, _, err := scanBinary(f, false)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		f.Close()
 		return nil, 0, err
 	}
 	if sc.torn {
@@ -963,10 +778,10 @@ func truncateBinaryRows(f *os.File, sc binScan, rows []Row, n int) error {
 	newEnd := sc.dataEnd
 	if n < sc.rows {
 		// Find the data block containing row n.
-		var cut binBlock
-		for _, b := range sc.blocks {
-			if b.firstRow+b.rows > n {
-				cut = b
+		var cut blockRef
+		for _, ref := range sc.refs {
+			if ref.firstRow+ref.n > n {
+				cut = ref
 				break
 			}
 		}
@@ -1028,11 +843,8 @@ func truncateRowsBinary(path string, n int) error {
 		if ix := loadBinIndex(path); ix != nil && ix.fresh(f) && ix.rows == n {
 			return nil
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
 	}
-	sc, rows, err := scanBinary(f, true)
+	sc, rows, err := readLogFile(path, nil)
 	if err != nil {
 		return err
 	}
@@ -1047,11 +859,12 @@ func truncateTrailingRunBinary(path string) (rows, droppedRun int, err error) {
 		return 0, 0, err
 	}
 	defer f.Close()
-	sc, all, err := scanBinary(f, true)
+	sc, all, err := readLogFile(path, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	if sc.lastRun == 0 {
+	lastRun, runStartRows := runBookkeeping(all)
+	if lastRun == 0 {
 		if sc.torn {
 			if err := f.Truncate(sc.dataEnd); err != nil {
 				return 0, 0, err
@@ -1060,10 +873,10 @@ func truncateTrailingRunBinary(path string) (rows, droppedRun int, err error) {
 		}
 		return sc.rows, 0, nil
 	}
-	if err := truncateBinaryRows(f, sc, all, sc.runStartRows); err != nil {
+	if err := truncateBinaryRows(f, sc, all, runStartRows); err != nil {
 		return 0, 0, err
 	}
-	return sc.runStartRows, sc.lastRun, nil
+	return runStartRows, lastRun, nil
 }
 
 // writeRowsAtomicBinary renders a complete binary log to a temp file and

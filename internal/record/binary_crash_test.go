@@ -45,7 +45,7 @@ func binLayout(t *testing.T, path string, rows []Row) []int64 {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sc, _, err := scanBinary(f, false)
+	sc, _, err := scanReference(f, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -344,17 +344,12 @@ func validateHeader(rec []string) error {
 	return nil
 }
 
-// Read parses tidy rows from r; the first record must be the Header (the
-// legacy pre-resilience header, lacking the status/attempt/error columns,
-// is also accepted). Records are streamed with a reused field buffer rather
-// than materialized via ReadAll, so reading a multi-million-row log costs
-// one Row slice, not a second [][]string copy of the whole file.
-func Read(r io.Reader) ([]Row, error) {
-	return readInto(r, nil)
-}
-
-// readInto streams rows from r, appending to dst (which may carry
-// preallocated capacity).
+// readInto parses tidy rows from r, appending to dst (which may carry
+// preallocated capacity); the first record must be the Header (the legacy
+// pre-resilience header, lacking the status/attempt/error columns, is also
+// accepted). Records are streamed with a reused field buffer rather than
+// materialized via ReadAll, so reading a multi-million-row log costs one Row
+// slice, not a second [][]string copy of the whole file.
 func readInto(r io.Reader, dst []Row) ([]Row, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true // parseRow copies what it keeps
@@ -384,57 +379,33 @@ func readInto(r io.Reader, dst []Row) ([]Row, error) {
 	}
 }
 
-// Stream parses rows from r in the given format, delivering them to fn in
-// batches. The batch slice is reused between calls, so fn must copy any row
-// it retains. Replaying this way touches one block-sized scratch batch
-// instead of materializing the whole log, which is what makes streaming
-// consumers (sharp convert, the replay benchmarks) immune to log size.
-// Format must be explicit — an io.Reader has no magic to sniff twice — and a
-// torn binary tail is silently dropped, as in ReadFile.
-func Stream(r io.Reader, format Format, fn func(batch []Row) error) error {
-	switch format {
-	case FormatBinary:
-		_, err := scanBinaryStream(r, fn)
-		return err
-	case FormatCSV:
-		return streamCSV(r, fn)
-	default:
-		return fmt.Errorf("record: Stream requires an explicit format, got %q", format)
-	}
-}
-
-// StreamFile is Stream over a log file, sniffing the format from the magic
-// bytes. Binary logs stream from an mmap view when the platform supports it
-// (decoding blocks in parallel per SetReadParallelism), falling back to the
-// buffered scanner otherwise; the delivered batches are identical either way.
+// StreamFile parses a log file in either format (sniffed from the magic
+// bytes), delivering its rows to fn in batches. The batch slice is reused
+// between calls, so fn must copy any row it retains. Replaying this way
+// touches one block-sized scratch batch instead of materializing the whole
+// log, which is what makes streaming consumers (sharp convert, the replay
+// benchmarks) immune to log size. A torn binary tail is silently dropped, as
+// in ReadFile.
 func StreamFile(path string, fn func(batch []Row) error) error {
 	format, err := sniffRead(path)
 	if err != nil {
 		return err
 	}
-	if format == formatSegmented {
+	switch {
+	case format == formatSegmented:
 		return streamSegmented(path, fn)
-	}
-	if emptyBinaryArtifact(path) {
+	case format == FormatBinary:
+		_, err := streamLogFile(path, fn)
+		return err
+	case emptyBinaryArtifact(path):
 		return nil
-	}
-	if format == FormatBinary {
-		ml, err := openMapped(path)
-		if err != nil {
-			return err
-		}
-		if ml != nil {
-			defer ml.unmap()
-			_, err := streamMapped(ml.data, fn)
-			return err
-		}
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return Stream(bufio.NewReaderSize(f, 1<<16), format, fn)
+	return streamCSV(bufio.NewReaderSize(f, 1<<16), fn)
 }
 
 // streamCSV delivers parsed CSV rows to fn in reused batches.
@@ -487,7 +458,8 @@ func ReadFile(path string) ([]Row, error) {
 	} else if format == formatSegmented {
 		return readSegmented(path, nil)
 	} else if format == FormatBinary {
-		return readBinaryFile(path)
+		_, rows, err := readLogFile(path, nil)
+		return rows, err
 	} else if emptyBinaryArtifact(path) {
 		return nil, nil
 	}

@@ -1,19 +1,21 @@
-// Mapped zero-copy read path for binary columnar logs. The streaming scanner
-// in binary.go pays a bufio copy plus a fresh decode pass per block on one
-// goroutine; at 10⁷–10⁸ rows a resume replay or cache hit spends most of its
-// time in read(2) and allocator zeroing. This file decodes column slices
-// directly out of a syscall.Mmap view of the file instead: a serial frame
-// walk validates structure and dictionary blocks (whose strings are copied
-// out of the mapping, so decoded rows never alias it), then the independent
-// data blocks are checksum-verified and decoded by a bounded worker pool —
-// each block lands in a disjoint window of the destination slab, so there is
-// no merge step and steady-state replay allocates nothing.
+// The binary log reader. Every read of a .sharpb file — ReadFile, StreamFile,
+// ScanFile, OpenAppend, truncation, segments — goes through one frame walk
+// over the file's bytes. Those bytes come from a read-only syscall.Mmap view
+// of the file or, where mmap is unsupported or refused, or under
+// SHARP_RECORD_NOMMAP=1, from os.ReadFile: a reader then holds the whole file
+// (68 B/row) in memory while it reads.
 //
-// The torn/corruption classification is bit-for-bit the streaming scanner's:
-// the lowest-offset failing block decides the outcome, torn if it is the
-// file's final block, hard corruption otherwise, with identical error
-// strings. Platforms without mmap — or runs with SHARP_RECORD_NOMMAP=1 — use
-// the streaming scanner unchanged.
+// The serial walk validates frame structure and dictionary blocks (whose
+// strings are copied out of the bytes, so decoded rows never alias a
+// mapping) and defers the data blocks to one of two consumers: readLog
+// checksum-verifies and decodes them with a bounded worker pool, each block
+// into a disjoint window of the destination slab, so there is no merge step
+// and steady-state replay allocates nothing; streamLog decodes them in order
+// into one reused batch for a visitor, keeping the run bookkeeping that
+// crash repair needs.
+//
+// Torn/corrupt classification: the lowest-offset failing block decides the
+// outcome, torn if it is the file's final block, hard corruption otherwise.
 package record
 
 import (
@@ -24,12 +26,13 @@ import (
 	"hash/crc32"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// NoMmapEnv names the environment variable that disables the mmap fast path
-// (value "1"), forcing every reader down the portable streaming scanner.
+// NoMmapEnv names the environment variable that disables mmap (value "1"),
+// so every reader walks a copy of the file read with os.ReadFile instead.
 // Used by the crash-test suite to exercise the fallback.
 const NoMmapEnv = "SHARP_RECORD_NOMMAP"
 
@@ -39,8 +42,8 @@ func mmapDisabled() bool { return os.Getenv(NoMmapEnv) == "1" }
 // (0 = GOMAXPROCS at call time).
 var readParallelism atomic.Int64
 
-// SetReadParallelism bounds the worker pool used to decode independent data
-// blocks on the mapped read path. It is wired to the CLI --parallel flags:
+// SetReadParallelism bounds the worker pool that readLog uses to decode
+// independent data blocks. It is wired to the CLI --parallel flags:
 // 0 restores the default (GOMAXPROCS at call time); negative values are
 // clamped to 1 (strictly serial decode).
 func SetReadParallelism(n int) {
@@ -58,41 +61,63 @@ func ReadParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// mappedLog is a read-only mapping of a log file. The descriptor is closed
-// immediately (the mapping outlives it); unmap must be called exactly once.
-type mappedLog struct {
+// logSource holds the contents of a log file: a read-only mapping, or a copy
+// of the file when unmap is nil.
+type logSource struct {
 	data  []byte
 	unmap func()
 }
 
-// openMapped maps the file at path read-only. It returns (nil, nil) when the
-// fast path is unavailable — mmap unsupported, disabled, or refused by the
-// kernel (e.g. an empty file) — in which case callers fall back to the
-// streaming scanner, preserving behavior exactly.
-func openMapped(path string) (*mappedLog, error) {
-	if !mmapSupported || mmapDisabled() {
-		return nil, nil
+// release unmaps a mapping; it must be called exactly once, after which data
+// is invalid.
+func (b *logSource) release() {
+	if b.unmap != nil {
+		b.unmap()
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	data, unmap, err := mmapFile(f, st.Size())
-	if err != nil {
-		return nil, nil
-	}
-	return &mappedLog{data: data, unmap: unmap}, nil
 }
 
-// blockRef locates one data block inside a mapped log. dictLen snapshots the
+// loadLog returns the bytes of the log file at path: a read-only mapping
+// when the platform allows it, else a copy read with os.ReadFile (mmap
+// unsupported, disabled, or refused by the kernel, e.g. for an empty file).
+func loadLog(path string) (*logSource, error) {
+	if mmapSupported && !mmapDisabled() {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		if data, unmap, err := mmapFile(f, st.Size()); err == nil {
+			return &logSource{data: data, unmap: unmap}, nil
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return &logSource{data: data}, nil
+}
+
+// catchFault is deferred, with debug.SetPanicOnFault(true) in force, by every
+// goroutine that touches a log's bytes: a mapped file truncated under its
+// reader faults on the vanished pages, and the fault becomes an error instead
+// of killing the process. Any other panic is re-raised.
+func catchFault(err *error) {
+	if r := recover(); r != nil {
+		if _, ok := r.(interface{ Addr() uintptr }); !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("record: log changed under its mapping: %v", r)
+	}
+}
+
+// blockRef locates one data block in a log. dictLen snapshots the
 // dictionary length visible to the block, so a block referencing ids its
-// preceding dict blocks never introduced fails exactly like the streaming
-// scanner ("dictionary id N out of range").
+// preceding dict blocks never introduced fails with "dictionary id N out of
+// range".
 type blockRef struct {
 	off      int64 // frame start offset
 	n        int   // rows
@@ -105,42 +130,36 @@ type blockRef struct {
 // end returns the offset just past the block's payload.
 func (ref blockRef) end() int64 { return ref.off + binFrameLen + int64(ref.n)*binRowBytes }
 
-// mapWalk is the result of the serial structure pass over a mapped log.
-// Dictionary blocks are fully validated and decoded during the walk; data
-// blocks are deferred to the worker pool, so a walk-level verdict (torn or
-// err) is only *pending*: it stands unless an earlier data block fails
-// verification, in which case that block — the lowest-offset failure, as in
-// the streaming scan — decides the outcome instead.
-type mapWalk struct {
-	refs  []blockRef
-	dict  []string
-	total int   // rows across refs
-	torn  bool  // pending torn-tail verdict
-	err   error // pending hard-corruption verdict
+// logWalk is the result of the serial structure pass over a log. Dictionary
+// blocks are fully validated and decoded during the walk; data blocks are
+// deferred to the decoder, so the walk's verdict (torn, dataEnd, err) is only
+// *pending*: it stands unless an earlier data block fails verification, in
+// which case settle lets that block — the lowest-offset failure — decide.
+type logWalk struct {
+	binScan
+	err error // pending hard-corruption verdict
 }
 
-// failAt applies the streaming scanner's classification to a bad dict block:
-// torn if it is the file's final block, hard corruption otherwise.
-func (w mapWalk) failAt(off int64, final bool, msg string) mapWalk {
+// failAt classifies a bad dict block at off: torn if it is the file's final
+// block, hard corruption otherwise.
+func (w *logWalk) failAt(off int64, final bool, msg string) {
 	if final {
 		w.torn = true
 	} else {
 		w.err = fmt.Errorf("record: corrupt block at offset %d: %s", off, msg)
 	}
-	return w
 }
 
-// walkMapped parses the frame structure of a mapped binary log. It mirrors
-// scanBinaryImpl block for block, except that data-block checksums and
-// decodes are deferred to the caller via refs.
-func walkMapped(data []byte) (mapWalk, error) {
-	var w mapWalk
+// walk parses the frame structure of a binary log held in data.
+func walk(data []byte) (logWalk, error) {
+	var w logWalk
 	if len(data) < len(binMagic) || string(data[:len(binMagic)]) != binMagic {
 		return w, errors.New("record: missing binary magic")
 	}
 	le := binary.LittleEndian
-	off, size := int64(len(binMagic)), int64(len(data))
-	for off < size {
+	w.dataEnd = int64(len(binMagic))
+	for size := int64(len(data)); w.dataEnd < size; {
+		off := w.dataEnd
 		if size-off < binFrameLen {
 			w.torn = true // partial frame: crash signature
 			return w, nil
@@ -151,6 +170,10 @@ func walkMapped(data []byte) (mapWalk, error) {
 		firstRun := int(int32(le.Uint32(frame[5:])))
 		lastRun := int(int32(le.Uint32(frame[9:])))
 		payloadLen := int(le.Uint32(frame[13:]))
+		// Structural sanity. The writer emits only well-formed frames, and a
+		// crash can only truncate the file (leaving a partial frame or
+		// payload), so a complete frame that is structurally impossible is
+		// corruption, not a crash.
 		switch {
 		case kind != binKindDict && kind != binKindData:
 			w.err = fmt.Errorf("record: corrupt block at offset %d: unknown kind 0x%02x", off, kind)
@@ -170,42 +193,61 @@ func walkMapped(data []byte) (mapWalk, error) {
 		final := off+binFrameLen+int64(payloadLen) == size
 		if kind == binKindDict {
 			if crc := crc32.Update(crc32.Update(0, binCRC, frame[:17]), binCRC, payload); crc != le.Uint32(frame[17:]) {
-				return w.failAt(off, final, "checksum mismatch"), nil
+				w.failAt(off, final, "checksum mismatch")
+				return w, nil
 			}
 			got := 0
 			for p := 0; p < len(payload); {
 				if p+4 > len(payload) {
-					return w.failAt(off, final, "truncated dictionary entry"), nil
+					w.failAt(off, final, "truncated dictionary entry")
+					return w, nil
 				}
 				l := int(le.Uint32(payload[p:]))
 				p += 4
 				if l < 0 || p+l > len(payload) {
-					return w.failAt(off, final, "dictionary entry overruns payload"), nil
+					w.failAt(off, final, "dictionary entry overruns payload")
+					return w, nil
 				}
-				// string() copies the bytes out of the mapping: decoded rows
-				// must never retain mapped memory past unmap.
+				// string() copies the bytes out of the log: decoded rows must
+				// never retain mapped memory past release.
 				w.dict = append(w.dict, string(payload[p:p+l]))
 				p += l
 				got++
 			}
 			if got != nRows {
-				return w.failAt(off, final, fmt.Sprintf("dictionary has %d entries, frame says %d", got, nRows)), nil
+				w.failAt(off, final, fmt.Sprintf("dictionary has %d entries, frame says %d", got, nRows))
+				return w, nil
 			}
 		} else {
 			w.refs = append(w.refs, blockRef{
-				off: off, n: nRows, firstRow: w.total,
+				off: off, n: nRows, firstRow: w.rows,
 				dictLen: len(w.dict), firstRun: firstRun, lastRun: lastRun,
 			})
-			w.total += nRows
+			w.rows += nRows
 		}
-		off += binFrameLen + int64(payloadLen)
+		w.dataEnd = off + binFrameLen + int64(payloadLen)
 	}
 	return w, nil
 }
 
+// settle resolves the walk's pending verdict against the lowest-offset data
+// block that failed verification (bad < 0: none did). A failing final block
+// is a torn tail: the accepted prefix ends at its frame. Otherwise the
+// failure, or failing that the walk's own pending error, is returned.
+func (w *logWalk) settle(size int64, bad int, derr error) error {
+	if bad < 0 {
+		return w.err
+	}
+	ref := w.refs[bad]
+	if w.err != nil || w.torn || ref.end() != size {
+		return fmt.Errorf("record: corrupt block at offset %d: %s", ref.off, derr)
+	}
+	w.torn, w.dataEnd, w.rows, w.refs = true, ref.off, ref.firstRow, w.refs[:bad]
+	return nil
+}
+
 // decodeRef checksum-verifies one data block and decodes it into blk
-// (len ref.n), in the streaming scanner's validation order: CRC, column
-// decode, frame run-range cross-check.
+// (len ref.n), in order: CRC, column decode, frame run-range cross-check.
 func decodeRef(data []byte, ref blockRef, dict []string, blk []Row) error {
 	frame := data[ref.off : ref.off+binFrameLen]
 	payload := data[ref.off+binFrameLen : ref.end()]
@@ -224,7 +266,9 @@ func decodeRef(data []byte, ref blockRef, dict []string, blk []Row) error {
 // decodeRefs decodes every data block into its disjoint window of out,
 // fanning out across min(ReadParallelism, len(refs)) workers over an atomic
 // work counter. Windows never overlap, so no ordering or merge is needed; it
-// returns the index and error of the lowest-offset failing block, or -1.
+// returns the index and error of the lowest-offset failing block, or -1. A
+// worker's panic (a fault included) is re-raised on the caller once every
+// worker has stopped, for the caller's catchFault.
 func decodeRefs(data []byte, refs []blockRef, dict []string, out []Row) (int, error) {
 	window := func(ref blockRef) []Row {
 		return out[ref.firstRow : ref.firstRow+ref.n : ref.firstRow+ref.n]
@@ -242,16 +286,24 @@ func decodeRefs(data []byte, refs []blockRef, dict []string, out []Row) (int, er
 		return -1, nil
 	}
 	var (
-		next   atomic.Int64
-		minBad atomic.Int64
-		errs   = make([]error, len(refs))
-		wg     sync.WaitGroup
+		next     atomic.Int64
+		minBad   atomic.Int64
+		errs     = make([]error, len(refs))
+		panicked atomic.Pointer[any]
+		wg       sync.WaitGroup
 	)
 	minBad.Store(int64(len(refs)))
 	for k := 0; k < p; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &r)
+					minBad.Store(-1) // stop the other workers
+				}
+			}()
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= len(refs) || int64(i) > minBad.Load() {
@@ -270,22 +322,27 @@ func decodeRefs(data []byte, refs []blockRef, dict []string, out []Row) (int, er
 		}()
 	}
 	wg.Wait()
+	if r := panicked.Load(); r != nil {
+		panic(*r)
+	}
 	if bad := int(minBad.Load()); bad < len(refs) {
 		return bad, errs[bad]
 	}
 	return -1, nil
 }
 
-// readMapped decodes a whole mapped log, appending to dst (reusing its
-// backing capacity). torn reports a repairable torn tail — including a
-// final-block verification failure, exactly as in the streaming scanner.
-func readMapped(data []byte, dst []Row) ([]Row, bool, error) {
-	w, err := walkMapped(data)
+// readLog decodes a whole binary log held in data, appending to dst (reusing
+// its backing capacity). sc.torn reports a repairable torn tail, including a
+// final-block verification failure; sc carries no run bookkeeping.
+func readLog(data []byte, dst []Row) (sc binScan, rows []Row, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer catchFault(&err)
+	w, err := walk(data)
 	if err != nil {
-		return nil, false, err
+		return sc, nil, err
 	}
 	base := len(dst)
-	need := base + w.total
+	need := base + w.rows
 	if cap(dst) < need {
 		grown := make([]Row, need)
 		copy(grown, dst)
@@ -293,149 +350,69 @@ func readMapped(data []byte, dst []Row) ([]Row, bool, error) {
 	} else {
 		dst = dst[:need]
 	}
-	if bad, derr := decodeRefs(data, w.refs, w.dict, dst[base:need]); bad >= 0 {
-		ref := w.refs[bad]
-		if w.err == nil && !w.torn && ref.end() == int64(len(data)) {
-			return dst[:base+ref.firstRow], true, nil // torn final block
-		}
-		return nil, false, fmt.Errorf("record: corrupt block at offset %d: %s", ref.off, derr)
+	bad, derr := decodeRefs(data, w.refs, w.dict, dst[base:need])
+	if err := w.settle(int64(len(data)), bad, derr); err != nil {
+		return sc, nil, err
 	}
-	if w.err != nil {
-		return nil, false, w.err
-	}
-	return dst, w.torn, nil
+	return w.binScan, dst[:base+w.rows], nil
 }
 
-// readBinaryFileFast is the mapped implementation behind ReadFile for binary
-// logs; ok=false means the fast path is unavailable and the caller must use
-// the streaming scanner instead.
-func readBinaryFileFast(path string, dst []Row) (rows []Row, torn, ok bool, err error) {
-	m, err := openMapped(path)
+// streamLog delivers the decoded data blocks of a binary log held in data to
+// sink (nil: none) in frame order, through one reused batch, and tracks the
+// run bookkeeping crash repair needs. A torn tail is reported in sc.torn,
+// not as an error.
+func streamLog(data []byte, sink func([]Row) error) (sc binScan, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer catchFault(&err)
+	w, err := walk(data)
 	if err != nil {
-		return nil, false, true, err
+		return sc, err
 	}
-	if m == nil {
-		return nil, false, false, nil
-	}
-	defer m.unmap()
-	rows, torn, err = readMapped(m.data, dst)
-	return rows, torn, true, err
-}
-
-// streamMapped delivers decoded blocks to sink in frame order. With one
-// worker a single reused batch makes the loop allocation-free; with more,
-// pooled batches flow through an ordered hand-off so sink sees blocks in
-// exactly the streaming scanner's order while they decode concurrently. A
-// torn tail is reported, not an error, mirroring scanBinaryStream.
-func streamMapped(data []byte, sink func([]Row) error) (bool, error) {
-	w, err := walkMapped(data)
-	if err != nil {
-		return false, err
-	}
-	// fail resolves a block-verification failure at data-block index i.
-	fail := func(i int, derr error) (bool, error) {
-		ref := w.refs[i]
-		if w.err == nil && !w.torn && ref.end() == int64(len(data)) {
-			return true, nil // torn final block: silently dropped
+	var batch []Row
+	for i, ref := range w.refs {
+		// SHARP's writer caps blocks at binBlockRows, but any row count
+		// whose payload length checks out is structurally valid; grow
+		// rather than reject a foreign block.
+		if cap(batch) < ref.n {
+			batch = make([]Row, max(ref.n, min(w.rows, binBlockRows)))
 		}
-		return false, fmt.Errorf("record: corrupt block at offset %d: %s", ref.off, derr)
-	}
-	p := ReadParallelism()
-	if p > len(w.refs) {
-		p = len(w.refs)
-	}
-	if p <= 1 {
-		batch := make([]Row, binBlockRows)
-		for i, ref := range w.refs {
-			// SHARP's writer caps blocks at binBlockRows, but any nRows whose
-			// payload length checks out is structurally valid (the streaming
-			// scanner decodes it); grow rather than panic on a foreign block.
-			if ref.n > len(batch) {
-				batch = make([]Row, ref.n)
+		blk := batch[:ref.n]
+		if derr := decodeRef(data, ref, w.dict, blk); derr != nil {
+			err = w.settle(int64(len(data)), i, derr)
+			return w.binScan, err
+		}
+		for k := range blk {
+			if blk[k].Run != w.lastRun {
+				w.lastRun, w.runStartRows = blk[k].Run, ref.firstRow+k
 			}
-			blk := batch[:ref.n]
-			if derr := decodeRef(data, ref, w.dict, blk); derr != nil {
-				return fail(i, derr)
-			}
+		}
+		if sink != nil {
 			if err := sink(blk); err != nil {
-				return false, err
+				return w.binScan, err
 			}
 		}
-		return w.torn, w.err
 	}
-	type res struct {
-		blk []Row
-		err error
+	return w.binScan, w.err
+}
+
+// readLogFile is readLog over the binary log file at path.
+func readLogFile(path string, dst []Row) (binScan, []Row, error) {
+	b, err := loadLog(path)
+	if err != nil {
+		return binScan{}, nil, err
 	}
-	type job struct {
-		i int
-		c chan res
+	defer b.release()
+	return readLog(b.data, dst)
+}
+
+// streamLogFile is streamLog over the binary log file at path.
+func streamLogFile(path string, sink func([]Row) error) (binScan, error) {
+	b, err := loadLog(path)
+	if err != nil {
+		return binScan{}, err
 	}
-	pool := sync.Pool{New: func() any { return make([]Row, binBlockRows) }}
-	jobs := make(chan job, p)
-	order := make(chan chan res, 2*p)
-	done := make(chan struct{})
-	var stop sync.Once
-	quit := func() { stop.Do(func() { close(done) }) }
-	// On early return (sink error, corrupt block) the caller unmaps data, so
-	// no worker may be mid-decode when we leave: close done, then wait for
-	// every worker to drain (deferred LIFO: quit before Wait).
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer quit()
-	go func() {
-		defer close(order)
-		defer close(jobs)
-		for i := range w.refs {
-			c := make(chan res, 1)
-			select {
-			case jobs <- job{i: i, c: c}:
-			case <-done:
-				return
-			}
-			select {
-			case order <- c:
-			case <-done:
-				return
-			}
-		}
-	}()
-	for k := 0; k < p; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case j, open := <-jobs:
-					if !open {
-						return
-					}
-					ref := w.refs[j.i]
-					blk := pool.Get().([]Row)
-					if cap(blk) < ref.n { // oversized foreign block: see serial path
-						blk = make([]Row, ref.n)
-					}
-					blk = blk[:ref.n]
-					j.c <- res{blk: blk, err: decodeRef(data, ref, w.dict, blk)}
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	i := 0
-	for c := range order {
-		r := <-c
-		if r.err != nil {
-			return fail(i, r.err)
-		}
-		if err := sink(r.blk); err != nil {
-			return false, err
-		}
-		pool.Put(r.blk[:cap(r.blk)]) //nolint:staticcheck // reused block buffers
-		i++
-	}
-	return w.torn, w.err
+	defer b.release()
+	return streamLog(b.data, sink)
 }
 
 // ReadFileInto is ReadFile reusing dst's backing array: dst is truncated to
@@ -453,15 +430,7 @@ func ReadFileInto(path string, dst []Row) ([]Row, error) {
 	case formatSegmented:
 		return readSegmented(path, dst)
 	case FormatBinary:
-		if rows, _, ok, err := readBinaryFileFast(path, dst); ok {
-			return rows, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		_, rows, err := scanBinaryDst(f, dst)
+		_, rows, err := readLogFile(path, dst)
 		return rows, err
 	}
 	f, err := os.Open(path)

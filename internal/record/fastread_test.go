@@ -22,53 +22,78 @@ func setParallelism(t *testing.T, n int) {
 	t.Cleanup(func() { readParallelism.Store(prev) })
 }
 
-// readStreaming reads a binary log through the portable scanner, bypassing
-// the mapped fast path — the reference the mapped reader must match.
-func readStreaming(t *testing.T, path string) ([]Row, bool, error) {
+// readReference reads a binary log through scanReference, the oracle every
+// production read path must match.
+func readReference(t *testing.T, path string) ([]Row, bool, error) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sc, rows, err := scanBinaryDst(f, nil)
+	sc, rows, err := scanReference(f, nil, true, nil)
 	return rows, sc.torn, err
 }
 
-// TestMappedReadParity proves the mapped reader returns bit-identical rows to
-// the streaming scanner on clean logs, across block shapes and parallelism.
-func TestMappedReadParity(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
+// eachSource runs fn once per byte source of the frame walk: the mapped file
+// and the os.ReadFile copy that replaces it when mmap is unavailable.
+func eachSource(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	for _, src := range []string{"mmap", "nommap"} {
+		t.Run(src, func(t *testing.T) {
+			if src == "mmap" && !mmapSupported {
+				t.Skip("no mmap on this platform")
+			}
+			if src == "nommap" {
+				t.Setenv(NoMmapEnv, "1")
+			} else {
+				t.Setenv(NoMmapEnv, "0")
+			}
+			fn(t)
+		})
 	}
+}
+
+// sameRead reports a mismatch between the production read of a log and the
+// reference scan of it: rows, torn verdict, and error string.
+func sameRead(t *testing.T, got []Row, gotTorn bool, gerr error, want []Row, wantTorn bool, werr error) {
+	t.Helper()
+	if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+		t.Fatalf("error mismatch:\n  production: %v\n  reference:  %v", gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	if wantTorn != gotTorn || !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
+		t.Fatalf("production (%d rows, torn=%v) differs from reference (%d rows, torn=%v)",
+			len(got), gotTorn, len(want), wantTorn)
+	}
+}
+
+// TestMappedReadParity proves the frame walk returns bit-identical rows to
+// the reference scanner on clean logs, across block shapes, byte sources,
+// and parallelism.
+func TestMappedReadParity(t *testing.T) {
 	for _, n := range []int{0, 1, 25, binBlockRows, 3*binBlockRows + 17} {
 		for _, p := range []int{1, 4} {
 			t.Run(fmt.Sprintf("n=%d/p=%d", n, p), func(t *testing.T) {
 				setParallelism(t, p)
 				path := binPath(t, "parity.sharpb")
 				writeBinary(t, path, sampleRows(n), Options{})
-				want, wantTorn, werr := readStreaming(t, path)
-				got, gotTorn, ok, gerr := readBinaryFileFast(path, nil)
-				if !ok {
-					t.Fatal("mapped fast path unavailable")
-				}
-				if (werr == nil) != (gerr == nil) || wantTorn != gotTorn {
-					t.Fatalf("mapped=(torn=%v,%v) streaming=(torn=%v,%v)", gotTorn, gerr, wantTorn, werr)
-				}
-				if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
-					t.Fatalf("mapped rows differ from streaming rows (%d vs %d)", len(got), len(want))
-				}
+				want, wantTorn, werr := readReference(t, path)
+				eachSource(t, func(t *testing.T) {
+					sc, got, gerr := readLogFile(path, nil)
+					sameRead(t, got, sc.torn, gerr, want, wantTorn, werr)
+				})
 			})
 		}
 	}
 }
 
-// TestMappedDamageParity drives the mapped and streaming readers over the
-// same damaged logs: identical rows, torn verdicts, and error strings.
+// TestMappedDamageParity drives the frame walk and the reference scanner
+// over the same damaged logs: identical rows, torn verdicts, and error
+// strings, for the slab read and the stream alike.
 func TestMappedDamageParity(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
 	all := runRows(8, 2)
 	for _, tc := range []struct {
 		name string
@@ -98,59 +123,51 @@ func TestMappedDamageParity(t *testing.T) {
 				path := binPath(t, "dmg.sharpb")
 				offs := binLayout(t, path, all)
 				tc.hurt(t, path, offs)
-				want, wantTorn, werr := readStreaming(t, path)
-				got, gotTorn, ok, gerr := readBinaryFileFast(path, nil)
-				if !ok {
-					t.Fatal("mapped fast path unavailable")
-				}
-				if fmt.Sprint(werr) != fmt.Sprint(gerr) {
-					t.Fatalf("error mismatch:\n  mapped:    %v\n  streaming: %v", gerr, werr)
-				}
-				if werr != nil {
-					return
-				}
-				if wantTorn != gotTorn || !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
-					t.Fatalf("mapped (%d rows, torn=%v) differs from streaming (%d rows, torn=%v)",
-						len(got), gotTorn, len(want), wantTorn)
-				}
+				want, wantTorn, werr := readReference(t, path)
+				eachSource(t, func(t *testing.T) {
+					sc, got, gerr := readLogFile(path, nil)
+					sameRead(t, got, sc.torn, gerr, want, wantTorn, werr)
+					var streamed []Row
+					sc, gerr = streamLogFile(path, func(batch []Row) error {
+						streamed = append(streamed, batch...)
+						return nil
+					})
+					sameRead(t, streamed, sc.torn, gerr, want, wantTorn, werr)
+				})
 			})
 		}
 	}
 }
 
 // TestStreamFileMappedParity proves StreamFile delivers the same rows in the
-// same order through the mapped path (serial and parallel) as the portable
-// scanner.
+// same order as the reference scanner, over either byte source.
 func TestStreamFileMappedParity(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
 	path := binPath(t, "stream.sharpb")
 	rows := sampleRows(2*binBlockRows + 100)
 	writeBinary(t, path, rows, Options{})
-	want, _, _ := readStreaming(t, path)
-	for _, p := range []int{1, 3} {
-		setParallelism(t, p)
-		var got []Row
-		if err := StreamFile(path, func(batch []Row) error {
-			got = append(got, batch...) // copies: batches are reused
-			return nil
-		}); err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("p=%d: streamed rows differ from reference", p)
-		}
+	want, _, _ := readReference(t, path)
+	for _, p := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			setParallelism(t, p)
+			eachSource(t, func(t *testing.T) {
+				var got []Row
+				if err := StreamFile(path, func(batch []Row) error {
+					got = append(got, batch...) // copies: batches are reused
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatal("streamed rows differ from reference")
+				}
+			})
+		})
 	}
 }
 
-// TestStreamFileMappedSinkError proves a sink error aborts a parallel
-// mapped stream promptly and is returned verbatim.
+// TestStreamFileMappedSinkError proves a sink error aborts a stream
+// promptly and is returned verbatim.
 func TestStreamFileMappedSinkError(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	setParallelism(t, 4)
 	path := binPath(t, "sinkerr.sharpb")
 	writeBinary(t, path, sampleRows(6*binBlockRows), Options{})
 	boom := fmt.Errorf("sink boom")
@@ -161,24 +178,83 @@ func TestStreamFileMappedSinkError(t *testing.T) {
 		}
 		return nil
 	})
-	if err != boom {
-		t.Fatalf("err = %v, want %v", err, boom)
+	if err != boom || n != 2 {
+		t.Fatalf("err = %v after %d batches, want %v after 2", err, n, boom)
 	}
 }
 
-// TestNoMmapEnvForcesFallback proves SHARP_RECORD_NOMMAP=1 disables the
-// mapped path while keeping results identical.
+// TestNoMmapEnvForcesFallback proves SHARP_RECORD_NOMMAP=1 makes the reader
+// walk a private copy of the file: truncating the file under it changes
+// nothing, where a mapping would lose the pages.
 func TestNoMmapEnvForcesFallback(t *testing.T) {
 	path := binPath(t, "nommap.sharpb")
-	rows := sampleRows(100)
+	rows := sampleRows(3 * binBlockRows)
 	writeBinary(t, path, rows, Options{})
 	t.Setenv(NoMmapEnv, "1")
-	if _, _, ok, _ := readBinaryFileFast(path, nil); ok {
-		t.Fatal("mapped path ran despite SHARP_RECORD_NOMMAP=1")
+	b, err := loadLog(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
-	if err != nil || !reflect.DeepEqual(rows, got) {
-		t.Fatalf("fallback ReadFile = (%d rows, %v)", len(got), err)
+	defer b.release()
+	chop(t, path, 4096)
+	sc, got, err := readLog(b.data, nil)
+	if err != nil || sc.torn || !reflect.DeepEqual(rows, got) {
+		t.Fatalf("read of the copy = (%d rows, torn=%v, %v)", len(got), sc.torn, err)
+	}
+}
+
+// TestTruncatedUnderMappingIsError is the regression test for a mapped log
+// shrinking under its reader (another process repairing or truncating it):
+// touching the vanished pages raises SIGBUS, which must surface as an error
+// from every entry point instead of killing the process — whether the frame
+// walk or a (parallel) block decode is the first to touch them.
+func TestTruncatedUnderMappingIsError(t *testing.T) {
+	if !mmapSupported || mmapDisabled() {
+		t.Skip("nothing is mapped")
+	}
+	page := int64(os.Getpagesize())
+	for _, tc := range []struct {
+		name string
+		cut  func(last int64) int64 // last: offset of the final data frame
+	}{
+		{"frames", func(int64) int64 { return 4096 }},
+		{"payload", func(last int64) int64 { return (last + binFrameLen + page - 1) / page * page }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := binPath(t, "shrunk.sharpb")
+			writeBinary(t, path, sampleRows(2*binBlockRows+100), Options{}) // 3 data blocks
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, _, err := scanReference(f, nil, false, nil)
+			f.Close()
+			if err != nil || len(sc.blocks) != 3 {
+				t.Fatalf("reference scan = (%d blocks, %v), want 3 blocks", len(sc.blocks), err)
+			}
+			b, err := loadLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.release()
+			data := b.data
+			chop(t, path, tc.cut(sc.blocks[2].off))
+			faulted := func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "changed under its mapping")
+			}
+			for _, p := range []int{1, 4} {
+				setParallelism(t, p)
+				if _, _, err := readLog(data, nil); !faulted(err) {
+					t.Errorf("p=%d: read over a truncated mapping = %v, want a fault error", p, err)
+				}
+			}
+			if _, err := streamLog(data, func([]Row) error { return nil }); !faulted(err) {
+				t.Errorf("stream over a truncated mapping = %v, want a fault error", err)
+			}
+			if _, err := streamLog(data, nil); !faulted(err) {
+				t.Errorf("scan over a truncated mapping = %v, want a fault error", err)
+			}
+		})
 	}
 }
 
@@ -240,55 +316,44 @@ func writeOversizedBlockLog(t *testing.T, path string, rows []Row) {
 	}
 }
 
-// TestMappedOversizedBlock proves the mapped readers handle a foreign data
-// block larger than binBlockRows exactly like the streaming scanner — decode
-// it, not panic on a fixed-size batch buffer — across stream, read, and
-// ranged-read paths, serial and parallel.
+// TestMappedOversizedBlock proves the readers handle a foreign data block
+// larger than binBlockRows exactly like the reference scanner — decode it,
+// not panic on a fixed-size batch buffer — across stream and read paths,
+// serial and parallel.
 func TestMappedOversizedBlock(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
 	rows := runRows((binBlockRows+100)/2, 2) // one block of binBlockRows+100 rows
 	path := binPath(t, "oversized.sharpb")
 	writeOversizedBlockLog(t, path, rows)
-	want, wantTorn, werr := readStreaming(t, path)
+	want, wantTorn, werr := readReference(t, path)
 	if werr != nil || wantTorn {
-		t.Fatalf("streaming reference = (torn=%v, %v), want clean", wantTorn, werr)
+		t.Fatalf("reference = (torn=%v, %v), want clean", wantTorn, werr)
 	}
 	for _, p := range []int{1, 4} {
 		setParallelism(t, p)
-		got, gotTorn, ok, gerr := readBinaryFileFast(path, nil)
-		if !ok || gerr != nil || gotTorn || !reflect.DeepEqual(want, got) {
-			t.Fatalf("p=%d: mapped read = (%d rows, torn=%v, ok=%v, %v)", p, len(got), gotTorn, ok, gerr)
+		sc, got, gerr := readLogFile(path, nil)
+		if gerr != nil || sc.torn || !reflect.DeepEqual(want, got) {
+			t.Fatalf("p=%d: read = (%d rows, torn=%v, %v)", p, len(got), sc.torn, gerr)
 		}
 		var streamed []Row
 		if err := StreamFile(path, func(batch []Row) error {
 			streamed = append(streamed, batch...)
 			return nil
 		}); err != nil || !reflect.DeepEqual(want, streamed) {
-			t.Fatalf("p=%d: mapped stream = (%d rows, %v)", p, len(streamed), err)
+			t.Fatalf("p=%d: stream = (%d rows, %v)", p, len(streamed), err)
 		}
 	}
 	t.Run("corrupt-classification", func(t *testing.T) {
 		// A flipped byte inside the oversized (final) block must classify
-		// identically on both paths: torn tail, not a panic or hard error.
+		// exactly as the reference does: torn tail, not a panic or hard error.
 		setParallelism(t, 4)
 		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flipByte(t, path, st.Size()-10) // inside the oversized (final) data payload
-		want, wantTorn, werr := readStreaming(t, path)
-		got, gotTorn, ok, gerr := readBinaryFileFast(path, nil)
-		if !ok {
-			t.Fatal("mapped fast path unavailable")
-		}
-		if fmt.Sprint(werr) != fmt.Sprint(gerr) || wantTorn != gotTorn {
-			t.Fatalf("mapped=(torn=%v,%v) streaming=(torn=%v,%v)", gotTorn, gerr, wantTorn, werr)
-		}
-		if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
-			t.Fatalf("mapped rows differ from streaming rows (%d vs %d)", len(got), len(want))
-		}
+		want, wantTorn, werr := readReference(t, path)
+		sc, got, gerr := readLogFile(path, nil)
+		sameRead(t, got, sc.torn, gerr, want, wantTorn, werr)
 	})
 }
 

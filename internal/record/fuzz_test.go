@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -50,10 +51,12 @@ func FuzzParseMetadata(f *testing.F) {
 	})
 }
 
-// FuzzScanBinary feeds arbitrary block streams to the binary scanner: it
-// must never panic, and whatever prefix it accepts must decode (scan-ok
-// implies read-ok, with matching row counts) and survive an encode/decode
-// round trip.
+// FuzzScanBinary feeds arbitrary block streams to the frame walk and checks
+// it against scanReference: the stream (with its run bookkeeping) and the
+// slab read must agree with the reference on rows, torn verdict, dataEnd,
+// lastRun, runStartRows and error text. The walk must never panic, and
+// whatever prefix it accepts must re-walk clean and survive an
+// encode/decode round trip.
 func FuzzScanBinary(f *testing.F) {
 	seed := func(rows []Row) []byte {
 		dir := f.TempDir()
@@ -77,41 +80,81 @@ func FuzzScanBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Force the binary path regardless of what the mutator did to the
-		// leading bytes: the scanner must be total over arbitrary block
-		// streams after the magic.
+		// leading bytes: the walk must be total over arbitrary block streams
+		// after the magic.
 		stream := append([]byte(binMagic), data...)
-		sc, rows, err := scanBinary(bytes.NewReader(stream), true)
+		ref, want, werr := scanReference(bytes.NewReader(stream), nil, true, nil)
+		var rows []Row
+		sc, err := streamLog(stream, func(batch []Row) error {
+			rows = append(rows, batch...)
+			return nil
+		})
+		rsc, read, rerr := readLog(stream, nil)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || fmt.Sprint(rerr) != fmt.Sprint(werr) {
+			t.Fatalf("error text differs:\n  stream:    %v\n  read:      %v\n  reference: %v", err, rerr, werr)
+		}
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}
+		if sc.rows != ref.rows || sc.torn != ref.torn || sc.dataEnd != ref.dataEnd ||
+			sc.lastRun != ref.lastRun || sc.runStartRows != ref.runStartRows {
+			t.Fatalf("stream verdict %+v differs from reference %+v", sc, ref)
+		}
+		if rsc.rows != ref.rows || rsc.torn != ref.torn || rsc.dataEnd != ref.dataEnd {
+			t.Fatalf("read verdict %+v differs from reference %+v", rsc, ref)
+		}
+		if !sameRows(rows, want) || !sameRows(read, want) {
+			t.Fatalf("decoded rows differ from reference (stream %d, read %d, reference %d)", len(rows), len(read), len(want))
+		}
 		if sc.rows != len(rows) {
-			t.Fatalf("scan says %d rows, decoded %d", sc.rows, len(rows))
+			t.Fatalf("walk says %d rows, decoded %d", sc.rows, len(rows))
 		}
 		if sc.dataEnd > int64(len(stream)) {
 			t.Fatalf("dataEnd %d beyond stream length %d", sc.dataEnd, len(stream))
 		}
-		// The accepted prefix must re-scan clean (untorn) when cut at
+		// The accepted prefix must re-walk clean (untorn) when cut at
 		// dataEnd, with identical bookkeeping.
-		sc2, rows2, err := scanBinary(bytes.NewReader(stream[:sc.dataEnd]), true)
+		var rows2 []Row
+		sc2, err := streamLog(stream[:sc.dataEnd], func(batch []Row) error {
+			rows2 = append(rows2, batch...)
+			return nil
+		})
 		if err != nil || sc2.torn {
-			t.Fatalf("accepted prefix rejected on re-scan: torn=%v err=%v", sc2.torn, err)
+			t.Fatalf("accepted prefix rejected on re-walk: torn=%v err=%v", sc2.torn, err)
 		}
 		if sc2.rows != sc.rows || sc2.lastRun != sc.lastRun || sc2.runStartRows != sc.runStartRows {
-			t.Fatalf("re-scan bookkeeping drifted: %+v vs %+v", sc2, sc)
+			t.Fatalf("re-walk bookkeeping drifted: %+v vs %+v", sc2, sc)
 		}
-		for i := range rows {
-			if !rows[i].Timestamp.Equal(rows2[i].Timestamp) || rows[i].Value != rows2[i].Value && !(math.IsNaN(rows[i].Value) && math.IsNaN(rows2[i].Value)) {
-				t.Fatalf("row %d drifted on re-scan", i)
-			}
+		if !sameRows(rows, rows2) {
+			t.Fatal("rows drifted on re-walk")
 		}
 		// Decoded rows within int32 field range must re-encode and decode
 		// to the same values.
 		for i := range rows {
 			if err := checkRowRange(rows[i]); err != nil {
-				t.Fatalf("scanner accepted out-of-range row: %v", err)
+				t.Fatalf("walk accepted out-of-range row: %v", err)
 			}
 		}
 	})
+}
+
+// sameRows reports whether a and b hold the same rows, comparing values
+// bitwise so NaN payloads compare equal to themselves.
+func sameRows(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.Value) != math.Float64bits(y.Value) {
+			return false
+		}
+		x.Value, y.Value = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzScanManifest checks the segment-manifest parser is total over
@@ -161,7 +204,7 @@ func FuzzCSVRows(f *testing.F) {
 	f.Add("timestamp,experiment,workload,backend,machine,day,run,instance,metric,value,unit\n")
 	f.Add("not,a,header\n1,2,3\n")
 	f.Fuzz(func(t *testing.T, s string) {
-		rows, err := Read(strings.NewReader(s))
+		rows, err := readInto(strings.NewReader(s), nil)
 		if err != nil {
 			return
 		}
@@ -174,7 +217,7 @@ func FuzzCSVRows(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		again, err := Read(bytes.NewReader(out.Bytes()))
+		again, err := readInto(bytes.NewReader(out.Bytes()), nil)
 		if err != nil {
 			t.Fatalf("round trip parse: %v", err)
 		}

@@ -13,7 +13,7 @@ const legacyCSV = `timestamp,experiment,workload,backend,machine,day,run,instanc
 `
 
 func TestReadLegacyLog(t *testing.T) {
-	rows, err := Read(strings.NewReader(legacyCSV))
+	rows, err := readInto(strings.NewReader(legacyCSV), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestNewColumnsRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Read(strings.NewReader(sb.String()))
+	rows, err := readInto(strings.NewReader(sb.String()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // mmapSupported reports whether this platform has a real mmap; without it
-// every mapped-read entry point falls back to the streaming scanner, which
-// preserves behavior exactly (just without the zero-copy fast path).
+// loadLog reads the whole file with os.ReadFile instead, which preserves
+// behavior exactly at the cost of holding the file's bytes while reading.
 const mmapSupported = false
 
 func mmapFile(f *os.File, size int64) ([]byte, func(), error) {

@@ -8,7 +8,7 @@ import (
 )
 
 // mmapSupported reports whether this platform has a real mmap; without it
-// every mapped-read entry point falls back to the streaming scanner.
+// loadLog reads the whole file with os.ReadFile instead.
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only. The returned release func must be

@@ -34,7 +34,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readInto(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,19 +57,19 @@ func TestEmptyLogHasHeader(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "timestamp,experiment") {
 		t.Fatalf("no header in empty log: %q", buf.String())
 	}
-	rows, err := Read(&buf)
+	rows, err := readInto(&buf, nil)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("read empty: %v, %v", rows, err)
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("a,b,c\n1,2,3\n")); err == nil {
+	if _, err := readInto(strings.NewReader("a,b,c\n1,2,3\n"), nil); err == nil {
 		t.Error("bad header accepted")
 	}
 	bad := "timestamp,experiment,workload,backend,machine,day,run,instance,metric,value,unit\n" +
 		"not-a-time,e,w,b,m,1,1,1,x,1.0,s\n"
-	if _, err := Read(strings.NewReader(bad)); err == nil {
+	if _, err := readInto(strings.NewReader(bad), nil); err == nil {
 		t.Error("bad timestamp accepted")
 	}
 }

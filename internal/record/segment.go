@@ -201,12 +201,7 @@ func rebuildManifest(path string) (*segManifest, error) {
 	m := &segManifest{}
 	for k := 0; k+1 < len(idxs); k++ { // seal all but the last
 		sp := segPath(path, k)
-		f, oerr := os.Open(sp)
-		if oerr != nil {
-			return nil, oerr
-		}
-		sc, _, serr := scanBinary(f, false)
-		f.Close()
+		sc, serr := streamLogFile(sp, nil)
 		if serr != nil {
 			return nil, fmt.Errorf("record: sealed segment %s: %v", filepath.Base(sp), serr)
 		}
@@ -245,21 +240,6 @@ func scanSegmented(path string) (rows, lastRun int, torn bool, err error) {
 	return m.sealedRows() + ar, lastRun, atorn, nil
 }
 
-// readSegmentInto decodes one segment file, appending to dst, via the mapped
-// fast path when available.
-func readSegmentInto(sp string, dst []Row) ([]Row, bool, error) {
-	if rows, torn, ok, err := readBinaryFileFast(sp, dst); ok {
-		return rows, torn, err
-	}
-	f, err := os.Open(sp)
-	if err != nil {
-		return dst, false, err
-	}
-	defer f.Close()
-	sc, rows, err := scanBinaryDst(f, dst)
-	return rows, sc.torn, err
-}
-
 // readSegmented decodes a whole segmented log, appending to dst. Sealed
 // segments must decode cleanly to exactly their manifest row count; a torn
 // tail in the active segment is silently dropped, as in single-file
@@ -275,48 +255,24 @@ func readSegmented(path string, dst []Row) ([]Row, error) {
 		dst = grown
 	}
 	for i, e := range m.entries {
-		base := len(dst)
-		var torn bool
-		dst, torn, err = readSegmentInto(segPath(path, i), dst)
+		var sc binScan
+		sc, dst, err = readLogFile(segPath(path, i), dst)
 		if err != nil {
 			return nil, err
 		}
-		if torn || len(dst)-base != e.rows {
+		if sc.torn || sc.rows != e.rows {
 			return nil, fmt.Errorf("record: sealed segment %04d%s has %d rows (torn=%v), manifest says %d",
-				i, BinaryExt, len(dst)-base, torn, e.rows)
+				i, BinaryExt, sc.rows, sc.torn, e.rows)
 		}
 	}
 	if ap := segPath(path, len(m.entries)); !activeSegMissing(ap) {
-		base := len(dst)
-		dst, _, err = readSegmentInto(ap, dst)
+		_, rows, err := readLogFile(ap, dst)
 		if os.IsNotExist(err) {
-			return dst[:base], nil
+			return dst, nil
 		}
-		return dst, err
+		return rows, err
 	}
 	return dst, nil
-}
-
-// streamSegment streams one segment file's rows into sink, counting them.
-func streamSegment(sp string, sink func([]Row) error) (int, bool, error) {
-	n := 0
-	counting := func(batch []Row) error { n += len(batch); return sink(batch) }
-	ml, err := openMapped(sp)
-	if err != nil {
-		return 0, false, err
-	}
-	if ml != nil {
-		defer ml.unmap()
-		torn, err := streamMapped(ml.data, counting)
-		return n, torn, err
-	}
-	f, err := os.Open(sp)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	sc, err := scanBinaryStream(f, counting)
-	return n, sc.torn, err
 }
 
 // streamSegmented is the StreamFile implementation for segmented logs.
@@ -326,17 +282,17 @@ func streamSegmented(path string, sink func([]Row) error) error {
 		return err
 	}
 	for i, e := range m.entries {
-		n, torn, err := streamSegment(segPath(path, i), sink)
+		sc, err := streamLogFile(segPath(path, i), sink)
 		if err != nil {
 			return err
 		}
-		if torn || n != e.rows {
+		if sc.torn || sc.rows != e.rows {
 			return fmt.Errorf("record: sealed segment %04d%s has %d rows (torn=%v), manifest says %d",
-				i, BinaryExt, n, torn, e.rows)
+				i, BinaryExt, sc.rows, sc.torn, e.rows)
 		}
 	}
 	if ap := segPath(path, len(m.entries)); !activeSegMissing(ap) {
-		if _, _, err := streamSegment(ap, sink); err != nil && !os.IsNotExist(err) {
+		if _, err := streamLogFile(ap, sink); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}

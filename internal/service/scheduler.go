@@ -129,7 +129,7 @@ type scheduler struct {
 	queue    []*task
 	leases   map[string]*lease
 	specs    map[string]CampaignSpec // campaigns currently registered
-	urgency  map[string]float64     // latest rule urgency per campaign
+	urgency  map[string]float64      // latest rule urgency per campaign
 	breakers map[string]*resilience.Breaker
 	seq      uint64 // lease id sequence
 	token    uint64 // fencing token sequence (strictly monotonic)
