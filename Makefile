@@ -100,6 +100,8 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzScanBinary -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzScanManifest -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzCompleteBody -fuzztime=30s ./internal/service/
+	$(GO) test -run=XXX -fuzz='^FuzzCampaignSpec$$' -fuzztime=30s ./internal/service/
+	$(GO) test -run=XXX -fuzz='^FuzzRequestBodies$$' -fuzztime=30s ./internal/service/
 	$(GO) test -run=XXX -fuzz=FuzzHalvesKS -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/stream/
 
 examples:

@@ -54,8 +54,10 @@ func main() {
 		metrics = srv.Registry()
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", srv.Addr())
 	}
+	var store *cache.Store
 	if *cacheDir != "" {
-		store, err := cache.Open(*cacheDir)
+		var err error
+		store, err = cache.Open(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sharp-experiments:", err)
 			os.Exit(1)
@@ -73,7 +75,13 @@ func main() {
 	if args[0] == "all" {
 		ids = experiments.IDs()
 	}
-	if err := execute(ctx, os.Stdout, ids, *seed, *out, *resume); err != nil {
+	err := execute(ctx, os.Stdout, ids, *seed, *out, *resume)
+	if store != nil {
+		if cerr := store.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "sharp-experiments: cache counters:", cerr)
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sharp-experiments:", err)
 		os.Exit(1)
 	}

@@ -208,8 +208,8 @@ func (rf *runFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&rf.outMeta, "meta", "", "write metadata record to this path")
 	fs.StringVar(&rf.format, "format", "auto", "log encoding for --csv: csv | binary | auto (by extension: .sharpb = binary)")
 	fs.BoolVar(&rf.resume, "resume", false, "continue an interrupted campaign from --csv (and --meta's checkpoint if present); requires the same flags as the original run")
-	fs.IntVar(&rf.flushEvery, "flush-every", 1, "flush the CSV log every N rows (0 = buffer until close)")
-	fs.BoolVar(&rf.fsync, "fsync", false, "fsync the CSV log on every flush (crash-proof, slower)")
+	fs.IntVar(&rf.flushEvery, "flush-every", 1, "cut the log into flush units of N rows, pushed to the OS once per run (0 = buffer until close)")
+	fs.BoolVar(&rf.fsync, "fsync", false, "fsync the log once per run that completes a flush unit (crash-proof, slower)")
 	fs.IntVar(&rf.segmentRows, "segment-rows", 0, "roll binary logs into ~N-row segments under <csv>.seg/ (0 = single file); repair and resume then touch only the last segment")
 	fs.BoolVar(&rf.quiet, "quiet", false, "suppress the report; print one summary line")
 	fs.StringVar(&rf.trace, "trace", "", "write a JSONL campaign event trace to this path ('-' = stderr)")

@@ -15,7 +15,8 @@
 //	<key>.sharpb       the cell's rows (binary columnar log, atomic write)
 //	<key>.json         entry metadata — written last, so it is the commit
 //	                   point: an entry exists iff its .json does
-//	counters.json      persisted hit/miss/store counters (advisory)
+//	counters.json      persisted hit/miss/store counters (advisory),
+//	                   written once per store lifetime, by Close
 //
 // Crash safety mirrors the record package: both entry files are written
 // via fsx (temp + sync + rename), and the .json commit point is ordered
@@ -90,8 +91,9 @@ type Stats struct {
 }
 
 // Store is a cache directory handle. The zero value is not usable; call
-// Open. Methods are safe for concurrent use within one process (the service
-// coordinator and parallel sweeps share a Store across goroutines).
+// Open, and Close when done so the lookup counters persist. Methods are
+// safe for concurrent use within one process (the service coordinator and
+// parallel sweeps share a Store across goroutines).
 type Store struct {
 	// Tracer, when set, receives cache.hit / cache.miss / cache.store
 	// events.
@@ -105,6 +107,8 @@ type Store struct {
 	dir      string
 	mu       sync.Mutex
 	counters Counters
+	// dirty marks counters bumped since Open or the last Close.
+	dirty bool
 }
 
 const countersFile = "counters.json"
@@ -244,7 +248,8 @@ func (s *Store) Prune(cutoff time.Time) (removed int, err error) {
 	return removed, nil
 }
 
-// Counters returns the persisted lookup statistics.
+// Counters returns the lookup statistics: those persisted when the store
+// was opened plus this store's own lookups.
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,29 +290,42 @@ func (s *Store) list() ([]listedEntry, error) {
 	return out, nil
 }
 
-// writeCounters replaces counters.json through a temp file and a rename,
-// so a reader sees the old or the new counters, never a torn file. Unlike
-// fsx.WriteFile it syncs neither the file nor the directory: the counters
-// are advisory (Open resets them when the file is missing or corrupt), and
-// an fsync pair under s.mu on every Get and Put would serialize parallel
-// sweep cells on them.
-func (s *Store) writeCounters(data []byte) error {
+// Close persists the lookup counters if any lookup or store bumped them.
+// counters.json is replaced through a temp file and a rename, so a reader
+// sees the old or the new counters, never a torn file. Neither the file nor
+// the directory is synced: the counters are advisory (Open resets them when
+// the file is missing or corrupt). Writing them once here, not on every Get
+// and Put, keeps a file rewrite under s.mu off the lookup path, where
+// parallel sweep cells would queue on it. The Store stays usable; a later
+// Close writes any further bumps.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.dirty {
+		return nil
+	}
+	data, err := json.Marshal(&s.counters)
+	if err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
 	f, err := os.CreateTemp(s.dir, countersFile+".tmp-*")
 	if err != nil {
-		return err
+		return fmt.Errorf("cache: %w", err)
 	}
-	_, err = f.Write(data)
+	_, err = f.Write(append(data, '\n'))
 	err = errors.Join(err, f.Chmod(0o644), f.Close())
 	if err == nil {
 		err = os.Rename(f.Name(), filepath.Join(s.dir, countersFile))
 	}
 	if err != nil {
 		os.Remove(f.Name())
+		return fmt.Errorf("cache: %w", err)
 	}
-	return err
+	s.dirty = false
+	return nil
 }
 
-// count persists one counter bump and emits the event/metric.
+// count bumps one counter in memory and emits the event/metric.
 func (s *Store) count(result, event string, fields map[string]any) {
 	s.mu.Lock()
 	switch result {
@@ -318,11 +336,7 @@ func (s *Store) count(result, event string, fields map[string]any) {
 	case "store":
 		s.counters.Stores++
 	}
-	data, err := json.Marshal(&s.counters)
-	if err == nil {
-		// Advisory: a failed counters write never fails the lookup.
-		_ = s.writeCounters(append(data, '\n'))
-	}
+	s.dirty = true
 	s.mu.Unlock()
 	if s.Tracer != nil {
 		s.Tracer.Emit(event, fields)

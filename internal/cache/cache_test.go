@@ -79,6 +79,9 @@ func TestCountersSurviveReopen(t *testing.T) {
 	s.Put(Key("k", "a"), "k", "exp", testRows(3, 1))
 	s.Get(Key("k", "a"), "exp")
 	s.Get(Key("k", "zzz"), "exp")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := Open(dir)
 	if err != nil {
@@ -87,6 +90,45 @@ func TestCountersSurviveReopen(t *testing.T) {
 	c := s2.Counters()
 	if c.Hits != 1 || c.Misses != 1 || c.Stores != 1 {
 		t.Fatalf("reopened counters = %+v", c)
+	}
+}
+
+// TestCountersWrittenOnlyOnClose is the regression test for the per-lookup
+// counters rewrite: Get and Put bump the counters in memory only, and
+// counters.json changes once, on Close.
+func TestCountersWrittenOnlyOnClose(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, countersFile)
+	s, _ := Open(dir)
+	s.Put(Key("k", "a"), "k", "exp", testRows(3, 1))
+	s.Get(Key("k", "a"), "exp")
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("counters.json exists before Close: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _ := Open(dir)
+	s2.Get(Key("k", "a"), "exp")
+	s2.Get(Key("k", "zzz"), "exp")
+	s2.Put(Key("k", "b"), "k", "exp", testRows(2, 1))
+	if now, _ := os.ReadFile(path); string(now) != string(first) {
+		t.Fatalf("lookups rewrote counters.json before Close: %q -> %q", first, now)
+	}
+	if c := s2.Counters(); c.Hits != 2 || c.Misses != 1 || c.Stores != 2 {
+		t.Fatalf("in-memory counters = %+v", c)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, _ := Open(dir)
+	if c := s3.Counters(); c.Hits != 2 || c.Misses != 1 || c.Stores != 2 {
+		t.Fatalf("counters after Close = %+v", c)
 	}
 }
 

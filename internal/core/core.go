@@ -192,9 +192,13 @@ type Result struct {
 // RowSink receives tidy-data rows as the campaign produces them. Wiring a
 // durable record.Writer here turns the in-memory log into a crash-safe
 // on-disk one: rows reach the file while the campaign runs instead of only
-// at SaveCSV time, so an interrupt or crash loses at most the writer's
-// unflushed tail (§IV-d: record distributions completely). record.Writer
-// implements the interface.
+// at SaveCSV time (§IV-d: record distributions completely). The unit of
+// durability is the run: each run's rows, error rows included, are handed
+// over once the run is merged and before it counts as a sample, in one
+// WriteAll([]record.Row) error call when the sink has that method (as
+// record.Writer does) and row by row through Write otherwise. An interrupt
+// or crash therefore loses at most the run in progress plus the writer's
+// unflushed tail, and resume drops a torn trailing run.
 type RowSink interface {
 	Write(r record.Row) error
 }
@@ -271,16 +275,32 @@ func (l *Launcher) traceRuleEval(rule stopping.Rule) {
 // finite reports whether x is representable in JSON.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// logRow records one tidy-data row: always into the in-memory log, and —
-// when a sink is wired — through the streaming sink too. A sink failure is
-// returned (and aborts the campaign): the Logger must never lose data
-// silently.
-func (l *Launcher) logRow(res *Result, row record.Row) error {
-	res.Rows = append(res.Rows, row)
-	if l.Log != nil {
-		if err := l.Log.Write(row); err != nil {
-			return fmt.Errorf("core: row sink: %w", err)
+// rowBatcher is a RowSink that takes a whole run's rows in one call, as
+// record.Writer does.
+type rowBatcher interface {
+	WriteAll(rows []record.Row) error
+}
+
+// sinkRows hands one run's rows, already in the in-memory log, to the
+// streaming sink: in one WriteAll call when the sink has it, row by row
+// otherwise. A sink failure is returned (and aborts the campaign): the
+// Logger must never lose data silently.
+func (l *Launcher) sinkRows(rows []record.Row) error {
+	if l.Log == nil || len(rows) == 0 {
+		return nil
+	}
+	var err error
+	if b, ok := l.Log.(rowBatcher); ok {
+		err = b.WriteAll(rows)
+	} else {
+		for _, r := range rows {
+			if err = l.Log.Write(r); err != nil {
+				break
+			}
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: row sink: %w", err)
 	}
 	return nil
 }
@@ -394,10 +414,15 @@ func (r *Result) SaveCSV(path string) error {
 }
 
 // Metadata builds the experiment's metadata record, sufficient for
-// RecreateExperiment to rebuild and re-run the campaign.
+// RecreateExperiment to rebuild and re-run the campaign. Its created stamp
+// is the campaign's start on the launcher clock, so a pinned clock
+// (SHARP_CLOCK) pins the metadata bytes too.
 func (r *Result) Metadata() *record.Metadata {
 	e := r.Experiment
 	m := record.NewMetadata(e.Name, e.SUT)
+	if !r.Started.IsZero() {
+		m.Created = r.Started.UTC()
+	}
 	m.Set("workload", e.Workload)
 	m.Set("backend", e.Backend.Name())
 	if sim, ok := backend.Unwrap(e.Backend).(*backend.Sim); ok {

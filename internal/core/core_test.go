@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sharp/internal/backend"
 	"sharp/internal/config"
@@ -315,5 +316,20 @@ func TestExperimentFromConfigErrors(t *testing.T) {
 		if _, err := ExperimentFromConfig(doc, "experiment"); err == nil {
 			t.Errorf("no error for %s", src)
 		}
+	}
+}
+
+// TestMetadataCreatedFollowsLauncherClock pins the metadata's created stamp
+// to the campaign clock: with time.Now it straddled second boundaries, so a
+// resumed campaign's metadata could differ from the uninterrupted one's.
+func TestMetadataCreatedFollowsLauncherClock(t *testing.T) {
+	pinned := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	l := &Launcher{Clock: func() time.Time { return pinned }}
+	res, err := l.Run(context.Background(), buildExperiment(t, "fixed", 1, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metadata().Created; !got.Equal(pinned) {
+		t.Errorf("created = %v, want the launcher clock's %v", got, pinned)
 	}
 }

@@ -239,6 +239,22 @@ func (s *failingSink) Write(r record.Row) error {
 	return nil
 }
 
+// failingBatchSink is a failingSink that also takes whole runs through
+// WriteAll, refusing the first run that would take it past n rows.
+type failingBatchSink struct {
+	failingSink
+	calls int
+}
+
+func (s *failingBatchSink) WriteAll(rows []record.Row) error {
+	if len(s.rows)+len(rows) > s.n {
+		return errors.New("disk full")
+	}
+	s.calls++
+	s.rows = append(s.rows, rows...)
+	return nil
+}
+
 func TestRowSinkStreamsAndAborts(t *testing.T) {
 	t.Run("sink receives every row", func(t *testing.T) {
 		sink := &failingSink{n: 1 << 20}
@@ -263,6 +279,42 @@ func TestRowSinkStreamsAndAborts(t *testing.T) {
 		_, err := l.Run(context.Background(), buildExperiment(t, "fixed", 1, false))
 		if err == nil || !strings.Contains(err.Error(), "row sink") {
 			t.Fatalf("want row-sink error, got %v", err)
+		}
+	})
+	t.Run("a batching sink gets one call per run and its failure aborts", func(t *testing.T) {
+		full, err := newFakeLauncher().Run(context.Background(), buildExperiment(t, "fixed", 1, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &failingBatchSink{failingSink: failingSink{n: 1 << 20}}
+		l := newFakeLauncher()
+		l.Log = sink
+		res, err := l.Run(context.Background(), buildExperiment(t, "fixed", 1, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sink.calls != res.Runs || len(sink.rows) != len(full.Rows) {
+			t.Fatalf("sink got %d calls and %d rows; want %d runs and %d rows", sink.calls, len(sink.rows), res.Runs, len(full.Rows))
+		}
+		for i := range sink.rows {
+			if sink.rows[i] != full.Rows[i] {
+				t.Fatalf("row %d diverges", i)
+			}
+		}
+
+		sink = &failingBatchSink{failingSink: failingSink{n: 5}}
+		l = newFakeLauncher()
+		l.Log = sink
+		s, err := l.NewStepper(context.Background(), buildExperiment(t, "fixed", 1, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(context.Background(), 1000); err == nil || !strings.Contains(err.Error(), "row sink") {
+			t.Fatalf("want row-sink error, got %v", err)
+		}
+		// The refused run adds no sample: only runs the sink took count.
+		if got := len(s.Finish("").Samples); got != sink.calls {
+			t.Errorf("%d samples after the sink took %d runs", got, sink.calls)
 		}
 	})
 	t.Run("resume does not replay rows into the sink", func(t *testing.T) {

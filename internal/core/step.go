@@ -317,12 +317,14 @@ func invokeCaptured(ctx context.Context, b backend.Backend, req backend.Request)
 // stopping rule — the single merge path of every campaign, which is what
 // guarantees all modes produce identical rows, samples and stop decisions.
 // It reads the clock exactly once per run (in run order), handles whole-run
-// and per-instance failures, and enforces the failure budget. A returned
+// and per-instance failures, hands the run's rows to the sink in one call
+// before the run can add a sample, and enforces the failure budget. A returned
 // error wrapping ErrFailureBudget means the result was finalized as a
 // partial result; any other error aborts the campaign.
 func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, invErr error) error {
 	l, res, run := s.l, s.res, s.run
 	now := l.Clock()
+	start := len(res.Rows)
 	if invErr != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -332,17 +334,13 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 		}
 		// Whole-run failure: record it as data and keep going.
 		res.Errors++
-		if err := l.logRow(res, l.errorRow(s.e, now, run, backend.Invocation{}, invErr)); err != nil {
-			return err
-		}
+		res.Rows = append(res.Rows, l.errorRow(s.e, now, run, backend.Invocation{}, invErr))
 	}
 	sum, ok := 0.0, 0
 	for _, inv := range invs {
 		if inv.Err != nil {
 			res.Errors++
-			if err := l.logRow(res, l.errorRow(s.e, now, run, inv, inv.Err)); err != nil {
-				return err
-			}
+			res.Rows = append(res.Rows, l.errorRow(s.e, now, run, inv, inv.Err))
 			continue
 		}
 		// Deterministic row order: metrics sorted by name, not map order —
@@ -354,7 +352,7 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 		}
 		slices.Sort(s.names)
 		for _, metricName := range s.names {
-			err := l.logRow(res, record.Row{
+			res.Rows = append(res.Rows, record.Row{
 				Timestamp:  now,
 				Experiment: s.e.Name,
 				Workload:   s.e.Workload,
@@ -369,14 +367,14 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 				Status:     record.StatusOK,
 				Attempt:    attempts(inv),
 			})
-			if err != nil {
-				return err
-			}
 		}
 		if v, has := inv.Metrics[s.e.Metric]; has {
 			sum += v
 			ok++
 		}
+	}
+	if err := l.sinkRows(res.Rows[start:]); err != nil {
+		return err
 	}
 	if ok == 0 {
 		res.FailedRuns++

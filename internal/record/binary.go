@@ -460,12 +460,9 @@ func (w *binWriter) writeBlock(kind byte, rows, firstRun, lastRun int, payload [
 	return nil
 }
 
-// flush emits the pending block and pushes it to the OS (and optionally to
-// disk, per the Sync option).
-func (w *binWriter) flush() error {
-	if err := w.emit(); err != nil {
-		return err
-	}
+// push hands the emitted blocks to the OS (and optionally to disk, per the
+// Sync option).
+func (w *binWriter) push() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
@@ -475,10 +472,13 @@ func (w *binWriter) flush() error {
 	return nil
 }
 
-// close flushes, writes the sidecar index, and closes the file. The file is
-// closed unconditionally; errors are joined.
+// close emits the pending block, pushes it, writes the sidecar index, and
+// closes the file. The file is closed unconditionally; errors are joined.
 func (w *binWriter) close() error {
-	err := w.flush()
+	err := w.emit()
+	if err == nil {
+		err = w.push()
+	}
 	if err == nil {
 		err = writeBinIndex(w.f.Name(), w.f, w.rows, w.lastRun, w.runStartRows, w.off)
 	}

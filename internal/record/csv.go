@@ -163,12 +163,18 @@ func parseRow(fields []string) (Row, error) {
 // must not silently lose the recorded distribution). The zero value is the
 // legacy policy: buffer everything, flush only on Close.
 type Options struct {
-	// FlushEvery flushes the log buffer to the OS after every N rows
-	// (1 = per row). 0 keeps the legacy flush-on-Close-only policy.
+	// FlushEvery closes the pending rows into a flush unit every N rows
+	// (1 = per row; in a binary log each unit is its own block). The units a
+	// Write or WriteAll call completes reach the OS together when the call
+	// returns, so a campaign, which hands each run's rows to one WriteAll,
+	// pushes once per run: the run is the unit of durability, and a crash
+	// loses at most the run in progress. 0 keeps the legacy
+	// flush-on-Close-only policy.
 	FlushEvery int
-	// Sync additionally fsyncs the underlying file on every flush, making
-	// each flushed row durable against power loss (not just process death).
-	// It has no effect on writers not backed by an *os.File.
+	// Sync additionally fsyncs the underlying file on every push (once per
+	// run for a campaign), making pushed rows durable against power loss,
+	// not just process death. It has no effect on writers not backed by an
+	// *os.File.
 	Sync bool
 	// Format selects the on-disk encoding for created logs. FormatAuto (the
 	// zero value) picks by path extension: ".sharpb" is the binary columnar
@@ -230,50 +236,38 @@ func CreateDurable(path string, o Options) (*Writer, error) {
 	return &Writer{w: csv.NewWriter(f), c: f, f: f, opts: o}, nil
 }
 
-// Write appends one row. Rows counts only successful writes: the counter is
-// incremented after encoding/csv accepts the record, not before (the old
-// order overcounted when the underlying writer failed).
-func (w *Writer) Write(r Row) error {
-	if w.bin != nil || w.seg != nil {
-		var err error
-		if w.seg != nil {
-			err = w.seg.add(&r)
-		} else {
-			err = w.bin.add(&r)
-		}
-		if err != nil {
+// Write appends one row: the one-row case of WriteAll.
+func (w *Writer) Write(r Row) error { return w.WriteAll([]Row{r}) }
+
+// WriteAll appends rows. Blocks are cut exactly where the same rows written
+// one by one would cut them: each time FlushEvery rows are pending, a binary
+// log emits its pending dict and data blocks. The buffered bytes reach the
+// OS (and, with Sync, the disk) once, after the last row, and only if a
+// boundary was crossed, so a campaign handing over each run's rows in one
+// call costs one write per run while the bytes on disk stay those of
+// per-row writes. On an error the rows already due are pushed before the
+// error is returned, as per-row writes would have pushed them. Rows counts
+// only rows the encoder accepted.
+func (w *Writer) WriteAll(rows []Row) error {
+	cut := false
+	for i := range rows {
+		if err := w.add(&rows[i]); err != nil {
+			if cut {
+				err = errors.Join(err, w.push())
+			}
 			return err
 		}
 		w.rows++
 		w.unflushed++
 		if w.opts.FlushEvery > 0 && w.unflushed >= w.opts.FlushEvery {
-			return w.Flush()
+			if err := w.cut(); err != nil {
+				return err
+			}
+			cut = true
 		}
-		return nil
 	}
-	if !w.wroteHeader {
-		if err := w.w.Write(Header); err != nil {
-			return err
-		}
-		w.wroteHeader = true
-	}
-	if err := w.w.Write(r.strings()); err != nil {
-		return err
-	}
-	w.rows++
-	w.unflushed++
-	if w.opts.FlushEvery > 0 && w.unflushed >= w.opts.FlushEvery {
-		return w.Flush()
-	}
-	return nil
-}
-
-// WriteAll appends all rows.
-func (w *Writer) WriteAll(rows []Row) error {
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			return err
-		}
+	if cut {
+		return w.push()
 	}
 	return nil
 }
@@ -282,24 +276,62 @@ func (w *Writer) WriteAll(rows []Row) error {
 // Writer plus, for writers from OpenAppend, the valid rows already on disk.
 func (w *Writer) Rows() int { return w.rows }
 
-// Flush pushes buffered rows to the underlying writer and, when the Sync
-// option is set on a file-backed writer, fsyncs them to stable storage. It
-// is called automatically per the FlushEvery policy and may be called
-// explicitly at checkpoints.
+// Flush pushes all buffered rows, including a pending partial flush unit,
+// to the underlying writer and, when the Sync option is set on a
+// file-backed writer, fsyncs them to stable storage. WriteAll pushes per
+// the FlushEvery policy on its own; Flush is for explicit checkpoints.
 func (w *Writer) Flush() error {
+	if err := w.cut(); err != nil {
+		return err
+	}
+	return w.push()
+}
+
+// blocks returns the binary writer of the active log file, or nil for CSV.
+func (w *Writer) blocks() *binWriter {
 	if w.seg != nil {
-		w.unflushed = 0
-		return w.seg.flush()
+		return w.seg.bw
+	}
+	return w.bin
+}
+
+// add encodes one row into the writer's buffers.
+func (w *Writer) add(r *Row) error {
+	if w.seg != nil {
+		return w.seg.add(r)
 	}
 	if w.bin != nil {
-		w.unflushed = 0
-		return w.bin.flush()
+		return w.bin.add(r)
+	}
+	if !w.wroteHeader {
+		if err := w.w.Write(Header); err != nil {
+			return err
+		}
+		w.wroteHeader = true
+	}
+	return w.w.Write(r.strings())
+}
+
+// cut closes the pending rows into blocks (binary logs; CSV rows need no
+// framing) without pushing them to the OS.
+func (w *Writer) cut() error {
+	w.unflushed = 0
+	if bw := w.blocks(); bw != nil {
+		return bw.emit()
+	}
+	return nil
+}
+
+// push hands the buffered bytes to the OS and, with Sync on a file-backed
+// writer, fsyncs them.
+func (w *Writer) push() error {
+	if bw := w.blocks(); bw != nil {
+		return bw.push()
 	}
 	w.w.Flush()
 	if err := w.w.Error(); err != nil {
 		return err
 	}
-	w.unflushed = 0
 	if w.opts.Sync && w.f != nil {
 		return w.f.Sync()
 	}

@@ -380,8 +380,6 @@ func (w *segWriter) roll() error {
 	return nil
 }
 
-func (w *segWriter) flush() error { return w.bw.flush() }
-
 // close closes the active segment; the manifest is already current (it only
 // changes when a segment seals).
 func (w *segWriter) close() error { return w.bw.close() }

@@ -576,6 +576,7 @@ func (c *Coordinator) finish(cp *campaign, res *core.Result, err error) {
 	} else {
 		sut := c.sutFor(cp.spec)
 		m = record.NewMetadata(cp.spec.Name, sut)
+		m.Created = c.cfg.Clock().UTC()
 		m.Set("workload", cp.spec.Workload)
 	}
 	m.Set("service_state", state)
@@ -735,6 +736,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	c.wg.Wait()
 	c.rootCancel()
 	c.janitorWG.Wait()
+	c.closeCache()
 	return ctx.Err()
 }
 
@@ -772,5 +774,15 @@ func (c *Coordinator) Close() error {
 	c.rootCancel()
 	c.wg.Wait()
 	c.janitorWG.Wait()
+	c.closeCache()
 	return nil
+}
+
+// closeCache persists the result cache's lookup counters once no campaign
+// can touch the cache any more. They are advisory: a failed write is
+// dropped, as a failed cache Put is.
+func (c *Coordinator) closeCache() {
+	if c.cache != nil {
+		_ = c.cache.Close()
+	}
 }

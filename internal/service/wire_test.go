@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -380,6 +381,120 @@ func FuzzCompleteBody(f *testing.F) {
 		}
 		if len(left)+delivered(tasks) != 3 {
 			t.Fatalf("accepted body: %d outstanding + %d delivered, want 3", len(left), delivered(tasks))
+		}
+	})
+}
+
+// FuzzCampaignSpec: decoding and validating an arbitrary submission never
+// panics, and a spec admission accepts survives a JSON round trip with its
+// validity, its cache key and its reference experiment intact.
+func FuzzCampaignSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"tenant":"acme","workload":"hotspot","machine":"machine1","rule":"fixed","threshold":12,"seed":42,"concurrency":2,"parallel":3,"chaos":{"seed":99,"error_rate":0.08}}`,
+		`{"workload":"bfs","rule":"ci","threshold":0.05,"min_runs":5,"max_runs":50,"warmup_runs":2,"day":3}`,
+		`{"workload":"srad","machine":"machine3","rule":"ks","chaos":{"timeout_rate":0.5,"latency_rate":0.2,"latency_spike":4}}`,
+		`{"workload":"hotspot","rule":"fixed","threshold":-1,"max_runs":-3,"concurrency":-2}`,
+		`{"workload":"lud","chaos":{"error_rate":1}}`,
+		`{"workload":"nope"}`,
+		`{"workload":"hotspot","machine":"machine9"}`,
+		`{"workload":"hotspot","rule":"bogus"}`,
+		`{"workload":"hotspot","chaos":null}`,
+		`{"workload":`,
+		`[]`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec CampaignSpec
+		if err := json.Unmarshal(body, &spec); err != nil {
+			return
+		}
+		if spec.withDefaults().Validate() != nil {
+			return
+		}
+		data, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not encode: %v", spec, err)
+		}
+		var back CampaignSpec
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("accepted spec %s does not decode: %v", data, err)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Fatalf("round trip changed the spec: %+v -> %+v", spec, back)
+		}
+		norm := back.withDefaults()
+		if err := norm.Validate(); err != nil {
+			t.Fatalf("round-tripped spec %s rejected: %v", data, err)
+		}
+		if norm.cacheKey() != spec.withDefaults().cacheKey() {
+			t.Fatalf("round trip changed the cache key of %s", data)
+		}
+		// Building the campaign may fail, but must not panic.
+		_, _ = norm.ReferenceExperiment()
+	})
+}
+
+// FuzzRequestBodies: arbitrary submit, lease and heartbeat bodies against a
+// live coordinator never panic and never get a 5xx. The coordinator holds
+// one live lease (runs 1..3, token 1) and three queued runs, so a lease
+// body can be granted work and a heartbeat can hit a live lease.
+func FuzzRequestBodies(f *testing.F) {
+	seeds := []struct {
+		endpoint uint8
+		body     string
+	}{
+		{0, `{"tenant":"acme","workload":"hotspot","machine":"machine1","rule":"fixed","threshold":5}`},
+		{0, `{"workload":"nope"}`},
+		{0, `{"workload":"hotspot","chaos":{"error_rate":2}}`},
+		{0, `{"workload":`},
+		{1, `{"worker":"w2"}`},
+		{1, `{"worker":""}`},
+		{1, `{"worker":7}`},
+		{1, `null`},
+		{2, `{"token":1}`},
+		{2, `{"token":2}`},
+		{2, `{"token":-1}`},
+		{2, `{"token":1e30}`},
+		{2, ``},
+	}
+	for _, s := range seeds {
+		f.Add(s.endpoint, []byte(s.body))
+	}
+	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		c, l, _ := leaseFixture(t, t.TempDir(), 3)
+		for run := 4; run <= 6; run++ {
+			c.sched.enqueue(&task{campID: "c1", run: run, result: make(chan RunResult, 1)})
+		}
+		path := []string{"/campaigns", "/lease", "/leases/" + l.ID + "/heartbeat"}[endpoint%3]
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		Handler(c).ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("POST %s: status %d for body %q", path, rec.Code, body)
+		}
+		switch {
+		case endpoint%3 == 0 && rec.Code == http.StatusAccepted:
+			var resp struct{ ID string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("accepted submit answered %q: %v", rec.Body.Bytes(), err)
+			}
+			if _, ok := c.Status(resp.ID); !ok {
+				t.Fatalf("accepted campaign %q is unknown", resp.ID)
+			}
+		case endpoint%3 == 1 && rec.Code == http.StatusOK:
+			var got Lease
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("granted lease answered %q: %v", rec.Body.Bytes(), err)
+			}
+			if !reflect.DeepEqual(got.Runs, []int{4, 5, 6}) || got.Token != 2 {
+				t.Fatalf("granted lease %+v, want runs 4..6 under token 2", got)
+			}
+		case endpoint%3 == 2 && rec.Code == http.StatusNoContent:
+			if got := outstanding(c, l.ID); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+				t.Fatalf("heartbeat left the lease holding %v", got)
+			}
 		}
 	})
 }

@@ -79,6 +79,9 @@ func RunBudgeted(ctx context.Context, d Design) (*Outcome, error) {
 		if store, err = cache.Open(d.CacheDir); err != nil {
 			return nil, err
 		}
+		// Persist the lookup counters before returning; they are advisory,
+		// so a failed write never fails the sweep.
+		defer store.Close()
 	}
 
 	// Phase 1: resolve cache hits (zero budget consumed) and open a stepper

@@ -263,6 +263,9 @@ func Run(ctx context.Context, d Design) (*Outcome, error) {
 		if store, err = cache.Open(d.CacheDir); err != nil {
 			return nil, err
 		}
+		// Persist the lookup counters before returning; they are advisory,
+		// so a failed write never fails the sweep.
+		defer store.Close()
 	}
 	runCell := func(p cellPlan) (Cell, error) {
 		name := d.cellName(p)
