@@ -552,7 +552,7 @@ func BenchmarkBudgetedSweep(b *testing.B) {
 		run := func(policy string) *sweep.Outcome {
 			d := base
 			d.BudgetPolicy = policy
-			out, err := sweep.RunBudgeted(context.Background(), d)
+			out, err := sweep.Run(context.Background(), d)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -116,6 +116,27 @@ func TestResumeReproducesInterruptedCampaign(t *testing.T) {
 		}
 	})
 
+	t.Run("an empty log resumes from scratch", func(t *testing.T) {
+		// kill -9 before the first run was pushed leaves a 0-byte log (the
+		// CSV header is written with the first row): nothing was durable,
+		// so resuming it is the whole campaign.
+		emptyCSV := filepath.Join(dir, "empty.csv")
+		if err := os.WriteFile(emptyCSV, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := append(append([]string{}, base...), "--csv", emptyCSV, "--resume")
+		if err := run(context.Background(), args); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(emptyCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("resumed empty log differs from a fresh run (%d vs %d bytes)", len(got), len(want))
+		}
+	})
+
 	t.Run("resume without a csv is rejected", func(t *testing.T) {
 		args := append(append([]string{}, base...), "--resume")
 		if err := run(context.Background(), args); err == nil ||

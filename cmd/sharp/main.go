@@ -775,10 +775,10 @@ func cmdSweep(ctx context.Context, args []string) error {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "cells measured concurrently (1 = sequential; results identical either way)")
 	outCSV := fs.String("csv", "", "write the combined tidy log to this path")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache: completed cells are stored here and replayed on re-runs")
-	budgetRuns := fs.Int("budget", -1, "total measured-run budget across all cells (-1 = exhaustive, 0 = adaptive with no cap)")
+	budgetRuns := fs.Int("budget", 0, "total measured-run budget across all cells (<= 0 = unlimited: every cell runs to its rule's completion)")
 	budgetPolicy := fs.String("budget-policy", "ucb", "budget allocation policy: ucb, halving, or rr")
 	batchRuns := fs.Int("batch-runs", 10, "runs granted to a cell per budget allocation")
-	ledgerPath := fs.String("budget-ledger", "", "budget ledger checkpoint: loaded to resume spending, saved after the sweep")
+	ledgerPath := fs.String("budget-ledger", "", "budget ledger checkpoint of a capped sweep (--budget > 0): loaded to resume spending, saved after the sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -811,37 +811,28 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if c := newLauncher().Clock; c != nil {
 		d.SetClock(c) // SHARP_CLOCK: byte-reproducible sweep CSVs
 	}
-	var out *sweep.Outcome
-	var err error
-	if *budgetRuns < 0 {
-		out, err = sweep.Run(ctx, d)
-	} else {
+	capped := *budgetRuns > 0
+	if capped && *ledgerPath != "" {
+		if prior, lerr := budget.LoadLedger(*ledgerPath); lerr == nil {
+			d.BudgetSpent = prior.Spent
+			fmt.Fprintf(os.Stderr, "resuming budget ledger %s: %d runs already spent\n",
+				*ledgerPath, prior.Spent)
+		}
+	}
+	out, err := sweep.Run(ctx, d)
+	if capped && out != nil {
+		lg := out.Budget
 		if *ledgerPath != "" {
-			if prior, lerr := budget.LoadLedger(*ledgerPath); lerr == nil {
-				d.BudgetSpent = prior.Spent
-				fmt.Fprintf(os.Stderr, "resuming budget ledger %s: %d runs already spent\n",
-					*ledgerPath, prior.Spent)
+			if serr := lg.Save(*ledgerPath); serr != nil {
+				fmt.Fprintf(os.Stderr, "sweep: saving budget ledger: %v\n", serr)
 			}
 		}
-		out, err = sweep.RunBudgeted(ctx, d)
-		if out != nil && out.Budget != nil {
-			lg := out.Budget
-			if *ledgerPath != "" {
-				if serr := lg.Save(*ledgerPath); serr != nil {
-					fmt.Fprintf(os.Stderr, "sweep: saving budget ledger: %v\n", serr)
-				}
-			}
-			cap := fmt.Sprintf("%d/%d", lg.Spent, lg.Budget)
-			if lg.Budget == 0 {
-				cap = fmt.Sprintf("%d (no cap)", lg.Spent)
-			}
-			status := "remaining"
-			if lg.Exhausted {
-				status = "exhausted"
-			}
-			fmt.Fprintf(os.Stderr, "budget: policy=%s spent=%s (%s), %d allocations across %d cells\n",
-				lg.Policy, cap, status, len(lg.Allocations), len(lg.Cells))
+		status := "remaining"
+		if lg.Exhausted {
+			status = "exhausted"
 		}
+		fmt.Fprintf(os.Stderr, "budget: policy=%s spent=%d/%d (%s), %d allocations across %d cells\n",
+			lg.Policy, lg.Spent, lg.Budget, status, len(lg.Allocations), len(lg.Cells))
 	}
 	if err != nil {
 		return err

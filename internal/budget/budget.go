@@ -4,15 +4,21 @@
 // confidence (the Touati concern — spend runs where they make a claim
 // statistically valid — made operational).
 //
-// The scheduler advances cells in barrier-synchronized rounds. Each round
-// it scores every unfinished cell on the read-only stopping.Progress
-// snapshot the cell's rule already maintains (no statistic is recomputed),
-// picks up to Parallel distinct cells under the configured policy, grants
-// each a batch of runs, executes the batches (concurrently when Parallel >
-// 1), and waits for all of them before scoring again. Because every pick
-// depends only on pre-round state and cell execution is seeded, the full
-// allocation sequence — and therefore the results — is byte-deterministic:
-// same seed + same budget ⇒ identical Ledger, identical rows.
+// Under a cap the scheduler advances cells in barrier-synchronized rounds.
+// Each round it scores every unfinished cell on the read-only
+// stopping.Progress snapshot the cell's rule already maintains (no
+// statistic is recomputed), picks up to Parallel distinct cells under the
+// configured policy, grants each a batch of runs, executes the batches
+// (concurrently when Parallel > 1), and waits for all of them before
+// scoring again. Because every pick depends only on pre-round state and
+// cell execution is seeded, the full allocation sequence — and therefore
+// the results — is byte-deterministic: same seed + same budget ⇒ identical
+// Ledger, identical rows.
+//
+// With no cap there is nothing to allocate: no order of runs can change
+// any cell's rows, so the scheduler drops the rounds and drains the cells,
+// each of Parallel workers claiming the next cell in canonical order and
+// driving it to completion.
 //
 // Policies:
 //
@@ -34,6 +40,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sharp/internal/fsx"
 	"sharp/internal/obs"
@@ -66,7 +73,7 @@ func ParsePolicy(s string) (Policy, error) {
 // Cell is one schedulable unit of work — in the sweep, one grid cell's
 // incremental campaign (a core.Stepper behind an adapter). Implementations
 // need not be safe for concurrent use: the scheduler steps each cell from
-// at most one goroutine per round.
+// at most one goroutine at a time.
 type Cell interface {
 	// Key identifies the cell in the ledger and events.
 	Key() string
@@ -81,8 +88,8 @@ type Cell interface {
 
 // Config tunes a Scheduler.
 type Config struct {
-	// Runs is the total run budget across all cells; <= 0 means unlimited
-	// (every cell is driven to rule completion, exhaustive-sweep semantics).
+	// Runs is the total run budget across all cells; <= 0 means unlimited:
+	// every cell is driven to rule completion, drained without rounds.
 	Runs int
 	// Policy selects the allocation strategy (default ucb).
 	Policy Policy
@@ -90,8 +97,7 @@ type Config struct {
 	// the rules' default CheckEvery so every batch ends on a convergence
 	// check).
 	BatchRuns int
-	// Parallel caps how many cells advance concurrently per round (<= 1
-	// sequential).
+	// Parallel caps how many cells advance concurrently (<= 1 sequential).
 	Parallel int
 	// ExploreC is the UCB exploration constant (default 0.5).
 	ExploreC float64
@@ -162,8 +168,9 @@ type Ledger struct {
 	// ledger.
 	Spent int `json:"spent"`
 	// Exhausted is true when the budget ran out with cells unconverged.
-	Exhausted   bool         `json:"exhausted"`
-	Cells       []CellState  `json:"cells"`
+	Exhausted bool        `json:"exhausted"`
+	Cells     []CellState `json:"cells"`
+	// Allocations lists the grants in order; an uncapped drain makes none.
 	Allocations []Allocation `json:"allocations"`
 }
 
@@ -222,11 +229,8 @@ func New(cfg Config, cells []Cell) *Scheduler {
 // it is final (cells filled, exhaustion flagged).
 func (s *Scheduler) Ledger() *Ledger { return s.ledger }
 
-// remaining returns the unconsumed budget; MaxInt for unlimited.
+// remaining returns the unconsumed budget of a capped schedule.
 func (s *Scheduler) remaining() int {
-	if s.cfg.Runs <= 0 {
-		return math.MaxInt
-	}
 	r := s.cfg.Runs - s.ledger.Spent
 	if r < 0 {
 		r = 0
@@ -314,6 +318,9 @@ func (s *Scheduler) sortByScore(idx []int, round int) []int {
 // from the cells it handed in.
 func (s *Scheduler) Run(ctx context.Context) (*Ledger, error) {
 	defer s.finalize()
+	if s.cfg.Runs <= 0 {
+		return s.ledger, s.drain(ctx)
+	}
 	for round := 1; ; round++ {
 		if s.remaining() == 0 {
 			s.markExhausted()
@@ -400,6 +407,56 @@ func (s *Scheduler) dispatch(ctx context.Context, cells, grants []int) (ran []in
 	}
 	wg.Wait()
 	return ran, errs
+}
+
+// drain drives every cell to completion without rounds or picks: each of
+// up to Parallel workers claims the next cell in canonical order and steps
+// it to the end.
+func (s *Scheduler) drain(ctx context.Context) error {
+	err := Each(len(s.cells), s.cfg.Parallel, func(i int) (err error) {
+		s.granted[i], err = s.cells[i].Step(ctx, math.MaxInt)
+		return err
+	})
+	for _, ran := range s.granted {
+		s.ledger.Spent += ran
+	}
+	return err
+}
+
+// Each calls fn(i) for every i in [0, n) on up to workers goroutines,
+// which claim indices in ascending order. After an error no further index
+// is claimed, and the error of the lowest failed index is returned.
+func Each(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // markExhausted flags budget exhaustion and emits the event once.

@@ -98,6 +98,40 @@ func TestUnlimitedDrivesAllCells(t *testing.T) {
 	}
 }
 
+// TestUnlimitedDrainHasNoRounds: without a cap each cell is stepped once,
+// to completion, by one of Parallel workers, and no allocation is logged.
+// A cell error stops the drain and surfaces with the ledger finalized.
+func TestUnlimitedDrainHasNoRounds(t *testing.T) {
+	for _, par := range []int{1, 3} {
+		fcs := []*fakeCell{
+			{key: "a", need: 25, weight: 1}, {key: "b", need: 40, weight: 9},
+			{key: "c", need: 7, weight: 2}, {key: "d", need: 31, weight: 5},
+		}
+		lg, err := New(Config{Parallel: par}, cells(fcs...)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lg.Allocations) != 0 || lg.Spent != 103 {
+			t.Fatalf("p%d: %d allocations, spent %d; want none and 103", par, len(lg.Allocations), lg.Spent)
+		}
+		for i, c := range fcs {
+			if len(c.grants) != 1 || c.grants[0] != c.need || lg.Cells[i].Runs != c.need || !lg.Cells[i].Done {
+				t.Fatalf("p%d: cell %s grants %v, ledger %+v; want one step of %d", par, c.key, c.grants, lg.Cells[i], c.need)
+			}
+		}
+	}
+	boom := errors.New("boom")
+	a := &errCell{fakeCell: fakeCell{key: "a", need: 30, weight: 1}, err: boom}
+	b := &fakeCell{key: "b", need: 30, weight: 1}
+	lg, err := New(Config{}, []Cell{a, b}).Run(context.Background())
+	if !errors.Is(err, boom) {
+		t.Fatalf("error = %v, want boom", err)
+	}
+	if b.runs != 0 || lg.Spent != 1 || len(lg.Cells) != 2 {
+		t.Fatalf("after a failed cell: b ran %d, spent %d, %d ledger cells; want 0, 1, 2", b.runs, lg.Spent, len(lg.Cells))
+	}
+}
+
 // TestBudgetCapRespected: spending never exceeds the cap, exhaustion is
 // flagged, and allocations record what actually ran.
 func TestBudgetCapRespected(t *testing.T) {
@@ -179,13 +213,14 @@ func TestHalvingParksConvergedHalf(t *testing.T) {
 	fast := &fakeCell{key: "fast", need: 20, weight: 1}
 	slow := &fakeCell{key: "slow", need: 60, weight: 10}
 	fast.runs, slow.runs = 5, 5 // both evaluated: ranking is by urgency, not index
-	s := New(Config{Runs: 0, Policy: PolicyHalving, BatchRuns: 10}, cells(fast, slow))
+	// A budget that never binds: rounds run, but nothing is starved.
+	s := New(Config{Runs: 1_000_000, Policy: PolicyHalving, BatchRuns: 10}, cells(fast, slow))
 	lg, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fast.Done() || !slow.Done() {
-		t.Fatal("halving must still finish every cell under an unlimited budget")
+		t.Fatal("halving must still finish every cell under a budget that never binds")
 	}
 	// First allocations go to the urgent (slow) cell; fast re-enters after.
 	if lg.Allocations[0].Cell != "slow" {

@@ -56,7 +56,7 @@ import (
 
 // Stepper executes a campaign incrementally, batch by batch. It is not safe
 // for concurrent use; the budget scheduler drives each cell's Stepper from
-// one goroutine at a time with a barrier between rounds.
+// one goroutine at a time.
 type Stepper struct {
 	l   *Launcher
 	e   Experiment
@@ -175,13 +175,13 @@ func (s *Stepper) Progress() stopping.Progress { return stopping.Snapshot(s.e.Ru
 
 // Step executes up to n measured runs (fewer if the rule stops first) and
 // returns how many were attempted: the runs merged into the result, plus a
-// run cut short by cancellation. A parallel batch's speculative runs past
-// the stop decision or an interrupt are discarded and not counted, and a
-// batch never exceeds the runs left of n. A failure-budget abort or interrupt
-// finalizes the result and returns the respective error (ErrFailureBudget /
-// ErrInterrupted wrapped); the attempted-run count is still reported so
-// budget accounting stays exact. The interrupt checkpoint is always the
-// last merged run.
+// run cut short by an error. A parallel batch's speculative runs past the
+// stop decision or an interrupt are discarded and not counted, and a batch
+// never exceeds the runs left of n. Every error finalizes the result at the
+// last merged run — a failure-budget abort or interrupt returns
+// ErrFailureBudget / ErrInterrupted wrapped, anything else (a row sink
+// refusing a run) aborts — and the attempted-run count is still reported so
+// budget accounting stays exact.
 func (s *Stepper) Step(ctx context.Context, n int) (int, error) {
 	if s.terminal != nil {
 		return 0, s.terminal
@@ -223,13 +223,16 @@ func (s *Stepper) Step(ctx context.Context, n int) (int, error) {
 					// merged, so it counts as attempted.
 					return ran, err
 				}
+				// Nothing of the run was merged, so the result ends at
+				// the previous run.
+				s.run--
 				if ctx.Err() != nil {
-					// The run was cut short by cancellation: nothing was
-					// merged, so the checkpoint is the previous run.
-					s.run--
 					return ran, s.interrupt(ctx.Err())
 				}
-				s.final, s.terminal = true, err
+				// Any other error (unknown workload, a row sink refusing
+				// the run) aborts the campaign.
+				s.finalize(fmt.Sprintf("aborted after run %d: %v", s.run, err), false)
+				s.terminal = err
 				return ran, err
 			}
 		}
@@ -324,7 +327,7 @@ func invokeCaptured(ctx context.Context, b backend.Backend, req backend.Request)
 func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, invErr error) error {
 	l, res, run := s.l, s.res, s.run
 	now := l.Clock()
-	start := len(res.Rows)
+	start, errs := len(res.Rows), res.Errors
 	if invErr != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -374,6 +377,8 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 		}
 	}
 	if err := l.sinkRows(res.Rows[start:]); err != nil {
+		// The log refused the run: it is not merged.
+		res.Rows, res.Errors = res.Rows[:start], errs
 		return err
 	}
 	if ok == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,5 +184,36 @@ func TestOnProgressCallback(t *testing.T) {
 		if !last.Done || last.N != res.Runs {
 			t.Fatalf("parallel=%d: final snapshot = %+v", parallel, last)
 		}
+	}
+}
+
+// TestStepperSinkErrorFinalizes checks a row sink refusing a run aborts the
+// stepper with a finalized result that ends at the last run the sink took,
+// as Finish documents for every terminal Step error.
+func TestStepperSinkErrorFinalizes(t *testing.T) {
+	l := pinnedLauncher()
+	sink := &failingSink{n: 5}
+	l.Log = sink
+	st, err := l.NewStepper(context.Background(),
+		stepExperiment(t, stopping.NewFixed(40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, err := st.Step(context.Background(), 100)
+	if err == nil || !strings.Contains(err.Error(), "row sink") {
+		t.Fatalf("error = %v, want a row-sink error", err)
+	}
+	if ran != 6 || !st.Done() {
+		t.Fatalf("ran %d runs, done %v; want the refused sixth run attempted and the stepper done", ran, st.Done())
+	}
+	res := st.Finish("")
+	if res.Runs != 5 || len(res.Samples) != 5 || len(res.Rows) != len(sink.rows) {
+		t.Fatalf("result runs=%d samples=%d rows=%d, want 5, 5 and the sink's %d", res.Runs, len(res.Samples), len(res.Rows), len(sink.rows))
+	}
+	if !strings.HasPrefix(res.StopReason, "aborted after run 5") || res.Finished.IsZero() {
+		t.Fatalf("stop reason %q, finished %v; want a finalized abort", res.StopReason, res.Finished)
+	}
+	if _, again := st.Step(context.Background(), 1); !errors.Is(again, err) {
+		t.Fatalf("stepping an aborted stepper: %v, want %v", again, err)
 	}
 }

@@ -58,7 +58,7 @@ func BudgetCurve(seed uint64) (*BudgetResult, error) {
 				Budget:       b,
 				BudgetPolicy: policy,
 			}
-			out, err := sweep.RunBudgeted(context.Background(), d)
+			out, err := sweep.Run(context.Background(), d)
 			if err != nil {
 				return nil, err
 			}

@@ -193,15 +193,12 @@ func sniffRead(path string) (Format, error) {
 	return format, err
 }
 
-// emptyBinaryArtifact reports whether path is a 0-byte file that resolves to
-// a binary log by extension — the kill -9 window between creating a log and
-// writing its magic. Read and repair surfaces treat it as an empty log (zero
-// rows, nothing to truncate) and OpenAppend recreates it; a 0-byte CSV keeps
-// the historical missing-header diagnostics, since a CSV header is data.
-func emptyBinaryArtifact(path string) bool {
-	if FormatForPath(path) != FormatBinary {
-		return false
-	}
+// emptyArtifact reports whether path is a 0-byte file — the kill -9 window
+// between creating a log and pushing its first bytes (a binary log's magic,
+// a CSV log's header, which is written with the first row). No row was ever
+// durable, whatever the format: read and repair surfaces treat it as an
+// empty log (zero rows, nothing to truncate) and OpenAppend recreates it.
+func emptyArtifact(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.Size() == 0
 }

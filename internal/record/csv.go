@@ -429,7 +429,7 @@ func StreamFile(path string, fn func(batch []Row) error) error {
 	case format == FormatBinary:
 		_, err := streamLogFile(path, fn)
 		return err
-	case emptyBinaryArtifact(path):
+	case emptyArtifact(path):
 		return nil
 	}
 	f, err := os.Open(path)
@@ -492,7 +492,7 @@ func ReadFile(path string) ([]Row, error) {
 	} else if format == FormatBinary {
 		_, rows, err := readLogFile(path, nil)
 		return rows, err
-	} else if emptyBinaryArtifact(path) {
+	} else if emptyArtifact(path) {
 		return nil, nil
 	}
 	f, err := os.Open(path)
@@ -653,7 +653,7 @@ func ScanFile(path string) (rows, lastRun int, torn bool, err error) {
 		return scanSegmented(path)
 	} else if format == FormatBinary {
 		return scanBinaryFile(path)
-	} else if emptyBinaryArtifact(path) {
+	} else if emptyArtifact(path) {
 		return 0, 0, false, nil
 	}
 	f, err := os.Open(path)
@@ -675,15 +675,13 @@ func ScanFile(path string) (rows, lastRun int, torn bool, err error) {
 // log is refused (its rows have a different column count).
 func OpenAppend(path string, o Options) (w *Writer, rows int, err error) {
 	format, err := sniffFormat(path)
-	if errors.Is(err, errSniffShort) && o.resolve(path) == FormatBinary {
-		// A crash before the first flush leaves a 0-byte (or sub-magic) file:
-		// no rows were ever durable, so "repair" is starting over. Without
-		// this, a binary-format campaign could never resume past a crash that
-		// beat the first buffer flush.
-		if st, serr := os.Stat(path); serr == nil && st.Size() == 0 {
-			w, cerr := CreateDurable(path, o)
-			return w, 0, cerr
-		}
+	if errors.Is(err, errSniffShort) && emptyArtifact(path) {
+		// A crash before the first flush leaves a 0-byte file: no rows were
+		// ever durable, so "repair" is starting over. Without this, a
+		// campaign could never resume past a crash that beat the first
+		// buffer flush.
+		w, cerr := CreateDurable(path, o)
+		return w, 0, cerr
 	}
 	if err != nil && !errors.Is(err, errSniffShort) {
 		return nil, 0, err
@@ -763,7 +761,7 @@ func TruncateTrailingRun(path string) (rows, droppedRun int, err error) {
 		return truncateTrailingRunSegmented(path)
 	} else if format == FormatBinary {
 		return truncateTrailingRunBinary(path)
-	} else if emptyBinaryArtifact(path) {
+	} else if emptyArtifact(path) {
 		return 0, 0, nil
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -800,7 +798,7 @@ func TruncateRows(path string, n int) error {
 		return truncateRowsSegmented(path, n)
 	} else if format == FormatBinary {
 		return truncateRowsBinary(path, n)
-	} else if emptyBinaryArtifact(path) {
+	} else if emptyArtifact(path) {
 		if n == 0 {
 			return nil
 		}

@@ -377,8 +377,8 @@ func TestSetReadParallelismZeroMeansGOMAXPROCS(t *testing.T) {
 }
 
 // TestOpenAppendEmptyBinaryRepairs is the regression test for the
-// crash-before-first-flush artifact: OpenAppend on a 0-byte file at a binary
-// path must start the log over instead of failing the resume.
+// crash-before-first-flush artifact: OpenAppend on a 0-byte log, binary or
+// CSV, must start the log over instead of failing the resume.
 func TestOpenAppendEmptyBinaryRepairs(t *testing.T) {
 	for _, segRows := range []int{0, 4} {
 		t.Run(fmt.Sprintf("segmentRows=%d", segRows), func(t *testing.T) {
@@ -433,20 +433,36 @@ func TestOpenAppendEmptyBinaryRepairs(t *testing.T) {
 			t.Fatal("TruncateRows(3) on empty artifact succeeded, want error")
 		}
 	})
-	t.Run("csv-still-errors", func(t *testing.T) {
-		// A 0-byte CSV log still fails with the historical message: there is
-		// no header to validate, and CSV logs have no crash-artifact excuse
-		// (the header is written before any row).
+	t.Run("csv-empty-resumes", func(t *testing.T) {
+		// A 0-byte CSV log is the same crash artifact: its header is
+		// written with the first row, so no row was ever durable. Every
+		// surface reads it as empty and OpenAppend starts it over.
 		path := binPath(t, "empty.csv")
 		if err := os.WriteFile(path, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := OpenAppend(path, Options{})
-		if err == nil || !strings.Contains(err.Error(), "header") {
-			t.Fatalf("err = %v, want a header error", err)
+		if rows, lastRun, torn, err := ScanFile(path); rows != 0 || lastRun != 0 || torn || err != nil {
+			t.Fatalf("ScanFile = (%d, %d, %v, %v), want (0, 0, false, nil)", rows, lastRun, torn, err)
 		}
-		if _, err := ReadFile(path); err == nil {
-			t.Fatal("ReadFile on 0-byte CSV succeeded, want header error")
+		if got, err := ReadFile(path); len(got) != 0 || err != nil {
+			t.Fatalf("ReadFile = (%d rows, %v), want empty", len(got), err)
+		}
+		if rows, dropped, err := TruncateTrailingRun(path); rows != 0 || dropped != 0 || err != nil {
+			t.Fatalf("TruncateTrailingRun = (%d, %d, %v), want (0, 0, nil)", rows, dropped, err)
+		}
+		w, n, err := OpenAppend(path, Options{FlushEvery: 1})
+		if err != nil || n != 0 {
+			t.Fatalf("OpenAppend = (%d rows, %v), want a fresh log", n, err)
+		}
+		rows := sampleRows(5)
+		if err := w.WriteAll(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadFile(path); err != nil || !reflect.DeepEqual(rows, got) {
+			t.Fatalf("ReadFile after repair = (%d rows, %v)", len(got), err)
 		}
 	})
 }

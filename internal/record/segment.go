@@ -66,7 +66,7 @@ func hasSegDir(path string) bool {
 // activeSegMissing reports whether the active segment at sp is absent or a
 // 0-byte crash artifact. createBinary only buffers the magic, so a kill -9
 // between segment creation and the first flush leaves an empty file; like the
-// single-file emptyBinaryArtifact case, it holds zero durable rows and every
+// single-file emptyArtifact case, it holds zero durable rows and every
 // surface treats it exactly like a segment that never came to exist.
 func activeSegMissing(sp string) bool {
 	st, err := os.Stat(sp)

@@ -498,3 +498,74 @@ func FuzzRequestBodies(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLeaseResponse: a worker's Client.Lease decodes whatever a coordinator
+// (or anything posing as one) answers, and never panics. A 204 means no
+// work, a 4xx/5xx is an error, and a 2xx body holding a JSON lease yields
+// exactly the lease a JSON decoder reads from it.
+func FuzzLeaseResponse(f *testing.F) {
+	for _, seed := range []struct {
+		code uint16
+		body string
+	}{
+		{0, `{"id":"l000001","token":7,"campaign_id":"c0001","spec":{"workload":"hotspot","rule":"fixed","threshold":12},"runs":[1,2,3],"ttl":30000000000}`},
+		{0, `{"id":"l1","token":1,"runs":[]}`},
+		{0, `{"token":-1,"runs":["x"]}`},
+		{0, `{"spec":{"chaos":{"error_rate":"high"}}}`},
+		{0, `{"id":"l1"} trailing`},
+		{0, `null`},
+		{0, `[]`},
+		{0, `{"id":`},
+		{0, ``},
+		{4, ``},
+		{209, `draining`},
+		{229, `tenant saturated`},
+		{300, `{"id":"l1"}`},
+	} {
+		f.Add(seed.code, []byte(seed.body))
+	}
+	var (
+		mu   sync.Mutex
+		code int
+		body []byte
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(code)
+		w.Write(body)
+	}))
+	defer srv.Close()
+	cl := NewHTTPClient(srv.URL)
+	f.Fuzz(func(t *testing.T, c uint16, b []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		code, body = 200+int(c)%400, b
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		l, err := cl.Lease(ctx, "w1")
+		switch {
+		case err == nil && l == nil:
+			t.Fatalf("status %d: no lease and no error", code)
+		case err != nil && l != nil:
+			t.Fatalf("status %d: a lease and an error %v", code, err)
+		case code == http.StatusNoContent:
+			if !errors.Is(err, ErrNoWork) {
+				t.Fatalf("status 204: error %v, want ErrNoWork", err)
+			}
+		case code >= 400:
+			if err == nil {
+				t.Fatalf("status %d: lease %+v, want an error", code, l)
+			}
+		case code < 300:
+			var want Lease
+			if json.NewDecoder(bytes.NewReader(b)).Decode(&want) != nil {
+				return
+			}
+			if err != nil {
+				t.Fatalf("status %d, body %q: %v, want the decoded lease", code, b, err)
+			}
+			if !reflect.DeepEqual(*l, want) {
+				t.Fatalf("status %d, body %q: lease %+v, want %+v", code, b, *l, want)
+			}
+		}
+	})
+}

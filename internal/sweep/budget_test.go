@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,9 +76,41 @@ func mustMatch(t *testing.T, want, got *Outcome) {
 	}
 }
 
-// TestBudgetZeroMatchesExhaustive is the acceptance differential: an
-// unlimited-budget budgeted sweep must be byte-identical to the exhaustive
-// Run across rules x sequential/parallel x cache on/off.
+// oracle measures the design the plain way: each cell run alone by
+// core.Launcher.Run, in canonical order, with no scheduler or cache.
+func oracle(t *testing.T, d Design) *Outcome {
+	t.Helper()
+	d, err := d.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := d.plans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &Outcome{Design: d}
+	for _, p := range plans {
+		e, err := d.experimentFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.newLauncher().Run(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Cells = append(out.Cells, Cell{
+			Workload: p.workload, Machine: p.machineName,
+			Day: p.day, Concurrency: p.concurrency, Result: res,
+		})
+	}
+	return out
+}
+
+// TestBudgetZeroMatchesExhaustive guards the uncapped sweep against an
+// independent oracle (every cell run alone, in canonical order) across
+// rules x sequential/parallel x cache on/off. A finite budget that never
+// binds takes the scheduler's rounds instead of its drain, and must give
+// the same bytes too.
 func TestBudgetZeroMatchesExhaustive(t *testing.T) {
 	rules := []struct {
 		name      string
@@ -95,28 +128,32 @@ func TestBudgetZeroMatchesExhaustive(t *testing.T) {
 					base.RuleName, base.Threshold = rule.name, rule.threshold
 					base.Parallel = par
 					pinClock(&base)
+					want := oracle(t, base)
+					runs := 0
+					for _, c := range want.Cells {
+						runs += c.Result.Runs
+					}
 
-					ex, bd := base, base
-					if cached {
-						ex.CacheDir = t.TempDir()
-						bd.CacheDir = t.TempDir()
-					}
-					want, err := Run(context.Background(), ex)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := RunBudgeted(context.Background(), bd)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustMatch(t, want, got)
-					if got.Budget == nil || got.Budget.Exhausted {
-						t.Fatalf("budget ledger = %+v, want unexhausted ledger", got.Budget)
-					}
-					if cached {
-						// A warm budgeted re-run replays every cell for zero
-						// budget, byte-identical again.
-						again, err := RunBudgeted(context.Background(), bd)
+					for _, budgetRuns := range []int{0, 1_000_000} {
+						d := base
+						d.Budget = budgetRuns
+						if cached {
+							d.CacheDir = t.TempDir()
+						}
+						got, err := Run(context.Background(), d)
+						if err != nil {
+							t.Fatal(err)
+						}
+						mustMatch(t, want, got)
+						if lg := got.Budget; lg == nil || lg.Exhausted || lg.Spent != runs {
+							t.Fatalf("budget %d: ledger = %+v, want %d runs spent, unexhausted", budgetRuns, lg, runs)
+						}
+						if !cached {
+							continue
+						}
+						// A warm re-run replays every cell for zero budget,
+						// byte-identical again.
+						again, err := Run(context.Background(), d)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -145,11 +182,11 @@ func TestBudgetAllocationDeterministic(t *testing.T) {
 				d.Parallel = par
 				pinClock(&d)
 
-				a, err := RunBudgeted(context.Background(), d)
+				a, err := Run(context.Background(), d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := RunBudgeted(context.Background(), d)
+				b, err := Run(context.Background(), d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,7 +224,7 @@ func TestUCBNarrowerThanRoundRobin(t *testing.T) {
 	run := func(policy string) *Outcome {
 		d := base
 		d.BudgetPolicy = policy
-		out, err := RunBudgeted(context.Background(), d)
+		out, err := Run(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +246,7 @@ func TestUCBNarrowerThanRoundRobin(t *testing.T) {
 
 // TestCorruptedCacheEntryDegradesToMiss is the satellite regression: a
 // damaged commit-point JSON must degrade to a miss and a fresh measurement,
-// not abort the sweep.
+// not abort the sweep — uncapped and under a cap that never binds.
 func TestCorruptedCacheEntryDegradesToMiss(t *testing.T) {
 	d := smallDesign()
 	pinClock(&d)
@@ -218,37 +255,37 @@ func TestCorruptedCacheEntryDegradesToMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one entry's meta JSON (the commit point Get cannot self-heal).
-	metas, err := filepath.Glob(filepath.Join(d.CacheDir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := 0
-	for _, m := range metas {
-		if filepath.Base(m) == "counters.json" {
-			continue
-		}
-		if err := os.WriteFile(m, []byte("{definitely not json"), 0o644); err != nil {
+	for _, budgetRuns := range []int{0, 1_000_000} {
+		// Corrupt one entry's meta JSON (the commit point Get cannot
+		// self-heal).
+		metas, err := filepath.Glob(filepath.Join(d.CacheDir, "*.json"))
+		if err != nil {
 			t.Fatal(err)
 		}
-		corrupted++
-		break
+		corrupted := 0
+		for _, m := range metas {
+			if filepath.Base(m) == "counters.json" {
+				continue
+			}
+			if err := os.WriteFile(m, []byte("{definitely not json"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupted++
+			break
+		}
+		if corrupted == 0 {
+			t.Fatal("no cache entry meta found to corrupt")
+		}
+		d.Budget = budgetRuns
+		got, err := Run(context.Background(), d)
+		if err != nil {
+			t.Fatalf("budget %d: sweep aborted on damaged cache entry: %v", budgetRuns, err)
+		}
+		mustMatch(t, want, got)
+		if got.Budget.Spent == 0 {
+			t.Fatalf("budget %d: the damaged cell was not re-measured", budgetRuns)
+		}
 	}
-	if corrupted == 0 {
-		t.Fatal("no cache entry meta found to corrupt")
-	}
-	got, err := Run(context.Background(), d)
-	if err != nil {
-		t.Fatalf("sweep aborted on damaged cache entry: %v", err)
-	}
-	mustMatch(t, want, got)
-
-	// The budgeted path degrades the same way.
-	got, err = RunBudgeted(context.Background(), d)
-	if err != nil {
-		t.Fatalf("budgeted sweep aborted on cache state: %v", err)
-	}
-	mustMatch(t, want, got)
 }
 
 // TestChaosKilledCellsYieldTypedError is the satellite regression: cells
@@ -283,7 +320,7 @@ func TestChaosKilledCellsYieldTypedError(t *testing.T) {
 	// of feeding it the whole budget.
 	bd := d
 	bd.Budget = 200
-	bout, err := RunBudgeted(context.Background(), bd)
+	bout, err := Run(context.Background(), bd)
 	if err != nil {
 		t.Fatalf("budgeted sweep must absorb a failure-budget cell, got %v", err)
 	}
@@ -334,7 +371,8 @@ func TestEffectOfMarksDeadLevelsInconclusive(t *testing.T) {
 // TestInterruptedSweepResumesFromCache is the satellite regression for
 // cancellation: a mid-sweep interrupt surfaces the completed cells as a
 // partial Outcome, and a re-run over the same cache replays them instead of
-// re-measuring — ending byte-identical to a never-interrupted sweep.
+// re-measuring — ending byte-identical to a never-interrupted sweep. At
+// Parallel 4 the interrupt lands mid-drain, with several cells in flight.
 func TestInterruptedSweepResumesFromCache(t *testing.T) {
 	ref := smallDesign()
 	pinClock(&ref)
@@ -343,48 +381,60 @@ func TestInterruptedSweepResumesFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := smallDesign()
-	pinClock(&d)
-	d.CacheDir = t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stops := 0
-	d.Tracer = tracerFunc(func(typ string, _ map[string]any) {
-		if typ == obs.EventCampaignStop {
-			if stops++; stops == 3 {
-				cancel()
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
+			d := smallDesign()
+			pinClock(&d)
+			d.Parallel = par
+			d.CacheDir = t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var stops atomic.Int32
+			d.Tracer = tracerFunc(func(typ string, _ map[string]any) {
+				if typ == obs.EventCampaignStop && stops.Add(1) == 3 {
+					cancel()
+				}
+			})
+			part, err := Run(ctx, d)
+			if !errors.Is(err, core.ErrInterrupted) {
+				t.Fatalf("interrupt error = %v, want ErrInterrupted", err)
 			}
-		}
-	})
-	part, err := Run(ctx, d)
-	if !errors.Is(err, core.ErrInterrupted) {
-		t.Fatalf("interrupt error = %v, want ErrInterrupted", err)
-	}
-	if part == nil || len(part.Cells) == 0 || len(part.Cells) >= len(want.Cells) {
-		t.Fatalf("partial outcome has %d cells, want a strict non-empty prefix", len(part.Cells))
-	}
-	for i, c := range part.Cells {
-		if c.Key() != want.Cells[i].Key() {
-			t.Fatalf("partial cell %d = %s, want canonical order", i, c.Key())
-		}
-	}
+			if part == nil || len(part.Cells) == 0 || len(part.Cells) >= len(want.Cells) {
+				t.Fatalf("partial outcome has %d cells, want a strict non-empty subset", len(part.Cells))
+			}
+			// Completed cells keep canonical order; a sequential sweep
+			// completes a prefix.
+			j := 0
+			for i, c := range part.Cells {
+				for j < len(want.Cells) && want.Cells[j].Key() != c.Key() {
+					j++
+				}
+				if j == len(want.Cells) || (par == 1 && j != i) {
+					t.Fatalf("partial cell %d = %s, want canonical order", i, c.Key())
+				}
+				if c.Result.StopReason == "" || c.Result.Runs == 0 {
+					t.Fatalf("partial cell %s not a completed result: %+v", c.Key(), c.Result)
+				}
+			}
 
-	d.Tracer = nil
-	full, err := Run(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustMatch(t, want, full)
-	c := cacheCounters(t, d.CacheDir)
-	if int(c.Hits) < len(part.Cells) {
-		t.Fatalf("resume replayed %d cells, want >= %d (completed cells re-measured)", c.Hits, len(part.Cells))
+			d.Tracer = nil
+			full, err := Run(context.Background(), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustMatch(t, want, full)
+			c := cacheCounters(t, d.CacheDir)
+			if int(c.Hits) < len(part.Cells) {
+				t.Fatalf("resume replayed %d cells, want >= %d (completed cells re-measured)", c.Hits, len(part.Cells))
+			}
+		})
 	}
 }
 
 // TestInterruptedBudgetedSweepResumesFromCache mirrors the interrupt
-// contract on the budgeted path: converged cells survive the interrupt via
-// the cache and the re-run completes byte-identical to the exhaustive
-// reference.
+// contract on the scheduler's rounds, under a cap that never binds:
+// converged cells survive the interrupt via the cache and the re-run
+// completes byte-identical to the uncapped reference.
 func TestInterruptedBudgetedSweepResumesFromCache(t *testing.T) {
 	ref := smallDesign()
 	pinClock(&ref)
@@ -395,6 +445,7 @@ func TestInterruptedBudgetedSweepResumesFromCache(t *testing.T) {
 
 	d := smallDesign()
 	pinClock(&d)
+	d.Budget = 1_000_000
 	d.CacheDir = t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -408,7 +459,7 @@ func TestInterruptedBudgetedSweepResumesFromCache(t *testing.T) {
 			}
 		}
 	})
-	part, err := RunBudgeted(ctx, d)
+	part, err := Run(ctx, d)
 	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("interrupt error = %v, want ErrInterrupted", err)
 	}
@@ -422,7 +473,7 @@ func TestInterruptedBudgetedSweepResumesFromCache(t *testing.T) {
 	}
 
 	d.Tracer = nil
-	full, err := RunBudgeted(context.Background(), d)
+	full, err := Run(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"sharp/internal/backend"
@@ -78,10 +77,10 @@ type Design struct {
 	MaxRuns int
 	// Seed drives all cells deterministically.
 	Seed uint64
-	// Parallel measures up to this many cells concurrently (default 1:
-	// sequential). Each cell owns a private simulated backend and stopping
-	// rule, so cells share no state and the outcome is identical — cell
-	// order included — at any parallelism.
+	// Parallel measures (and replays) up to this many cells concurrently
+	// (default 1: sequential). Each cell owns a private simulated backend
+	// and stopping rule, so cells share no state and the outcome is
+	// identical — cell order included — at any parallelism, capped or not.
 	Parallel int
 	// CacheDir, when non-empty, enables the content-addressed result cache:
 	// each completed cell is stored under a key derived from everything its
@@ -90,12 +89,11 @@ type Design struct {
 	// core.Launcher.ReplayLog with zero backend calls — bit-identical
 	// results included.
 	CacheDir string
-	// Budget is the total run budget RunBudgeted allocates across all cells
-	// (0 = unlimited: every cell is driven to rule completion, byte-identical
-	// to the exhaustive Run). Ignored by Run.
+	// Budget is the total run budget allocated across all cells (<= 0, the
+	// default, = unlimited: every cell is driven to rule completion).
 	Budget int
-	// BudgetPolicy selects the allocation strategy for RunBudgeted: "ucb"
-	// (default), "halving", or "rr". See package budget.
+	// BudgetPolicy selects the allocation strategy under a Budget cap:
+	// "ucb" (default), "halving", or "rr". See package budget.
 	BudgetPolicy string
 	// BatchRuns is the batch size per budget allocation (default 10,
 	// aligning batches with the rules' default CheckEvery).
@@ -168,7 +166,8 @@ func (c Cell) Key() string {
 type Outcome struct {
 	Design Design
 	Cells  []Cell
-	// Budget is the allocation ledger of a budgeted sweep (nil for Run).
+	// Budget is the scheduler's ledger: runs spent and per-cell states,
+	// plus the allocations when Design.Budget caps the sweep.
 	Budget *budget.Ledger
 }
 
@@ -244,12 +243,22 @@ func (d Design) newLauncher() *core.Launcher {
 	return l
 }
 
-// Run executes the design (deterministically ordered). With
-// Design.Parallel > 1, up to that many cells are measured concurrently on a
-// bounded worker pool; results are still assembled in the canonical
-// grid-expansion order, so the outcome is identical to a sequential run.
+// Run executes the design. Every cell needing measurement is a
+// core.Stepper driven by the budget scheduler (package budget); cells share
+// no state, so the outcome — cell order included — is identical at any
+// Design.Parallel. With Design.Budget <= 0 (the default) each cell runs to
+// its rule's completion, up to Parallel cells at a time. A positive Budget
+// caps the measured runs across all cells, allocated batch by batch under
+// BudgetPolicy; cells it starves keep partial results with stop reason
+// "run budget exhausted". Cached cells replay for zero budget, and the
+// Outcome carries the scheduler's ledger. On error (an interrupt, say) the
+// partial Outcome holds every completed cell alongside it.
 func Run(ctx context.Context, d Design) (*Outcome, error) {
 	d, err := d.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	policy, err := budget.ParsePolicy(d.BudgetPolicy)
 	if err != nil {
 		return nil, err
 	}
@@ -267,117 +276,162 @@ func Run(ctx context.Context, d Design) (*Outcome, error) {
 		// so a failed write never fails the sweep.
 		defer store.Close()
 	}
-	runCell := func(p cellPlan) (Cell, error) {
-		name := d.cellName(p)
-		cell := func(res *core.Result) Cell {
-			return Cell{
-				Workload: p.workload, Machine: p.machineName,
-				Day: p.day, Concurrency: p.concurrency, Result: res,
-			}
+
+	// Resolve every cell, Parallel at a time: a cache hit replays, a miss
+	// becomes a pending cell. A warm sweep is all replay, so this is where
+	// its parallelism lives.
+	cells := make([]sweepCell, len(plans))
+	if err := budget.Each(len(plans), d.Parallel, func(i int) error {
+		return cells[i].resolve(d, launcher, store, plans[i])
+	}); err != nil {
+		return nil, err
+	}
+	var pending []budget.Cell
+	for i := range cells {
+		if cells[i].res == nil {
+			pending = append(pending, &cells[i])
 		}
-		var key string
-		if store != nil {
-			key = d.cellKey(p)
-			rows, _, err := store.Get(key, name)
-			if err != nil {
-				// A damaged entry the store could not self-heal (e.g. a
-				// corrupt commit-point JSON) degrades to a miss: the fresh
-				// measurement below overwrites it. One bad entry must never
-				// abort the sweep.
-				rows = nil
-			}
-			if rows != nil {
-				e, err := d.experimentFor(p)
-				if err != nil {
-					return Cell{}, err
-				}
-				if res, err := launcher.ReplayLog(e, rows); err == nil {
-					return cell(res), nil
-				}
-				// An unreplayable entry (semantics drifted) falls through
-				// to a fresh measurement, which overwrites it.
-			}
-		}
-		e, err := d.experimentFor(p)
-		if err != nil {
-			return Cell{}, err
-		}
-		res, err := launcher.Run(ctx, e)
-		if err != nil {
-			// A cell that exhausted its failure budget is a measured outcome
-			// — the failure rows are data, and the rest of the grid is still
-			// worth measuring. Completed cells are not cached (the partial
-			// log is not a converged campaign).
-			if errors.Is(err, core.ErrFailureBudget) {
-				return cell(res), nil
-			}
-			return Cell{}, fmt.Errorf("sweep: cell %s@%s day %d c%d: %w",
-				p.workload, p.machineName, p.day, p.concurrency, err)
-		}
-		if store != nil {
-			if err := store.Put(key, cellCacheKind, name, res.Rows); err != nil {
-				return Cell{}, err
-			}
-		}
-		return cell(res), nil
 	}
 
-	cells := make([]Cell, len(plans))
-	errs := make([]error, len(plans))
-	workers := d.Parallel
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-	if workers <= 1 {
-		for i, p := range plans {
-			c, err := runCell(p)
-			if err != nil {
-				// An interrupt surfaces the completed prefix as a partial
-				// Outcome (the launcher's checkpoint contract, lifted to the
-				// sweep): re-running the design with the cache on replays
-				// these cells instead of re-measuring them.
-				if errors.Is(err, core.ErrInterrupted) {
-					return &Outcome{Design: d, Cells: cells[:i]}, err
+	ledger, schedErr := budget.New(budget.Config{
+		Runs:      d.Budget,
+		Policy:    policy,
+		BatchRuns: d.BatchRuns,
+		Parallel:  d.Parallel,
+		Spent:     d.BudgetSpent,
+		Tracer:    d.Tracer,
+		Registry:  d.Registry,
+	}, pending).Run(ctx)
+
+	// Assemble in canonical order. After an error only finished cells are
+	// included; with the cache on, a re-run replays the converged ones.
+	out := &Outcome{Design: d, Budget: ledger}
+	for i := range cells {
+		c := &cells[i]
+		if c.res == nil && schedErr == nil {
+			// The budget ran out before this cell converged: a partial
+			// result (opening the campaign if it never got a run).
+			if c.st == nil {
+				if err := c.open(ctx); err != nil {
+					return out, c.fail(err)
 				}
-				return nil, err
 			}
-			cells[i] = c
+			c.res = c.st.Finish("run budget exhausted")
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					cells[i], errs[i] = runCell(plans[i])
-				}
-			}()
-		}
-		for i := range plans {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		// Report the lowest-index failure, matching the sequential path.
-		for _, err := range errs {
-			if err != nil {
-				if errors.Is(err, core.ErrInterrupted) {
-					// Keep the completed cells, in canonical order.
-					var done []Cell
-					for i := range cells {
-						if errs[i] == nil && cells[i].Result != nil {
-							done = append(done, cells[i])
-						}
-					}
-					return &Outcome{Design: d, Cells: done}, err
-				}
-				return nil, err
-			}
+		if c.res != nil {
+			out.Cells = append(out.Cells, c.cell())
 		}
 	}
-	return &Outcome{Design: d, Cells: cells}, nil
+	return out, schedErr
+}
+
+// sweepCell is one grid cell: a replayed cache hit, or a campaign the
+// scheduler advances through the budget.Cell interface. Its stepper opens
+// on the first Step, so a cell's campaign.start marks when its measurement
+// begins, not when the sweep does.
+type sweepCell struct {
+	plan     cellPlan
+	key      string // cache key; empty without a cache
+	launcher *core.Launcher
+	store    *cache.Store
+	e        core.Experiment
+	st       *core.Stepper
+	// res is the final result: replayed, converged, or failure-budget
+	// terminated (measured, not cached).
+	res *core.Result
+	// err is a terminal error (interrupt, cache write).
+	err error
+}
+
+// resolve replays the cell from the cache or readies it for measurement.
+// A damaged entry the store could not self-heal (e.g. a corrupt
+// commit-point JSON) and an unreplayable one (semantics drifted) both
+// degrade to a miss: the fresh measurement overwrites them. One bad entry
+// must never abort the sweep.
+func (c *sweepCell) resolve(d Design, l *core.Launcher, store *cache.Store, p cellPlan) error {
+	*c = sweepCell{plan: p, launcher: l, store: store}
+	e, err := d.experimentFor(p)
+	if err != nil {
+		return err
+	}
+	if store != nil {
+		c.key = d.cellKey(p)
+		if rows, _, err := store.Get(c.key, e.Name); err == nil && rows != nil {
+			if res, err := l.ReplayLog(e, rows); err == nil {
+				c.res = res
+				return nil
+			}
+			// Replay consumed the stateful rule: measure on a fresh one.
+			if e, err = d.experimentFor(p); err != nil {
+				return err
+			}
+		}
+	}
+	c.e = e
+	return nil
+}
+
+// cell renders the sweep cell with its result.
+func (c *sweepCell) cell() Cell {
+	p := c.plan
+	return Cell{
+		Workload: p.workload, Machine: p.machineName,
+		Day: p.day, Concurrency: p.concurrency, Result: c.res,
+	}
+}
+
+// open starts the cell's campaign (the defaults, campaign.start and
+// warm-ups of core.Launcher.NewStepper).
+func (c *sweepCell) open(ctx context.Context) (err error) {
+	c.st, err = c.launcher.NewStepper(ctx, c.e)
+	return err
+}
+
+func (c *sweepCell) Key() string { return c.cell().Key() }
+
+func (c *sweepCell) Done() bool { return c.res != nil || c.err != nil }
+
+func (c *sweepCell) Progress() stopping.Progress {
+	if c.st == nil {
+		return stopping.Progress{} // unevaluated, as a fresh rule
+	}
+	return c.st.Progress()
+}
+
+// Step runs up to n more of the cell's runs. A converged cell is finished
+// and cached at once, so its campaign.stop and cache write happen on the
+// worker that measured it. A cell that exhausts its failure budget is a
+// measured outcome — its failure rows are data and the rest of the grid is
+// still worth measuring — so that error is swallowed and the cell reports
+// done, uncached (the partial log is not a converged campaign).
+func (c *sweepCell) Step(ctx context.Context, n int) (int, error) {
+	if c.st == nil {
+		if err := c.open(ctx); err != nil {
+			return 0, c.fail(err)
+		}
+	}
+	ran, err := c.st.Step(ctx, n)
+	switch {
+	case errors.Is(err, core.ErrFailureBudget):
+		c.res = c.st.Finish("")
+	case err != nil:
+		return ran, c.fail(err)
+	case c.st.Done():
+		res := c.st.Finish("")
+		if c.store != nil {
+			if err := c.store.Put(c.key, cellCacheKind, c.e.Name, res.Rows); err != nil {
+				return ran, c.fail(err)
+			}
+		}
+		c.res = res
+	}
+	return ran, nil
+}
+
+// fail marks the cell terminally failed, naming it in the error.
+func (c *sweepCell) fail(err error) error {
+	c.err = fmt.Errorf("sweep: cell %s: %w", c.Key(), err)
+	return c.err
 }
 
 // Rows flattens every cell's tidy-data log into one slice.
