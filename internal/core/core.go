@@ -63,11 +63,12 @@ type Experiment struct {
 	// the local host (or the simulated machine for Sim backends).
 	SUT sysinfo.SUT
 	// Parallel is the number of worker goroutines executing runs
-	// concurrently (values <= 1 run sequentially). Each Step batch then
-	// speculatively executes the runs up to the next CheckEvery boundary
-	// and merges outcomes in run order, so with a run-addressable backend
-	// (Sim, Chaos, InProcess) the samples, rows and stop decision are
-	// bit-identical to sequential execution. See Stepper.
+	// concurrently (values <= 1 run sequentially). The workers run ahead of
+	// the merge by at most a small fixed window and never past the rule's
+	// next decision point (a CheckEvery boundary or the cap), and outcomes
+	// are merged in run order as they land, so with a run-addressable
+	// backend (Sim, Chaos, InProcess) the samples, rows and stop decision
+	// are bit-identical to sequential execution. See Stepper.
 	Parallel int
 	// Retry is the per-run retry policy; the zero value (MaxAttempts <= 1)
 	// disables retrying. When enabled the backend is wrapped with

@@ -4,41 +4,44 @@ package core
 // Stepper: Run is a stepper driven to completion, Resume is a stepper
 // seeded from the recorded log, and the budgeted sweep advances one stepper
 // per cell a few runs at a time. The prologue (defaults, campaign.start,
-// warm-ups) happens when the stepper opens, Step executes measured runs in
-// batches and folds each through processRun in run order, and every exit —
-// rule stopped, budget exhausted, failure budget, interrupt — finalizes the
+// warm-ups) happens when the stepper opens, Step executes measured runs and
+// folds each through processRun in run order, and every exit — rule
+// stopped, budget exhausted, failure budget, interrupt — finalizes the
 // Result through finalize. Because the (run index, invoke, merge) sequence is
-// the same whatever the batch sizes, a campaign driven to rule completion
+// the same whatever the Step sizes, a campaign driven to rule completion
 // through any sequence of Step calls produces the same bytes.
 //
-// Batches come in two modes:
+// Step runs in spans. A stopping rule can only change its decision at a
+// decision point — a CheckEvery boundary or its MaxSamples cap, both read
+// from its Bounds; a Fixed rule's cap is its only one — so the runs up to
+// the next decision point are known to be needed before they start. A span
+// is those runs, capped by the runs Step may still attempt. Before a span
+// the stepper reserves its rows in Result.Rows at once, so a fixed campaign
+// allocates its log once.
 //
-//   - Experiment.Parallel <= 1: a batch is one run, invoked inline on the
-//     calling goroutine — no goroutine and no per-run allocation.
-//   - Experiment.Parallel > 1: a batch is speculative. A dynamic stopping
-//     rule can only change its decision at a CheckEvery boundary (or at the
-//     MaxSamples cap), so the runs between two checks are known to be
-//     needed before they start and can execute concurrently without
-//     speculating on the rule's answer. The stepper launches the runs up to
-//     the next check boundary (rounded up to keep every worker busy, capped
-//     by the runs Step may still attempt) on a bounded worker pool, merges
-//     the outcomes strictly in run order — the clock is read once per run,
-//     in run order — and discards any overshoot past the point the rule
-//     stops.
+//   - Experiment.Parallel <= 1: each run is invoked inline on the calling
+//     goroutine — no goroutine and no per-run allocation.
+//   - Experiment.Parallel > 1: a window. Parallel workers live for the whole
+//     Step call and invoke the runs the merge loop hands them, in run order,
+//     never past the span's decision point and never more than the window
+//     (windowRuns) ahead of the last merged run. The merge loop takes each
+//     outcome as it lands, strictly in run order — the clock is read once per
+//     run, in run order — so invocation and merging overlap, and no barrier
+//     separates one group of runs from the next inside a span. Runs launched
+//     but not merged (an interrupt, a failure-budget abort) are discarded.
 //
-// Determinism of the batched mode: per-run values come from the backend,
-// and SHARP's run-addressable backends derive their draws from the
-// request's run index — InProcess hashes it directly, while Sim and Chaos
-// are switched into run-ordered draw synthesis (backend.SetRunOrdered,
-// applied to every layer of the decorator chain when the stepper opens) so
-// their streams become a function of run index regardless of arrival
-// order. Combined with the ordered merge, the samples, tidy rows, CSV bytes
-// and stop decision are bit-identical to the sequential mode
-// (differential-tested in parallel_test.go, including under chaos fault
-// injection). The one caveat is retries: resilience.Wrap's re-invocations
-// consume extra draws at arrival time, so parallel campaigns with retries
-// enabled remain valid but are not guaranteed bit-identical to sequential
-// ones.
+// Determinism of the window: per-run values come from the backend, and
+// SHARP's run-addressable backends derive their draws from the request's run
+// index — InProcess hashes it directly, while Sim and Chaos are switched into
+// run-ordered draw synthesis (backend.SetRunOrdered, applied to every layer
+// of the decorator chain when the stepper opens) so their streams become a
+// function of run index regardless of arrival order. Combined with the
+// ordered merge, the samples, tidy rows, CSV bytes and stop decision are
+// bit-identical to the sequential mode (differential-tested in
+// parallel_test.go, including under chaos fault injection). The one caveat
+// is retries: resilience.Wrap's re-invocations consume extra draws at arrival
+// time, so parallel campaigns with retries enabled remain valid but are not
+// guaranteed bit-identical to sequential ones.
 
 import (
 	"context"
@@ -54,7 +57,7 @@ import (
 	"sharp/internal/stopping"
 )
 
-// Stepper executes a campaign incrementally, batch by batch. It is not safe
+// Stepper executes a campaign incrementally, span by span. It is not safe
 // for concurrent use; the budget scheduler drives each cell's Stepper from
 // one goroutine at a time.
 type Stepper struct {
@@ -63,11 +66,11 @@ type Stepper struct {
 	res *Result
 	// run is the last merged run.
 	run int
-	// consecutiveFailed threads the failure-budget counter across batches.
+	// consecutiveFailed threads the failure-budget counter across spans.
 	consecutiveFailed int
-	// outs holds a parallel batch's invocation outcomes, reused across
-	// batches.
-	outs []outcome
+	// rowsPerRun is the row count of the last merged run: the estimate a
+	// span's row reservation is sized by (0 = nothing merged yet).
+	rowsPerRun int
 	// names is processRun's metric-name scratch, reused across
 	// invocations.
 	names []string
@@ -78,7 +81,7 @@ type Stepper struct {
 	final    bool
 }
 
-// outcome is one run's invocation result inside a parallel batch.
+// outcome is one run's invocation result.
 type outcome struct {
 	invs     []backend.Invocation
 	err      error
@@ -119,6 +122,10 @@ func (s *Stepper) open(l *Launcher, e Experiment, rows []record.Row) error {
 		Started:    l.Clock(),
 	}}
 	s.run, s.consecutiveFailed, err = l.replayRows(e, s.res, rows)
+	// The last replayed run sizes the first span's row reservation.
+	for i := len(s.res.Rows) - 1; i >= 0 && s.res.Rows[i].Run == s.run; i-- {
+		s.rowsPerRun++
+	}
 	return err
 }
 
@@ -143,7 +150,7 @@ func (s *Stepper) start(ctx context.Context, l *Launcher, e Experiment) error {
 	return s.prepare(ctx, "")
 }
 
-// prepare readies the backend for measurement. A batched campaign switches
+// prepare readies the backend for measurement. A parallel campaign switches
 // every stream-stateful layer (Sim, Chaos) into run-ordered draw synthesis,
 // so each run's value depends only on its run index, not on worker arrival
 // order; sequential arrival order is canonical order, so this reproduces
@@ -175,49 +182,57 @@ func (s *Stepper) Progress() stopping.Progress { return stopping.Snapshot(s.e.Ru
 
 // Step executes up to n measured runs (fewer if the rule stops first) and
 // returns how many were attempted: the runs merged into the result, plus a
-// run cut short by an error. A parallel batch's speculative runs past the
-// stop decision or an interrupt are discarded and not counted, and a batch
-// never exceeds the runs left of n. Every error finalizes the result at the
-// last merged run — a failure-budget abort or interrupt returns
-// ErrFailureBudget / ErrInterrupted wrapped, anything else (a row sink
-// refusing a run) aborts — and the attempted-run count is still reported so
-// budget accounting stays exact.
+// run cut short by an error. Runs execute in spans, each ending at the rule's
+// next decision point; a span never exceeds the runs left of n, and a
+// parallel campaign's runs launched but not merged (an interrupt, a failure
+// budget abort) are discarded and not counted. Every error finalizes the
+// result at the last merged run — a failure-budget abort or interrupt
+// returns ErrFailureBudget / ErrInterrupted wrapped, anything else (a row
+// sink refusing a run) aborts — and the attempted-run count is still
+// reported so budget accounting stays exact.
 func (s *Stepper) Step(ctx context.Context, n int) (int, error) {
 	if s.terminal != nil {
 		return 0, s.terminal
 	}
-	batched := s.e.Parallel > 1
+	var w *window
+	if s.e.Parallel > 1 && n > 0 {
+		w = startWindow(ctx, s.e.Backend, s.l.request(s.e, 0), min(s.e.Parallel, n), s.run)
+		// Deferred, so every exit — a panic re-raised below included —
+		// returns only once the workers have stopped.
+		defer w.stop()
+	}
 	ran := 0
 	for ran < n && !s.e.Rule.Done() {
-		if err := ctx.Err(); err != nil {
-			return ran, s.interrupt(err)
-		}
-		batch := 1
-		if batched {
-			batch = s.invokeBatch(ctx, n-ran)
-		}
-		for i := 0; i < batch && !s.e.Rule.Done(); i++ {
-			var invs []backend.Invocation
-			var invErr error
-			if batched {
-				if err := ctx.Err(); err != nil {
-					return ran, s.interrupt(err)
-				}
-				if p := s.outs[i].panicked; p != nil {
+		end := s.run + s.span(n-ran)
+		reserved := false
+		for s.run < end && !s.e.Rule.Done() {
+			if err := ctx.Err(); err != nil {
+				return ran, s.interrupt(err)
+			}
+			if !reserved && s.rowsPerRun > 0 {
+				// Sized by the last merged run, so a fresh campaign
+				// reserves once its first run is in.
+				s.res.Rows = reserveRows(s.res.Rows, s.rowsPerRun*(end-s.run))
+				reserved = true
+			}
+			var o outcome
+			if w != nil {
+				w.feed(s.l, s.run, end)
+				if o = w.take(s.run + 1); o.panicked != nil {
 					// Re-raised at this run's merge position, exactly where
 					// the sequential mode would have panicked.
-					panic(p)
+					panic(o.panicked)
 				}
-				invs, invErr = s.outs[i].invs, s.outs[i].err
 			} else {
 				if s.l.Tracer != nil {
 					s.l.trace(obs.EventRunScheduled, map[string]any{"run": s.run + 1})
 				}
-				invs, invErr = s.e.Backend.Invoke(ctx, s.l.request(s.e, s.run+1))
+				o.invs, o.err = s.e.Backend.Invoke(ctx, s.l.request(s.e, s.run+1))
 			}
+			rows := len(s.res.Rows)
 			s.run++
 			ran++
-			if err := s.processRun(ctx, invs, invErr); err != nil {
+			if err := s.processRun(ctx, o.invs, o.err); err != nil {
 				if errors.Is(err, ErrFailureBudget) {
 					// processRun finalized the result; the failing run was
 					// merged, so it counts as attempted.
@@ -235,72 +250,125 @@ func (s *Stepper) Step(ctx context.Context, n int) (int, error) {
 				s.terminal = err
 				return ran, err
 			}
+			s.rowsPerRun = len(s.res.Rows) - rows
 		}
 	}
 	return ran, nil
 }
 
-// invokeBatch executes the next speculative batch of a parallel campaign
-// into s.outs and returns its size: the distance to the next check boundary
-// (in samples), rounded up to a multiple of CheckEvery that keeps every
-// worker busy, clamped by the samples remaining to the hard cap and by max,
-// the runs Step may still attempt. Failed runs add no samples, so a batch
-// may under-deliver; Step simply launches another.
-func (s *Stepper) invokeBatch(ctx context.Context, max int) int {
+// span returns how many runs the next span may attempt: the samples missing
+// to the rule's next decision point — its next CheckEvery boundary or its
+// MaxSamples cap — clamped by limit, the runs Step may still attempt. Only a
+// merged successful run adds a sample, so a span with failed runs ends short
+// of the decision point and the next span covers the rest; it never passes
+// it. A rule without Bounds is taken to decide every 10 samples up to 1000.
+func (s *Stepper) span(limit int) int {
 	checkEvery, maxSamples := 10, 1000
 	if rb, ok := s.e.Rule.(ruleBounds); ok {
 		b := rb.Bounds()
 		checkEvery, maxSamples = b.CheckEvery, b.MaxSamples
 	}
 	n := s.e.Rule.N()
-	batch := checkEvery - n%checkEvery
-	for batch < s.e.Parallel {
-		batch += checkEvery
+	span := checkEvery - n%checkEvery
+	if rem := maxSamples - n; rem > 0 && rem < span {
+		span = rem
 	}
-	if rem := maxSamples - n; rem > 0 && rem < batch {
-		batch = rem
-	}
-	batch = min(batch, max)
-	if batch < 1 {
-		batch = 1
-	}
-	if cap(s.outs) < batch {
-		s.outs = make([]outcome, batch)
-	}
-	s.l.invokeAll(ctx, s.e.Backend, s.l.request(s.e, s.run+1), s.e.Parallel, s.outs[:batch])
-	return batch
+	return max(1, min(span, limit))
 }
 
-// invokeAll invokes the runs first.Run, first.Run+1, ... into outs on up to
-// workers goroutines and waits for all of them. It takes values, not the
-// Stepper: a Stepper captured by the workers would escape to the heap, and
-// with it every sequential Run's stepper, which otherwise stays on the
-// stack.
-func (l *Launcher) invokeAll(ctx context.Context, b backend.Backend, first backend.Request, workers int, outs []outcome) {
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(outs)); w++ {
-		wg.Add(1)
+// reserveRows makes room for n more rows. A reservation past twice the
+// current capacity is allocated exactly, so a fixed campaign's log is
+// allocated once; a smaller one takes append's amortized growth, so the short
+// spans of adaptive rules copy no more than appending row by row would.
+func reserveRows(rows []record.Row, n int) []record.Row {
+	if need := len(rows) + n; need > 2*cap(rows) {
+		grown := make([]record.Row, len(rows), need)
+		copy(grown, rows)
+		return grown
+	}
+	return slices.Grow(rows, n)
+}
+
+// windowRuns is the most runs a parallel campaign's workers may run ahead of
+// the merge: enough that a worker rarely waits for the merge to free a slot,
+// few enough that the outcomes held at once stay small for any campaign size.
+const windowRuns = 64
+
+// window is the worker pipeline of one parallel Step call. The merge loop
+// hands run indices to the workers in run order through claims, never more
+// than len(slots) runs past the last merged run and never past the current
+// span's decision point; a worker invokes the run it claimed and delivers
+// the outcome to the run's slot, from which the merge loop takes it in run
+// order. Every run handed out holds its own slot until merged, so a
+// delivery never blocks.
+type window struct {
+	claims chan int
+	slots  []chan outcome
+	// fed is the last run index handed out.
+	fed int
+	wg  sync.WaitGroup
+}
+
+// startWindow starts workers goroutines that invoke the runs handed out
+// after run. It takes values, not the Stepper: a Stepper captured by the
+// workers would escape to the heap, and with it every sequential Run's
+// stepper, which otherwise stays on the stack.
+func startWindow(ctx context.Context, b backend.Backend, req backend.Request, workers, run int) *window {
+	size := max(windowRuns, 2*workers)
+	w := &window{
+		// Sized to the window: at most len(slots) runs are outstanding, so
+		// handing out a run never blocks the merge loop.
+		claims: make(chan int, size),
+		slots:  make([]chan outcome, size),
+		fed:    run,
+	}
+	for i := range w.slots {
+		w.slots[i] = make(chan outcome, 1)
+	}
+	w.wg.Add(workers)
+	for range workers {
 		go func() {
-			defer wg.Done()
-			for i := range idx {
-				req := first
-				req.Run += i
-				outs[i] = invokeCaptured(ctx, b, req)
+			defer w.wg.Done()
+			for r := range w.claims {
+				req := req
+				req.Run = r
+				w.slots[r%len(w.slots)] <- invokeCaptured(ctx, b, req)
 			}
 		}()
 	}
-	for i := range outs {
+	return w
+}
+
+// feed hands out the runs up to end that fit in the window ahead of merged,
+// the last merged run. The run.scheduled events are emitted here, not by the
+// workers, so the trace schedules runs in canonical order.
+func (w *window) feed(l *Launcher, merged, end int) {
+	for w.fed < end && w.fed-merged < len(w.slots) {
+		w.fed++
 		if l.Tracer != nil {
-			// Emitted from the dispatch loop (not the workers) so the
-			// schedule order in the trace is canonical run order even
-			// under concurrency.
-			l.trace(obs.EventRunScheduled, map[string]any{"run": first.Run + i})
+			l.trace(obs.EventRunScheduled, map[string]any{"run": w.fed})
 		}
-		idx <- i
+		w.claims <- w.fed
 	}
-	close(idx)
-	wg.Wait()
+}
+
+// take waits for run r's outcome and frees its slot.
+func (w *window) take(r int) outcome { return <-w.slots[r%len(w.slots)] }
+
+// stop withdraws the runs no worker has claimed yet, so they are never
+// invoked, and returns once every worker has finished the run it holds and
+// exited.
+func (w *window) stop() {
+drain:
+	for {
+		select {
+		case <-w.claims:
+		default:
+			break drain
+		}
+	}
+	close(w.claims)
+	w.wg.Wait()
 }
 
 // invokeCaptured invokes one run on a worker goroutine. A backend panic

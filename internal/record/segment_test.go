@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -552,5 +553,94 @@ func TestManifestEncodeParseRoundTrip(t *testing.T) {
 		if _, err := parseManifest(hurt(encodeManifest(m))); err == nil {
 			t.Fatal("damaged manifest accepted")
 		}
+	}
+}
+
+// TestSegmentedReadersDuringRoll reads a segmented log from several
+// goroutines while a writer appends it run by run: segments roll every few
+// runs, each roll replaces the manifest, and halfway the writer closes and
+// reopens the log with OpenAppend. Every ReadFile, StreamFile and ScanFile
+// must succeed and see a prefix of the final rows that never shrinks from
+// one read to the next.
+func TestSegmentedReadersDuringRoll(t *testing.T) {
+	const runs, perRun = 240, 3
+	all := runRows(runs, perRun)
+	path := filepath.Join(t.TempDir(), "live.sharpb")
+	o := Options{FlushEvery: 1, SegmentRows: 10}
+	w, err := CreateDurable(path, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for reader := 0; reader < 3; reader++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var got []Row
+				var n int
+				var err error
+				switch (reader + i) % 3 {
+				case 0:
+					got, err = ReadFile(path)
+					n = len(got)
+				case 1:
+					err = StreamFile(path, func(batch []Row) error {
+						got = append(got, batch...)
+						return nil
+					})
+					n = len(got)
+				case 2:
+					n, _, _, err = ScanFile(path)
+				}
+				if err != nil {
+					t.Errorf("reader %d, read %d: %v", reader, i, err)
+					return
+				}
+				if n < seen || n > len(all) {
+					t.Errorf("reader %d, read %d: %d rows after %d (log of %d)", reader, i, n, seen, len(all))
+					return
+				}
+				if got != nil && !reflect.DeepEqual(got, all[:n]) {
+					t.Errorf("reader %d, read %d: the %d rows read are not a prefix of the log", reader, i, n)
+					return
+				}
+				seen = n
+			}
+		}()
+	}
+
+	for run := 0; run < runs; run++ {
+		if run == runs/2 {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w, _, err = OpenAppend(path, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.WriteAll(all[run*perRun : (run+1)*perRun]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	wg.Wait()
+	if n := segCount(t, path); n < runs*perRun/o.SegmentRows/2 {
+		t.Fatalf("%d segments; want the writer to have rolled many times", n)
+	}
+	got, err := ReadFile(path)
+	if err != nil || !reflect.DeepEqual(got, all) {
+		t.Fatalf("final read: %d rows, %v; want all %d", len(got), err, len(all))
 	}
 }

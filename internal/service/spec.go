@@ -87,8 +87,9 @@ type CampaignSpec struct {
 	// builds its fresh backend, reproducing the sequential campaign's
 	// stream position.
 	WarmupRuns int `json:"warmup_runs,omitempty"`
-	// Parallel is the coordinator-side speculative batch width (the
-	// launcher's batched Stepper mode); results are byte-identical at any value.
+	// Parallel is the number of runs the coordinator keeps in flight (the
+	// launcher's Experiment.Parallel window); results are byte-identical at
+	// any value.
 	Parallel int `json:"parallel,omitempty"`
 	// Chaos optionally injects deterministic faults.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`

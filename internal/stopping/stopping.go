@@ -46,7 +46,9 @@ type Bounds struct {
 	// of convergence (default 1000, the paper's ground-truth budget).
 	MaxSamples int
 	// CheckEvery controls how often the (possibly O(n log n)) convergence
-	// statistic is recomputed (default 10).
+	// statistic is recomputed (default 10). A rule decides only at these
+	// boundaries and at MaxSamples, so the launcher runs the samples between
+	// two decision points concurrently without speculating on the answer.
 	CheckEvery int
 }
 
@@ -167,14 +169,18 @@ func (b *base) LastEval() (Eval, bool) { return b.lastEval, b.hasEval }
 func (b *base) Samples() []float64 { return b.samples }
 
 // Bounds returns the rule's effective guard rails (after defaulting). The
-// parallel launcher uses it to align speculative batches to CheckEvery
-// boundaries and to clamp speculation at MaxSamples.
+// launcher reads the rule's decision points from it — every CheckEvery
+// samples and the MaxSamples cap — and never launches a run past the next
+// one.
 func (b *base) Bounds() Bounds { return b.bounds }
 
 // --- 1. Fixed ---
 
 // Fixed stops after exactly N0 runs — the traditional policy the paper
-// compares against (SeBS uses 100 runs).
+// compares against (SeBS uses 100 runs). It evaluates no convergence
+// statistic, so its cap is its only decision point: its Bounds declare
+// CheckEvery = MaxSamples = N0, and a parallel launcher may run the whole
+// campaign as one span.
 type Fixed struct {
 	base
 	N0 int
@@ -185,7 +191,7 @@ func NewFixed(n0 int) *Fixed {
 	if n0 <= 0 {
 		n0 = 100
 	}
-	r := &Fixed{base: newBase(Bounds{MinSamples: 1, MaxSamples: n0, CheckEvery: 1}), N0: n0}
+	r := &Fixed{base: newBase(Bounds{MinSamples: 1, MaxSamples: n0, CheckEvery: n0}), N0: n0}
 	r.ascending = true
 	return r
 }
