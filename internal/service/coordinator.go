@@ -688,15 +688,32 @@ func (c *Coordinator) Heartbeat(_ context.Context, leaseID string, token uint64)
 	return c.sched.Heartbeat(leaseID, token)
 }
 
-// Complete implements WorkerAPI: a one-run CompleteRuns.
+// Complete implements WorkerAPI: a one-run CompleteRuns that asks for no
+// next lease.
 func (c *Coordinator) Complete(ctx context.Context, leaseID string, token uint64, res RunResult) error {
-	return c.CompleteRuns(ctx, leaseID, token, []RunResult{res})
+	_, err := c.CompleteRuns(ctx, leaseID, token, []RunResult{res}, "")
+	return err
 }
 
 // CompleteRuns acknowledges a batch of a lease's runs all-or-nothing (see
-// scheduler.Complete); workers use it to settle a whole lease at once.
-func (c *Coordinator) CompleteRuns(_ context.Context, leaseID string, token uint64, results []RunResult) error {
-	return c.sched.Complete(leaseID, token, results...)
+// scheduler.Complete); workers use it to settle a whole lease at once. When
+// the batch lands and next names a worker, the same call leases that worker
+// its next batch, so a busy worker makes one call per lease. A nil lease
+// with a nil error means the batch landed and nothing was granted: no next
+// was asked for, or Lease(next) found no work, the coordinator draining, or
+// the worker evicted. A rejected batch grants nothing.
+func (c *Coordinator) CompleteRuns(_ context.Context, leaseID string, token uint64, results []RunResult, next string) (*Lease, error) {
+	if err := c.sched.Complete(leaseID, token, results...); err != nil {
+		return nil, err
+	}
+	if next == "" {
+		return nil, nil
+	}
+	l, err := c.sched.Lease(next)
+	if err != nil {
+		return nil, nil // ErrNoWork, ErrDraining or ErrWorkerEvicted: the worker polls
+	}
+	return l, nil
 }
 
 // Drain gracefully winds the service down: stop admitting campaigns and

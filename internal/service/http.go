@@ -21,15 +21,24 @@ import (
 //	GET  /campaigns/{id}/result.csv the durable tidy-data row log
 //	POST /lease                     {"worker": ...} → Lease (204 = no work)
 //	POST /leases/{id}/heartbeat     {"token": ...}
-//	POST /leases/{id}/complete      {"token": ..., "results": [RunResult...]}
-//	                                (all-or-nothing; 400 = rejected batch,
-//	                                the lease is untouched)
+//	POST /leases/{id}/complete      {"token": ..., "results": [RunResult...],
+//	                                 "next": worker} → 204, or 200 + the
+//	                                worker's next Lease when "next" is set
+//	                                and work is queued (all-or-nothing; 400 =
+//	                                rejected batch, the lease is untouched
+//	                                and nothing is granted)
 //	GET  /healthz                   Health snapshot
 //	GET  /metrics                   Prometheus exposition (when a Registry
 //	                                is configured)
 //
 // Admission pressure maps to transport-visible backpressure: quota
 // rejections are 429 with Retry-After, drain is 503, stale leases are 409.
+//
+// A busy worker names itself in "next" and so settles a lease and receives
+// the next one in one round trip; it posts /lease only when an
+// acknowledgment brings nothing. A client that sends no "next" gets 204,
+// and a server that predates the field ignores it and answers 204, so
+// either side may be older.
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 
@@ -121,15 +130,17 @@ func Handler(c *Coordinator) http.Handler {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return
 		}
-		if err := c.CompleteRuns(r.Context(), r.PathValue("id"), req.Token, req.Results); err != nil {
-			if errors.Is(err, ErrStaleLease) {
-				http.Error(w, err.Error(), http.StatusConflict)
-			} else {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			}
-			return
+		l, err := c.CompleteRuns(r.Context(), r.PathValue("id"), req.Token, req.Results, req.Next)
+		switch {
+		case errors.Is(err, ErrStaleLease):
+			http.Error(w, err.Error(), http.StatusConflict)
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		case l != nil:
+			writeJSON(w, http.StatusOK, l)
+		default:
+			w.WriteHeader(http.StatusNoContent)
 		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -175,10 +186,12 @@ type Client struct {
 	HTTPClient *http.Client
 }
 
-// completeBody is the wire form of a batch completion.
+// completeBody is the wire form of a batch completion. Next, when set,
+// names the worker to lease the next batch to if the batch lands.
 type completeBody struct {
 	Token   uint64      `json:"token"`
 	Results []RunResult `json:"results"`
+	Next    string      `json:"next,omitempty"`
 }
 
 // NewHTTPClient returns a coordinator client with its own connection pool.
@@ -333,14 +346,23 @@ func (cl *Client) Heartbeat(ctx context.Context, leaseID string, token uint64) e
 	return err
 }
 
-// Complete implements WorkerAPI over HTTP: a one-run CompleteRuns.
+// Complete implements WorkerAPI over HTTP: a one-run CompleteRuns that
+// asks for no next lease.
 func (cl *Client) Complete(ctx context.Context, leaseID string, token uint64, res RunResult) error {
-	return cl.CompleteRuns(ctx, leaseID, token, []RunResult{res})
+	_, err := cl.CompleteRuns(ctx, leaseID, token, []RunResult{res}, "")
+	return err
 }
 
-// CompleteRuns acknowledges a batch of a lease's runs in one round trip.
-func (cl *Client) CompleteRuns(ctx context.Context, leaseID string, token uint64, results []RunResult) error {
-	_, err := cl.doJSON(ctx, http.MethodPost, "/leases/"+leaseID+"/complete",
-		completeBody{Token: token, Results: results}, nil)
-	return err
+// CompleteRuns acknowledges a batch of a lease's runs in one round trip and,
+// when next names a worker, receives that worker's next lease in the same
+// response (see Coordinator.CompleteRuns). A 204 is a landed batch with
+// nothing granted; a server that predates "next" always answers 204.
+func (cl *Client) CompleteRuns(ctx context.Context, leaseID string, token uint64, results []RunResult, next string) (*Lease, error) {
+	var l Lease
+	code, err := cl.doJSON(ctx, http.MethodPost, "/leases/"+leaseID+"/complete",
+		completeBody{Token: token, Results: results, Next: next}, &l)
+	if err != nil || code == http.StatusNoContent {
+		return nil, err
+	}
+	return &l, nil
 }

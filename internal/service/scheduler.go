@@ -202,6 +202,11 @@ func (s *scheduler) unregister(campID string) {
 			delete(s.leases, id)
 		}
 	}
+	s.purgeLocked(campID)
+}
+
+// purgeLocked drops every queued task of a campaign (caller holds s.mu).
+func (s *scheduler) purgeLocked(campID string) {
 	kept := s.queue[:0]
 	for _, t := range s.queue {
 		if t.campID != campID {
@@ -267,46 +272,20 @@ func (s *scheduler) Lease(workerID string) (*Lease, error) {
 	if !s.breakerLocked(workerID).Allow() {
 		return nil, ErrWorkerEvicted
 	}
-	// Drop abandoned tasks (their campaign was cancelled or their run
-	// already merged through another path) while finding the head.
-	kept := s.queue[:0]
 	var head *task
-	for _, t := range s.queue {
-		if t.isAbandoned() {
-			continue
+	var spec CampaignSpec
+	for {
+		if head = s.headLocked(); head == nil {
+			s.gaugeLocked()
+			return nil, ErrNoWork
 		}
-		if head == nil {
-			head = t
+		var ok bool
+		if spec, ok = s.specs[head.campID]; ok {
+			break
 		}
-		kept = append(kept, t)
-	}
-	s.queue = kept
-	if head == nil {
-		s.gaugeLocked()
-		return nil, ErrNoWork
-	}
-	if s.budgetAware {
-		// Serve the queued campaign furthest from convergence. Ties (and the
-		// common single-campaign case) keep FIFO order: only a strictly more
-		// urgent campaign displaces an earlier-queued one.
-		best := s.urgencyLocked(head.campID)
-		seen := map[string]bool{head.campID: true}
-		for _, t := range s.queue {
-			if seen[t.campID] {
-				continue
-			}
-			seen[t.campID] = true
-			if u := s.urgencyLocked(t.campID); u > best {
-				best, head = u, t
-			}
-		}
-	}
-	spec, ok := s.specs[head.campID]
-	if !ok {
-		// Campaign unregistered with tasks still queued: purge and retry.
-		s.queue = s.queue[:0]
-		s.gaugeLocked()
-		return nil, ErrNoWork
+		// Campaign unregistered with tasks still queued: drop only its
+		// tasks and look again, so other campaigns' runs stay queued.
+		s.purgeLocked(head.campID)
 	}
 	// Collect up to batch tasks of the head campaign, preserving FIFO order
 	// of everything else.
@@ -357,6 +336,42 @@ func (s *scheduler) Lease(workerID string) (*Lease, error) {
 		Runs:       runs,
 		TTL:        s.ttl,
 	}, nil
+}
+
+// headLocked drops abandoned tasks (their campaign was cancelled or their
+// run already merged through another path) and returns the task whose
+// campaign the next lease serves, nil when nothing is queued.
+func (s *scheduler) headLocked() *task {
+	kept := s.queue[:0]
+	var head *task
+	for _, t := range s.queue {
+		if t.isAbandoned() {
+			continue
+		}
+		if head == nil {
+			head = t
+		}
+		kept = append(kept, t)
+	}
+	s.queue = kept
+	if head == nil || !s.budgetAware {
+		return head
+	}
+	// Serve the queued campaign furthest from convergence. Ties (and the
+	// common single-campaign case) keep FIFO order: only a strictly more
+	// urgent campaign displaces an earlier-queued one.
+	best := s.urgencyLocked(head.campID)
+	seen := map[string]bool{head.campID: true}
+	for _, t := range s.queue {
+		if seen[t.campID] {
+			continue
+		}
+		seen[t.campID] = true
+		if u := s.urgencyLocked(t.campID); u > best {
+			best, head = u, t
+		}
+	}
+	return head
 }
 
 // Heartbeat extends a live lease's deadline. A stale token (or a lease

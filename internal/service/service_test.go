@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -520,6 +521,45 @@ func TestFencingRejectsStaleCompletions(t *testing.T) {
 	}
 	if _, err := s.Lease("w2"); errors.Is(err, ErrWorkerEvicted) {
 		t.Error("healthy worker evicted alongside the dead one")
+	}
+}
+
+// TestLeaseSkipsUnregisteredCampaign: tasks of a campaign that is no longer
+// registered are dropped when they reach the head of the queue, and the
+// lease goes to the next campaign's runs. Emptying the whole queue instead
+// would strand every other campaign's queued runs, whose dispatch backends
+// then wait forever.
+func TestLeaseSkipsUnregisteredCampaign(t *testing.T) {
+	s := newScheduler(time.Minute, 4, nil, nil, nil, resilience.BreakerConfig{})
+	s.register("B", CampaignSpec{Workload: "hotspot", Machine: "machine1"})
+	b1 := &task{campID: "B", run: 1, result: make(chan RunResult, 1)}
+	b2 := &task{campID: "B", run: 2, result: make(chan RunResult, 1)}
+	for _, tk := range []*task{
+		{campID: "X", run: 1, result: make(chan RunResult, 1)},
+		b1,
+		{campID: "X", run: 2, result: make(chan RunResult, 1)},
+		b2,
+	} {
+		s.enqueue(tk)
+	}
+	l, err := s.Lease("w1")
+	if err != nil {
+		t.Fatalf("lease with B's runs queued behind X's = %v", err)
+	}
+	if l.CampaignID != "B" || !reflect.DeepEqual(l.Runs, []int{1, 2}) {
+		t.Fatalf("lease = campaign %s runs %v, want B runs [1 2]", l.CampaignID, l.Runs)
+	}
+	if n := s.queueDepth(); n != 0 {
+		t.Errorf("%d tasks left queued, want X's dropped and B's leased", n)
+	}
+	if err := s.Complete(l.ID, l.Token, RunResult{Run: 1}, RunResult{Run: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(b1.result) != 1 || len(b2.result) != 1 {
+		t.Error("B's runs were not delivered")
+	}
+	if _, err := s.Lease("w1"); !errors.Is(err, ErrNoWork) {
+		t.Errorf("lease on a drained queue = %v, want ErrNoWork", err)
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // implementation for both.
 //
 // Both also implement CompleteRuns (see batchCompleter), which settles a
-// whole lease in one call; a Worker uses it when its API has it and falls
-// back to one Complete per run otherwise, so decorators that wrap only these
-// three methods keep working.
+// whole lease in one call and carries the worker's next lease back; a Worker
+// uses it when its API has it and falls back to one Complete per run and a
+// Lease per lease otherwise, so decorators that wrap only these three
+// methods keep working.
 type WorkerAPI interface {
 	// Lease requests a batch of runs. ErrNoWork when the queue is empty,
 	// ErrDraining during drain, ErrWorkerEvicted while the worker's breaker
@@ -32,9 +33,10 @@ type WorkerAPI interface {
 }
 
 // batchCompleter is the optional batch acknowledgment of a WorkerAPI: all of
-// results land, or none do.
+// results land, or none do. When they land and next names a worker, the
+// returned lease (nil when nothing was granted) is that worker's next batch.
 type batchCompleter interface {
-	CompleteRuns(ctx context.Context, leaseID string, token uint64, results []RunResult) error
+	CompleteRuns(ctx context.Context, leaseID string, token uint64, results []RunResult, next string) (*Lease, error)
 }
 
 // ErrWorkerKilled reports a deliberate (test-injected) worker death.
@@ -73,41 +75,43 @@ type Worker struct {
 }
 
 // Run polls for leases until ctx is cancelled (returns nil) or the worker
-// dies by KillAfter (returns ErrWorkerKilled).
+// dies by KillAfter (returns ErrWorkerKilled). A lease that rides back on an
+// acknowledgment is served at once; Lease is called only when none came.
 func (w *Worker) Run(ctx context.Context) error {
 	poll := w.Poll
 	if poll <= 0 {
 		poll = 5 * time.Millisecond
 	}
+	var next *Lease
 	for {
 		if ctx.Err() != nil {
-			return nil
+			return nil // a lease still in hand expires and is re-leased
 		}
-		l, err := w.API.Lease(ctx, w.ID)
-		switch {
-		case err == nil:
-			if err := w.serve(ctx, l); err != nil {
-				return err
+		l := next
+		if l == nil {
+			var err error
+			if l, err = w.API.Lease(ctx, w.ID); err != nil {
+				// ErrNoWork, ErrDraining, ErrWorkerEvicted or a transient
+				// transport error: back off and re-poll.
+				select {
+				case <-ctx.Done():
+					return nil
+				case <-time.After(poll):
+				}
+				continue
 			}
-			continue // hot: ask again immediately
-		case errors.Is(err, ErrNoWork), errors.Is(err, ErrDraining), errors.Is(err, ErrWorkerEvicted):
-			// Nothing to do (or not allowed to): back off and re-poll.
-		case ctx.Err() != nil:
-			return nil
-		default:
-			// Transient transport error: back off and re-poll.
 		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(poll):
+		var err error
+		if next, err = w.serve(ctx, l); err != nil {
+			return err
 		}
 	}
 }
 
 // serve computes one lease's batch, heartbeating throughout, then
-// acknowledges it.
-func (w *Worker) serve(ctx context.Context, l *Lease) error {
+// acknowledges it, returning the next lease when one rode back on the
+// acknowledgment.
+func (w *Worker) serve(ctx context.Context, l *Lease) (*Lease, error) {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
 	every := w.HeartbeatEvery
@@ -157,36 +161,45 @@ func (w *Worker) serve(ctx context.Context, l *Lease) error {
 		results = results[:w.KillAfter-w.completed]
 	}
 	w.mu.Unlock()
+	var next *Lease
 	if len(results) > 0 {
-		if err := w.ack(ctx, l, results); err != nil {
+		// A worker about to die or stop takes no work it will not serve.
+		var err error
+		if next, err = w.ack(ctx, l, results, !kill && ctx.Err() == nil); err != nil {
 			// Stale lease (expired under us) or coordinator gone: the
 			// unacknowledged runs belong to someone else now.
-			return nil
+			return nil, nil
 		}
 	}
 	if kill {
-		return ErrWorkerKilled
+		return nil, ErrWorkerKilled
 	}
-	return nil
+	return next, nil
 }
 
 // ack acknowledges results in one CompleteRuns call when the API has it,
-// else one Complete per run, counting every run that landed.
-func (w *Worker) ack(ctx context.Context, l *Lease, results []RunResult) error {
+// asking for the worker's next lease when more is set, else one Complete per
+// run, counting every run that landed.
+func (w *Worker) ack(ctx context.Context, l *Lease, results []RunResult, more bool) (*Lease, error) {
 	if bc, ok := w.API.(batchCompleter); ok {
-		if err := bc.CompleteRuns(ctx, l.ID, l.Token, results); err != nil {
-			return err
+		next := ""
+		if more {
+			next = w.ID
+		}
+		nl, err := bc.CompleteRuns(ctx, l.ID, l.Token, results, next)
+		if err != nil {
+			return nil, err
 		}
 		w.addCompleted(len(results))
-		return nil
+		return nl, nil
 	}
 	for _, res := range results {
 		if err := w.API.Complete(ctx, l.ID, l.Token, res); err != nil {
-			return err
+			return nil, err
 		}
 		w.addCompleted(1)
 	}
-	return nil
+	return nil, nil
 }
 
 func (w *Worker) addCompleted(n int) {
