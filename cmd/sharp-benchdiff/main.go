@@ -14,6 +14,9 @@
 //
 // Floor metrics (-min 'speedup_x') gate one-sided: the current value must
 // meet or beat the baseline, for performance ratios that must not regress.
+// A benchmark run several times (go test -count N) repeats its line: a floor
+// is judged on the median of the repeats, so one slow sample on a noisy host
+// does not fail the gate, and an exact column must match on every repeat.
 //
 // Benchmarks present in the current run but absent from the baseline carry
 // gated metric columns nobody is guarding: they are reported as warnings,
@@ -47,6 +50,7 @@ import (
 
 	"sharp/internal/fsx"
 	"sharp/internal/obs"
+	"sharp/internal/stats"
 )
 
 // Snapshot is the on-disk schema shared with BENCH_baseline.json.
@@ -140,19 +144,19 @@ func loadSnapshot(path string) (*Snapshot, error) {
 
 // gate compares the named deterministic metric columns of current against
 // the baseline and returns the list of violations plus warnings. Columns in
-// metrics must match the baseline exactly (within tol); columns in
-// minMetrics are floors — the baseline value is a minimum the current run
-// must meet or beat, for performance-ratio metrics that only ever get
-// noisier upward.
+// metrics must match the baseline exactly (within tol) in every repeat of a
+// benchmark; columns in minMetrics are floors — the baseline value is a
+// minimum the median of the current repeats must meet or beat, for
+// performance-ratio metrics that only ever get noisier upward.
 //
 // Warnings cover the reverse direction the violation scan cannot see: a
 // benchmark (or gated column) present in the current run but absent from
 // the baseline — a new code path or renamed benchmark nobody is guarding.
 // -strict promotes warnings to violations.
 func gate(baseline *Snapshot, current []*BenchmarkResult, metrics, minMetrics []string, tol float64) (violations, warnings []string) {
-	byName := map[string]*BenchmarkResult{}
+	byName := map[string][]*BenchmarkResult{} // every repeat, in input order
 	for _, b := range current {
-		byName[b.Name] = b
+		byName[b.Name] = append(byName[b.Name], b)
 	}
 	want := map[string]bool{}
 	for _, m := range metrics {
@@ -171,33 +175,46 @@ func gate(baseline *Snapshot, current []*BenchmarkResult, metrics, minMetrics []
 			if !want[metric] && !floor[metric] {
 				continue
 			}
-			cur, ok := byName[base.Name]
+			repeats, ok := byName[base.Name]
 			if !ok {
 				violations = append(violations,
 					fmt.Sprintf("%s: benchmark missing from current run (baseline %s=%g)", base.Name, metric, bv))
 				continue
 			}
-			cv, ok := cur.Metrics[metric]
-			if !ok {
+			cvs := make([]float64, 0, len(repeats))
+			for _, cur := range repeats {
+				if cv, ok := cur.Metrics[metric]; ok {
+					cvs = append(cvs, cv)
+				}
+			}
+			if len(cvs) < len(repeats) {
 				violations = append(violations,
 					fmt.Sprintf("%s: metric %s missing from current run (baseline %g)", base.Name, metric, bv))
 				continue
 			}
-			switch {
-			case floor[metric]:
-				if cv < bv {
+			if floor[metric] {
+				if cv := stats.Median(cvs); cv < bv {
 					violations = append(violations,
-						fmt.Sprintf("%s: %s below floor: baseline %g, current %g", base.Name, metric, bv, cv))
+						fmt.Sprintf("%s: %s below floor: baseline %g, current %g (median of %d)", base.Name, metric, bv, cv, len(cvs)))
 				}
-			case !withinTol(bv, cv, tol):
-				violations = append(violations,
-					fmt.Sprintf("%s: %s drifted: baseline %g, current %g", base.Name, metric, bv, cv))
+				continue
+			}
+			for _, cv := range cvs {
+				if !withinTol(bv, cv, tol) {
+					violations = append(violations,
+						fmt.Sprintf("%s: %s drifted: baseline %g, current %g", base.Name, metric, bv, cv))
+					break
+				}
 			}
 		}
 	}
 	// Unguarded novelty: current benchmarks carrying gated columns the
-	// baseline does not know about.
+	// baseline does not know about (each benchmark once, however often it
+	// repeats).
 	for _, cur := range current {
+		if byName[cur.Name][0] != cur {
+			continue
+		}
 		base := baseByName[cur.Name]
 		for metric, cv := range cur.Metrics {
 			if !want[metric] && !floor[metric] {

@@ -96,3 +96,47 @@ func TestGateFloor(t *testing.T) {
 		t.Fatalf("exact gate should reject 80 vs 87.22: %v", v)
 	}
 }
+
+// TestGateRepeats covers a benchmark run with -count: its repeated lines
+// are all kept, a floor is judged on their median, and an exact column must
+// match on every repeat.
+func TestGateRepeats(t *testing.T) {
+	const repeats = `BenchmarkRecordReplaySpeedup1e6-2   	       1	 1 ns/op	  11.27 speedup_x	  68.03 bin_bytes_per_row
+BenchmarkRecordReplaySpeedup1e6-2   	       1	 1 ns/op	   8.49 speedup_x	  68.03 bin_bytes_per_row
+BenchmarkRecordReplaySpeedup1e6-2   	       1	 1 ns/op	  13.15 speedup_x	  68.03 bin_bytes_per_row
+BenchmarkRecordReplaySpeedup1e6-2   	       1	 1 ns/op	  12.06 speedup_x	  68.03 bin_bytes_per_row
+BenchmarkRecordReplaySpeedup1e6-2   	       1	 1 ns/op	  11.96 speedup_x	  68.03 bin_bytes_per_row
+`
+	_, results, err := parseBench(strings.NewReader(repeats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 5 {
+		t.Fatalf("parsed %d repeats, want 5", len(results))
+	}
+	base := &Snapshot{Benchmarks: []*BenchmarkResult{{
+		Name:    "BenchmarkRecordReplaySpeedup1e6",
+		Metrics: map[string]float64{"speedup_x": 10, "bin_bytes_per_row": 68.03},
+	}}}
+	exact, floor := []string{"bin_bytes_per_row"}, []string{"speedup_x"}
+	// One sample (8.49) is below the floor of 10; the median (11.96) is not.
+	if v, w := gate(base, results, exact, floor, 1e-6); len(v) != 0 || len(w) != 0 {
+		t.Fatalf("median above the floor should pass: violations %v, warnings %v", v, w)
+	}
+	// A median below the floor fails.
+	base.Benchmarks[0].Metrics["speedup_x"] = 12
+	if v, _ := gate(base, results, exact, floor, 1e-6); len(v) != 1 || !strings.Contains(v[0], "median of 5") {
+		t.Fatalf("median below the floor should fail once: %v", v)
+	}
+	base.Benchmarks[0].Metrics["speedup_x"] = 10
+	// An exact column that drifts in a single repeat fails.
+	results[3].Metrics["bin_bytes_per_row"] = 68.5
+	if v, _ := gate(base, results, exact, floor, 1e-6); len(v) != 1 || !strings.Contains(v[0], "drifted") {
+		t.Fatalf("one drifting repeat should fail: %v", v)
+	}
+	// A repeat that lacks a gated column fails.
+	delete(results[3].Metrics, "bin_bytes_per_row")
+	if v, _ := gate(base, results, exact, floor, 1e-6); len(v) != 1 || !strings.Contains(v[0], "missing") {
+		t.Fatalf("a repeat without the column should fail: %v", v)
+	}
+}

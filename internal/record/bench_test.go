@@ -116,6 +116,66 @@ func BenchmarkReplay1e6(b *testing.B) {
 	}
 }
 
+// BenchmarkTornRepair1e6 times the repair that starts every resume of a
+// crashed campaign: OpenAppend+Close of a million-row log written in 4-row
+// blocks (the shape a writer flushing after every run leaves), torn 7 bytes
+// short, with no sidecar index. Each iteration tears the log again, untimed.
+// It measures timing only and gates nothing.
+func BenchmarkTornRepair1e6(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "torn.sharpb")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	w := newBinWriterCore(bw)
+	if _, err := bw.WriteString(binMagic); err != nil {
+		b.Fatal(err)
+	}
+	rng := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < benchN; i++ { // streamed, like BenchmarkReplay1e7
+		r := benchRow(i, &rng)
+		if err := w.add(&r); err != nil {
+			b.Fatal(err)
+		}
+		if (i+1)%4 == 0 {
+			if err := w.emit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Truncate(path, st.Size()-7); err != nil {
+			b.Fatal(err)
+		}
+		os.Remove(path + binIndexSuffix)
+		runtime.GC()
+		b.StartTimer()
+		w, rows, err := OpenAppend(path, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if want := benchN - 4*(i+1); rows != want {
+			b.Fatalf("repaired log holds %d rows, want %d", rows, want)
+		}
+	}
+}
+
 // BenchmarkRecordReplaySpeedup1e6 times one record+replay cycle of a million
 // rows in each format against an in-memory stream and reports the binary/CSV
 // speedup. Record is a buffered encode of every row; replay streams the log

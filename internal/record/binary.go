@@ -2,14 +2,15 @@
 // formatting across 14 text columns and O(rows) re-parsing on every resume;
 // the binary format stores the same tidy rows as fixed-width column blocks
 // with per-block CRC-32 checksums, a file-wide string dictionary, and an
-// atomic sidecar index, so recording is a memcpy-shaped encode and a clean
-// resume locates its truncation point with one index read instead of a full
-// parse. The format lives entirely behind the existing Writer / ScanFile /
-// OpenAppend / TruncateRows / TruncateTrailingRun / ReadFile surfaces: the
-// crash-repair semantics (torn tail vs interior corruption) mirror the CSV
-// scanner exactly, so core.Launcher, Resume, and sharp-serve work unchanged.
-// This file holds the format and the writer; every read goes through the
-// frame walk in fastread.go.
+// atomic sidecar index, so recording is a memcpy-shaped encode and crash
+// repair checks blocks in place without decoding the rows it keeps. The
+// format lives entirely behind the existing Writer / ScanFile / OpenAppend /
+// TruncateRows / TruncateTrailingRun / ReadFile surfaces: the crash-repair
+// semantics (torn tail vs interior corruption) mirror the CSV scanner
+// exactly, so core.Launcher, Resume, and sharp-serve work unchanged. This
+// file holds the format, the writer and the truncations; every read goes
+// through the frame walk in fastread.go, and every repair through its
+// repair scan, checkLog.
 //
 // On-disk layout (all integers little-endian; see DESIGN.md §12):
 //
@@ -30,8 +31,8 @@
 // The sidecar "<path>.idx" caches the scan result (row count, last run, run
 // start, data end) and is written atomically on Close. It is advisory: a
 // freshness check (file size == dataEnd and a CRC over the file's tail)
-// detects staleness after a crash, in which case readers fall back to the
-// full validating walk.
+// detects staleness after a crash, in which case ScanFile and TruncateRows
+// fall back to the repair scan. OpenAppend always runs the repair scan.
 package record
 
 import (
@@ -44,6 +45,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"sort"
 	"strings"
 	"time"
 
@@ -611,7 +614,7 @@ func decodeBlockInto(payload []byte, n int, dict []string, blk []Row) error {
 type binScan struct {
 	rows int
 	// lastRun and runStartRows are the CSV scanner's run bookkeeping over
-	// the accepted rows; only streamLog tracks them.
+	// the accepted rows; only checkLog computes them.
 	lastRun      int
 	runStartRows int
 	dataEnd      int64 // offset past the last valid block
@@ -712,7 +715,7 @@ func scanBinaryFile(path string) (rows, lastRun int, torn bool, err error) {
 	if ix := loadBinIndex(path); ix != nil && ix.fresh(f) {
 		return ix.rows, ix.lastRun, false, nil
 	}
-	sc, err := streamLogFile(path, nil)
+	sc, err := checkLogFile(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -734,7 +737,7 @@ func openAppendBinary(path string, o Options) (*Writer, int, error) {
 // binWriter, so the segmented log can reuse the same repair-and-position
 // logic on its active segment.
 func openAppendBinaryCore(path string, o Options) (*binWriter, int, error) {
-	sc, err := streamLogFile(path, nil)
+	sc, err := checkLogFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -763,31 +766,36 @@ func openAppendBinaryCore(path string, o Options) (*binWriter, int, error) {
 	return bw, sc.rows, nil
 }
 
-// truncateBinaryRows cuts the binary log open at f down to its first n rows.
-// A cut on a block boundary is a plain truncate; a cut inside a block
-// truncates at the block's frame and re-appends the retained prefix as a
-// smaller block (its strings are already in the preceding dictionary). The
-// sidecar index is rewritten to match.
-func truncateBinaryRows(f *os.File, sc binScan, rows []Row, n int) error {
+// cutBinary cuts the binary log open at f, whose bytes are data and whose
+// repair scan is sc, down to its first n rows. A cut on a block boundary is
+// a plain truncate; a cut inside a block decodes that block alone, truncates
+// at its frame and re-appends the retained prefix as a smaller block (its
+// strings are already in the preceding dictionary). The sidecar index is
+// rewritten to match. Everything read from data is read before the file
+// shrinks under it.
+func cutBinary(f *os.File, data []byte, sc binScan, n int) (err error) {
 	if n > sc.rows {
 		return fmt.Errorf("record: truncate to %d rows: only %d available", n, sc.rows)
 	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer catchFault(&err)
+	lastRun, runStartRows := runTail(data, sc.refs, n)
 	newEnd := sc.dataEnd
 	if n < sc.rows {
-		// Find the data block containing row n.
-		var cut blockRef
-		for _, ref := range sc.refs {
-			if ref.firstRow+ref.n > n {
-				cut = ref
-				break
+		cut := sc.refs[sort.Search(len(sc.refs), func(i int) bool { return sc.refs[i].firstRow+sc.refs[i].n > n })]
+		var part []Row
+		if k := n - cut.firstRow; k > 0 {
+			blk := make([]Row, cut.n)
+			if err := decodeRef(data, cut, sc.dict, blk); err != nil {
+				return fmt.Errorf("record: corrupt block at offset %d: %s", cut.off, err)
 			}
+			part = blk[:k]
 		}
 		if err := f.Truncate(cut.off); err != nil {
 			return err
 		}
 		newEnd = cut.off
-		if k := n - cut.firstRow; k > 0 {
-			part := rows[cut.firstRow:n]
+		if k := len(part); k > 0 {
 			dict := make(map[string]uint32, len(sc.dict))
 			for i, s := range sc.dict {
 				dict[s] = uint32(i)
@@ -810,21 +818,7 @@ func truncateBinaryRows(f *os.File, sc binScan, rows []Row, n int) error {
 			return err
 		}
 	}
-	lastRun, runStartRows := runBookkeeping(rows[:n])
 	return writeBinIndex(f.Name(), f, n, lastRun, runStartRows, newEnd)
-}
-
-// runBookkeeping replays the CSV scanner's run-transition tracking over
-// rows, returning the final run index and the row index where that run's
-// rows begin.
-func runBookkeeping(rows []Row) (lastRun, runStartRows int) {
-	for i := range rows {
-		if rows[i].Run != lastRun {
-			lastRun = rows[i].Run
-			runStartRows = i
-		}
-	}
-	return lastRun, runStartRows
 }
 
 // truncateRowsBinary is the TruncateRows implementation for binary logs.
@@ -841,11 +835,16 @@ func truncateRowsBinary(path string, n int) error {
 			return nil
 		}
 	}
-	sc, rows, err := readLogFile(path, nil)
+	b, err := loadLog(path)
 	if err != nil {
 		return err
 	}
-	return truncateBinaryRows(f, sc, rows, n)
+	defer b.release()
+	sc, err := checkLog(b.data)
+	if err != nil {
+		return err
+	}
+	return cutBinary(f, b.data, sc, n)
 }
 
 // truncateTrailingRunBinary is the TruncateTrailingRun implementation for
@@ -856,12 +855,16 @@ func truncateTrailingRunBinary(path string) (rows, droppedRun int, err error) {
 		return 0, 0, err
 	}
 	defer f.Close()
-	sc, all, err := readLogFile(path, nil)
+	b, err := loadLog(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	lastRun, runStartRows := runBookkeeping(all)
-	if lastRun == 0 {
+	defer b.release()
+	sc, err := checkLog(b.data)
+	if err != nil {
+		return 0, 0, err
+	}
+	if sc.lastRun == 0 {
 		if sc.torn {
 			if err := f.Truncate(sc.dataEnd); err != nil {
 				return 0, 0, err
@@ -870,10 +873,10 @@ func truncateTrailingRunBinary(path string) (rows, droppedRun int, err error) {
 		}
 		return sc.rows, 0, nil
 	}
-	if err := truncateBinaryRows(f, sc, all, runStartRows); err != nil {
+	if err := cutBinary(f, b.data, sc, sc.runStartRows); err != nil {
 		return 0, 0, err
 	}
-	return runStartRows, lastRun, nil
+	return sc.runStartRows, sc.lastRun, nil
 }
 
 // writeRowsAtomicBinary renders a complete binary log to a temp file and

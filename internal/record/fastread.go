@@ -5,14 +5,21 @@
 // SHARP_RECORD_NOMMAP=1, from os.ReadFile: a reader then holds the whole file
 // (68 B/row) in memory while it reads.
 //
-// The serial walk validates frame structure and dictionary blocks (whose
-// strings are copied out of the bytes, so decoded rows never alias a
-// mapping) and defers the data blocks to one of two consumers: readLog
-// checksum-verifies and decodes them with a bounded worker pool, each block
-// into a disjoint window of the destination slab, so there is no merge step
-// and steady-state replay allocates nothing; streamLog decodes them in order
-// into one reused batch for a visitor, keeping the run bookkeeping that
-// crash repair needs.
+// The serial walk first counts the data frames by hopping frame headers, so
+// its block list is allocated once at its final size, then validates frame
+// structure and dictionary blocks (whose strings are copied out of the
+// bytes, so decoded rows never alias a mapping) and defers the data blocks
+// to one of three consumers:
+//
+//   - readLog checksum-verifies and decodes them with a bounded worker pool,
+//     each block into a disjoint window of the destination slab, so there is
+//     no merge step and steady-state replay allocates nothing;
+//   - streamLog decodes them in order into one reused batch for a visitor;
+//   - checkLog, the repair scan behind ScanFile, OpenAppend, the segment
+//     manifest rebuild and the truncations, makes every check a decode makes
+//     on the same worker pool without building a row, then finds the last
+//     run from the frame headers and the raw run columns of the trailing
+//     blocks.
 //
 // Torn/corrupt classification: the lowest-offset failing block decides the
 // outcome, torn if it is the file's final block, hard corruption otherwise.
@@ -27,6 +34,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -43,9 +51,9 @@ func mmapDisabled() bool { return os.Getenv(NoMmapEnv) == "1" }
 var readParallelism atomic.Int64
 
 // SetReadParallelism bounds the worker pool that readLog uses to decode
-// independent data blocks. It is wired to the CLI --parallel flags:
-// 0 restores the default (GOMAXPROCS at call time); negative values are
-// clamped to 1 (strictly serial decode).
+// independent data blocks and that crash repair uses to check them. It is
+// wired to the CLI --parallel flags: 0 restores the default (GOMAXPROCS at
+// call time); negative values are clamped to 1 (strictly serial).
 func SetReadParallelism(n int) {
 	if n < 0 {
 		n = 1
@@ -150,12 +158,33 @@ func (w *logWalk) failAt(off int64, final bool, msg string) {
 	}
 }
 
+// countDataFrames counts the data frames of a binary log held in data by
+// hopping frame headers, stopping where the walk would stop at the latest:
+// at a torn, unknown or implausible frame. It bounds the walk's block list.
+func countDataFrames(data []byte) int {
+	le := binary.LittleEndian
+	n := 0
+	for off, size := int64(len(binMagic)), int64(len(data)); size-off >= binFrameLen; {
+		kind := data[off]
+		payloadLen := int64(le.Uint32(data[off+13:]))
+		if kind != binKindDict && kind != binKindData || payloadLen > binMaxPayload {
+			break
+		}
+		if kind == binKindData {
+			n++
+		}
+		off += binFrameLen + payloadLen
+	}
+	return n
+}
+
 // walk parses the frame structure of a binary log held in data.
 func walk(data []byte) (logWalk, error) {
 	var w logWalk
 	if len(data) < len(binMagic) || string(data[:len(binMagic)]) != binMagic {
 		return w, errors.New("record: missing binary magic")
 	}
+	w.refs = make([]blockRef, 0, countDataFrames(data))
 	le := binary.LittleEndian
 	w.dataEnd = int64(len(binMagic))
 	for size := int64(len(data)); w.dataEnd < size; {
@@ -246,13 +275,23 @@ func (w *logWalk) settle(size int64, bad int, derr error) error {
 	return nil
 }
 
-// decodeRef checksum-verifies one data block and decodes it into blk
-// (len ref.n), in order: CRC, column decode, frame run-range cross-check.
-func decodeRef(data []byte, ref blockRef, dict []string, blk []Row) error {
+// blockPayload returns the payload of data block ref after checking its
+// CRC over frame and payload.
+func blockPayload(data []byte, ref blockRef) ([]byte, error) {
 	frame := data[ref.off : ref.off+binFrameLen]
 	payload := data[ref.off+binFrameLen : ref.end()]
 	if crc := crc32.Update(crc32.Update(0, binCRC, frame[:17]), binCRC, payload); crc != binary.LittleEndian.Uint32(frame[17:]) {
-		return errors.New("checksum mismatch")
+		return nil, errors.New("checksum mismatch")
+	}
+	return payload, nil
+}
+
+// decodeRef checksum-verifies one data block and decodes it into blk
+// (len ref.n), in order: CRC, column decode, frame run-range cross-check.
+func decodeRef(data []byte, ref blockRef, dict []string, blk []Row) error {
+	payload, err := blockPayload(data, ref)
+	if err != nil {
+		return err
 	}
 	if err := decodeBlockInto(payload, ref.n, dict[:ref.dictLen], blk); err != nil {
 		return err
@@ -263,36 +302,94 @@ func decodeRef(data []byte, ref blockRef, dict []string, blk []Row) error {
 	return nil
 }
 
-// decodeRefs decodes every data block into its disjoint window of out,
-// fanning out across min(ReadParallelism, len(refs)) workers over an atomic
-// work counter. Windows never overlap, so no ordering or merge is needed; it
-// returns the index and error of the lowest-offset failing block, or -1. A
-// worker's panic (a fault included) is re-raised on the caller once every
-// worker has stopped, for the caller's catchFault.
-func decodeRefs(data []byte, refs []blockRef, dict []string, out []Row) (int, error) {
-	window := func(ref blockRef) []Row {
-		return out[ref.firstRow : ref.firstRow+ref.n : ref.firstRow+ref.n]
+// checkRef makes every check decodeRef makes on one data block, in the same
+// order and with the same error text, without building its rows: CRC,
+// nanoseconds below 1e9, dictionary ids below ref.dictLen column by column,
+// then the frame's run range against the ends of the run column.
+func checkRef(data []byte, ref blockRef) error {
+	payload, err := blockPayload(data, ref)
+	if err != nil {
+		return err
 	}
-	p := ReadParallelism()
-	if p > len(refs) {
-		p = len(refs)
+	le := binary.LittleEndian
+	n := ref.n
+	if i := firstAtLeast(payload[8*n:12*n], 1e9); i >= 0 {
+		return fmt.Errorf("bad nanoseconds %d", le.Uint32(payload[8*n+4*i:]))
 	}
+	// The eight id columns are contiguous, so one pass in payload order
+	// meets them column by column, as decodeBlockInto does.
+	nd := uint32(ref.dictLen)
+	if i := firstAtLeast(payload[36*n:68*n], nd); i >= 0 {
+		return fmt.Errorf("dictionary id %d out of range (%d entries)", le.Uint32(payload[36*n+4*i:]), nd)
+	}
+	runs := payload[16*n : 20*n]
+	if int(int32(le.Uint32(runs))) != ref.firstRun || int(int32(le.Uint32(runs[4*(n-1):]))) != ref.lastRun {
+		return errors.New("frame run range disagrees with rows")
+	}
+	return nil
+}
+
+// firstAtLeast returns the index of the first little-endian uint32 in col
+// that is at least limit, or -1. Valid blocks have none, so it takes the
+// column's maximum without a branch per value and searches only on a hit.
+func firstAtLeast(col []byte, limit uint32) int {
+	var hi uint32
+	for b := col; len(b) >= 4; b = b[4:] {
+		hi = max(hi, binary.LittleEndian.Uint32(b))
+	}
+	if hi < limit {
+		return -1
+	}
+	for i := 0; ; i++ {
+		if binary.LittleEndian.Uint32(col[4*i:]) >= limit {
+			return i
+		}
+	}
+}
+
+// forEachRef runs check on every data block index below n, fanning out
+// across min(ReadParallelism, n) workers that claim blocks in chunks from an
+// atomic work counter, and returns the index and error of the lowest-offset
+// failing block, or -1. Blocks past a known failure are skipped, so the
+// result is the one a serial pass would give. A worker's panic (a fault
+// included) is re-raised on the caller once every worker has stopped, for
+// the caller's catchFault.
+func forEachRef(n int, check func(i int) error) (int, error) {
+	p := min(ReadParallelism(), n)
 	if p <= 1 {
-		for i, ref := range refs {
-			if err := decodeRef(data, ref, dict, window(ref)); err != nil {
+		for i := 0; i < n; i++ {
+			if err := check(i); err != nil {
 				return i, err
 			}
 		}
 		return -1, nil
 	}
+	// About 256 claims per worker: enough to balance uneven blocks, few
+	// enough that the counter is not contended on logs of tiny blocks.
+	chunk := int64(1 + n/(256*p))
 	var (
 		next     atomic.Int64
-		minBad   atomic.Int64
-		errs     = make([]error, len(refs))
+		minBad   atomic.Int64 // lowest failing index so far, -1 after a panic
+		mu       sync.Mutex   // guards bad, badErr
+		bad      = n
+		badErr   error
 		panicked atomic.Pointer[any]
 		wg       sync.WaitGroup
 	)
-	minBad.Store(int64(len(refs)))
+	minBad.Store(int64(n))
+	fail := func(i int64, err error) {
+		mu.Lock()
+		if int(i) < bad {
+			bad, badErr = int(i), err
+		}
+		mu.Unlock()
+		for {
+			cur := minBad.Load()
+			if i >= cur || minBad.CompareAndSwap(cur, i) {
+				return
+			}
+		}
+	}
 	for k := 0; k < p; k++ {
 		wg.Add(1)
 		go func() {
@@ -304,18 +401,14 @@ func decodeRefs(data []byte, refs []blockRef, dict []string, out []Row) (int, er
 					minBad.Store(-1) // stop the other workers
 				}
 			}()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(refs) || int64(i) > minBad.Load() {
-					return
-				}
-				if err := decodeRef(data, refs[i], dict, window(refs[i])); err != nil {
-					errs[i] = err
-					for {
-						cur := minBad.Load()
-						if int64(i) >= cur || minBad.CompareAndSwap(cur, int64(i)) {
-							break
-						}
+			for lo := next.Add(chunk) - chunk; lo < int64(n); lo = next.Add(chunk) - chunk {
+				for i := lo; i < min(lo+chunk, int64(n)); i++ {
+					if i > minBad.Load() {
+						return
+					}
+					if err := check(int(i)); err != nil {
+						fail(i, err)
+						break // the rest of the chunk lies past the failure
 					}
 				}
 			}
@@ -325,8 +418,8 @@ func decodeRefs(data []byte, refs []blockRef, dict []string, out []Row) (int, er
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
-	if bad := int(minBad.Load()); bad < len(refs) {
-		return bad, errs[bad]
+	if bad < n {
+		return bad, badErr
 	}
 	return -1, nil
 }
@@ -350,7 +443,11 @@ func readLog(data []byte, dst []Row) (sc binScan, rows []Row, err error) {
 	} else {
 		dst = dst[:need]
 	}
-	bad, derr := decodeRefs(data, w.refs, w.dict, dst[base:need])
+	refs, dict, out := w.refs, w.dict, dst[base:need]
+	bad, derr := forEachRef(len(refs), func(i int) error {
+		ref := refs[i]
+		return decodeRef(data, ref, dict, out[ref.firstRow:ref.firstRow+ref.n:ref.firstRow+ref.n])
+	})
 	if err := w.settle(int64(len(data)), bad, derr); err != nil {
 		return sc, nil, err
 	}
@@ -358,9 +455,8 @@ func readLog(data []byte, dst []Row) (sc binScan, rows []Row, err error) {
 }
 
 // streamLog delivers the decoded data blocks of a binary log held in data to
-// sink (nil: none) in frame order, through one reused batch, and tracks the
-// run bookkeeping crash repair needs. A torn tail is reported in sc.torn,
-// not as an error.
+// sink in frame order, through one reused batch. A torn tail is reported in
+// sc.torn, not as an error; sc carries no run bookkeeping.
 func streamLog(data []byte, sink func([]Row) error) (sc binScan, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer catchFault(&err)
@@ -381,18 +477,72 @@ func streamLog(data []byte, sink func([]Row) error) (sc binScan, err error) {
 			err = w.settle(int64(len(data)), i, derr)
 			return w.binScan, err
 		}
-		for k := range blk {
-			if blk[k].Run != w.lastRun {
-				w.lastRun, w.runStartRows = blk[k].Run, ref.firstRow+k
-			}
-		}
-		if sink != nil {
-			if err := sink(blk); err != nil {
-				return w.binScan, err
-			}
+		if err := sink(blk); err != nil {
+			return w.binScan, err
 		}
 	}
 	return w.binScan, w.err
+}
+
+// checkLog is the repair scan of a binary log held in data: it accepts and
+// rejects exactly what readLog does, with the same torn verdict and error
+// text, but checks the data blocks without decoding them, and adds the run
+// bookkeeping crash repair needs (lastRun, runStartRows).
+func checkLog(data []byte) (sc binScan, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer catchFault(&err)
+	w, err := walk(data)
+	if err != nil {
+		return sc, err
+	}
+	refs := w.refs
+	bad, derr := forEachRef(len(refs), func(i int) error { return checkRef(data, refs[i]) })
+	if err := w.settle(int64(len(data)), bad, derr); err != nil {
+		return sc, err
+	}
+	w.lastRun, w.runStartRows = runTail(data, w.refs, w.rows)
+	return w.binScan, nil
+}
+
+// runTail is the CSV scanner's run bookkeeping over the first n rows of the
+// checked blocks refs: the run index of row n-1 and the row where the
+// trailing rows of that run begin, with run 0 before row 0 (so an empty
+// prefix yields 0, 0). It scans back to front: a block's raw run column is
+// read only while the trailing run may reach into it, and a block whose
+// frame ends in another run ends the scan without touching its payload.
+func runTail(data []byte, refs []blockRef, n int) (lastRun, runStartRows int) {
+	if n == 0 {
+		return 0, 0
+	}
+	runAt := func(ref blockRef, i int) int {
+		return int(int32(binary.LittleEndian.Uint32(data[ref.off+binFrameLen+int64(16*ref.n+4*i):])))
+	}
+	k := sort.Search(len(refs), func(i int) bool { return refs[i].firstRow+refs[i].n >= n })
+	ref, end := refs[k], n-refs[k].firstRow // rows of the block inside the prefix
+	lastRun = runAt(ref, end-1)
+	for {
+		for i := end - 1; i >= 0; i-- {
+			if runAt(ref, i) != lastRun {
+				return lastRun, ref.firstRow + i + 1
+			}
+		}
+		if k--; k < 0 {
+			return lastRun, 0
+		}
+		if ref, end = refs[k], refs[k].n; ref.lastRun != lastRun {
+			return lastRun, ref.firstRow + ref.n
+		}
+	}
+}
+
+// checkLogFile is checkLog over the binary log file at path.
+func checkLogFile(path string) (binScan, error) {
+	b, err := loadLog(path)
+	if err != nil {
+		return binScan{}, err
+	}
+	defer b.release()
+	return checkLog(b.data)
 }
 
 // readLogFile is readLog over the binary log file at path.

@@ -52,12 +52,14 @@ func FuzzParseMetadata(f *testing.F) {
 }
 
 // FuzzScanBinary feeds arbitrary block streams to the frame walk and checks
-// it against scanReference: the stream (with its run bookkeeping) and the
-// slab read must agree with the reference on rows, torn verdict, dataEnd,
-// lastRun, runStartRows and error text. The walk must never panic, and
-// whatever prefix it accepts must re-walk clean and survive an
-// encode/decode round trip.
+// it against scanReference: the stream, the slab read and the repair scan
+// must agree with the reference on rows, torn verdict, dataEnd and error
+// text, and the repair scan also on lastRun and runStartRows. The walk must
+// never panic, and whatever prefix it accepts must re-walk clean and survive
+// an encode/decode round trip.
 func FuzzScanBinary(f *testing.F) {
+	// Seeds are the block streams of real logs: the fuzz body supplies the
+	// magic itself.
 	seed := func(rows []Row) []byte {
 		dir := f.TempDir()
 		path := dir + "/seed.sharpb"
@@ -68,15 +70,18 @@ func FuzzScanBinary(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		return b
+		return b[len(binMagic):]
 	}
 	f.Add(seed(nil))
 	f.Add(seed(sampleRows(5)))
 	multi := sampleRows(12)
 	multi[3].Status, multi[3].Error = StatusError, "boom"
 	f.Add(seed(multi))
-	f.Add([]byte(binMagic))
-	f.Add([]byte(binMagic + "\x02\x01\x00\x00\x00"))
+	// Small blocks: a run that returns inside one block (5,6,5), then a
+	// trailing run spanning three blocks.
+	f.Add(blockLog(f, withRuns(1, 1, 2, 2, 5, 6, 5, 5, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7), 4)[len(binMagic):])
+	f.Add([]byte{})
+	f.Add([]byte("\x02\x01\x00\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Force the binary path regardless of what the mutator did to the
@@ -90,18 +95,22 @@ func FuzzScanBinary(f *testing.F) {
 			return nil
 		})
 		rsc, read, rerr := readLog(stream, nil)
-		if fmt.Sprint(err) != fmt.Sprint(werr) || fmt.Sprint(rerr) != fmt.Sprint(werr) {
-			t.Fatalf("error text differs:\n  stream:    %v\n  read:      %v\n  reference: %v", err, rerr, werr)
+		csc, cerr := checkLog(stream)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || fmt.Sprint(rerr) != fmt.Sprint(werr) || fmt.Sprint(cerr) != fmt.Sprint(werr) {
+			t.Fatalf("error text differs:\n  stream:    %v\n  read:      %v\n  repair:    %v\n  reference: %v", err, rerr, cerr, werr)
 		}
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}
-		if sc.rows != ref.rows || sc.torn != ref.torn || sc.dataEnd != ref.dataEnd ||
-			sc.lastRun != ref.lastRun || sc.runStartRows != ref.runStartRows {
+		if sc.rows != ref.rows || sc.torn != ref.torn || sc.dataEnd != ref.dataEnd {
 			t.Fatalf("stream verdict %+v differs from reference %+v", sc, ref)
 		}
 		if rsc.rows != ref.rows || rsc.torn != ref.torn || rsc.dataEnd != ref.dataEnd {
 			t.Fatalf("read verdict %+v differs from reference %+v", rsc, ref)
+		}
+		if csc.rows != ref.rows || csc.torn != ref.torn || csc.dataEnd != ref.dataEnd ||
+			csc.lastRun != ref.lastRun || csc.runStartRows != ref.runStartRows {
+			t.Fatalf("repair verdict %+v differs from reference %+v", csc, ref)
 		}
 		if !sameRows(rows, want) || !sameRows(read, want) {
 			t.Fatalf("decoded rows differ from reference (stream %d, read %d, reference %d)", len(rows), len(read), len(want))
@@ -122,8 +131,12 @@ func FuzzScanBinary(f *testing.F) {
 		if err != nil || sc2.torn {
 			t.Fatalf("accepted prefix rejected on re-walk: torn=%v err=%v", sc2.torn, err)
 		}
-		if sc2.rows != sc.rows || sc2.lastRun != sc.lastRun || sc2.runStartRows != sc.runStartRows {
-			t.Fatalf("re-walk bookkeeping drifted: %+v vs %+v", sc2, sc)
+		csc2, err := checkLog(stream[:sc.dataEnd])
+		if err != nil || csc2.torn {
+			t.Fatalf("accepted prefix rejected on repair re-scan: torn=%v err=%v", csc2.torn, err)
+		}
+		if sc2.rows != sc.rows || csc2.rows != sc.rows || csc2.lastRun != csc.lastRun || csc2.runStartRows != csc.runStartRows {
+			t.Fatalf("re-walk bookkeeping drifted: %+v, %+v vs %+v", sc2, csc2, csc)
 		}
 		if !sameRows(rows, rows2) {
 			t.Fatal("rows drifted on re-walk")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 )
 
 // refBlock records where a data block sits in the file.
@@ -172,4 +173,120 @@ func decodeDataBlock(payload []byte, n int, dict []string, dst []Row) ([]Row, er
 		return dst[:base], err
 	}
 	return dst, nil
+}
+
+// The truncations as they were before the repair scan: they decode the whole
+// log through scanReference and replay the per-row run bookkeeping. They are
+// the oracles the repair scan's truncations are tested against, file and
+// sidecar-index bytes included.
+
+// openAppendReference is OpenAppend followed by Close with nothing
+// appended: it drops a torn tail and writes the index of what remains.
+func openAppendReference(path string) (int, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	sc, _, err := scanReference(f, nil, false, nil)
+	if err != nil {
+		return 0, err
+	}
+	if sc.torn {
+		if err := f.Truncate(sc.dataEnd); err != nil {
+			return 0, err
+		}
+	}
+	return sc.rows, writeBinIndex(path, f, sc.rows, sc.lastRun, sc.runStartRows, sc.dataEnd)
+}
+
+// truncateRowsReference is TruncateRows on a binary log without an index.
+func truncateRowsReference(path string, n int) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sc, rows, err := scanReference(f, nil, true, nil)
+	if err != nil {
+		return err
+	}
+	return cutReference(f, sc, rows, n)
+}
+
+// truncateTrailingRunReference is TruncateTrailingRun on a binary log.
+func truncateTrailingRunReference(path string) (rows, droppedRun int, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	sc, all, err := scanReference(f, nil, true, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	if sc.lastRun == 0 {
+		if sc.torn {
+			if err := f.Truncate(sc.dataEnd); err != nil {
+				return 0, 0, err
+			}
+			os.Remove(path + binIndexSuffix)
+		}
+		return sc.rows, 0, nil
+	}
+	if err := cutReference(f, sc, all, sc.runStartRows); err != nil {
+		return 0, 0, err
+	}
+	return sc.runStartRows, sc.lastRun, nil
+}
+
+// cutReference cuts the log open at f, scanned as sc with decoded rows, to
+// its first n rows, re-encoding the retained rows of a split block.
+func cutReference(f *os.File, sc refScan, rows []Row, n int) error {
+	if n > sc.rows {
+		return fmt.Errorf("record: truncate to %d rows: only %d available", n, sc.rows)
+	}
+	newEnd := sc.dataEnd
+	if n < sc.rows {
+		var cut refBlock
+		for _, b := range sc.blocks {
+			if b.firstRow+b.rows > n {
+				cut = b
+				break
+			}
+		}
+		if err := f.Truncate(cut.off); err != nil {
+			return err
+		}
+		newEnd = cut.off
+		if k := n - cut.firstRow; k > 0 {
+			part := rows[cut.firstRow:n]
+			dict := make(map[string]uint32, len(sc.dict))
+			for i, s := range sc.dict {
+				dict[s] = uint32(i)
+			}
+			bw := &binWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), off: cut.off}
+			if _, err := f.Seek(cut.off, io.SeekStart); err != nil {
+				return err
+			}
+			if err := bw.writeBlock(binKindData, k, part[0].Run, part[k-1].Run, encodeDataBlock(part, dict)); err != nil {
+				return err
+			}
+			if err := bw.bw.Flush(); err != nil {
+				return err
+			}
+			newEnd = bw.off
+		}
+	} else if sc.torn {
+		if err := f.Truncate(sc.dataEnd); err != nil {
+			return err
+		}
+	}
+	lastRun, runStartRows := 0, 0
+	for i := range rows[:n] {
+		if rows[i].Run != lastRun {
+			lastRun, runStartRows = rows[i].Run, i
+		}
+	}
+	return writeBinIndex(f.Name(), f, n, lastRun, runStartRows, newEnd)
 }

@@ -201,7 +201,7 @@ func rebuildManifest(path string) (*segManifest, error) {
 	m := &segManifest{}
 	for k := 0; k+1 < len(idxs); k++ { // seal all but the last
 		sp := segPath(path, k)
-		sc, serr := streamLogFile(sp, nil)
+		sc, serr := checkLogFile(sp)
 		if serr != nil {
 			return nil, fmt.Errorf("record: sealed segment %s: %v", filepath.Base(sp), serr)
 		}
