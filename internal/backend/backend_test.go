@@ -148,8 +148,8 @@ func TestSimBackendUnknownAndCUDAErrors(t *testing.T) {
 func TestParseMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "some program output")
-	fmt.Fprintln(&buf, FormatMetric("exec_time", 1.25))
-	fmt.Fprintln(&buf, FormatMetric("max_rss", 4096))
+	fmt.Fprintln(&buf, "SHARP_METRIC exec_time 1.25")
+	fmt.Fprintln(&buf, "SHARP_METRIC max_rss 4096")
 	fmt.Fprintln(&buf, "SHARP_METRIC malformed")
 	fmt.Fprintln(&buf, "SHARP_METRIC bad notanumber")
 	m := ParseMetrics(&buf)
@@ -285,16 +285,5 @@ func TestBackendFromConfigErrors(t *testing.T) {
 		if _, err := FromConfig(doc, "backend"); err == nil {
 			t.Errorf("no error for %s", src)
 		}
-	}
-}
-
-func TestRequestFromConfig(t *testing.T) {
-	doc, err := config.Parse([]byte(`{"req": {"concurrency": 4, "cold": true, "timeout": "5s"}}`), ".json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := RequestFromConfig(doc, "req")
-	if req.Concurrency != 4 || !req.Cold || req.Timeout != 5*time.Second {
-		t.Fatalf("req = %+v", req)
 	}
 }

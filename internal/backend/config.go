@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"time"
 
 	"sharp/internal/config"
 	"sharp/internal/machine"
@@ -85,18 +84,4 @@ func collectorFromConfig(doc *config.Document, path string) (metrics.Collector, 
 		return metrics.Collector{}, err
 	}
 	return c, nil
-}
-
-// RequestFromConfig reads request defaults (timeout, concurrency, cold)
-// from a config node, for launcher configuration files.
-func RequestFromConfig(doc *config.Document, path string) Request {
-	var req Request
-	req.Concurrency = doc.Int(path+".concurrency", 1)
-	req.Cold = doc.Bool(path+".cold", false)
-	if t := doc.String(path+".timeout", ""); t != "" {
-		if d, err := time.ParseDuration(t); err == nil {
-			req.Timeout = d
-		}
-	}
-	return req
 }

@@ -146,8 +146,3 @@ func ParseMetrics(r *bytes.Buffer) map[string]float64 {
 	}
 	return metrics
 }
-
-// FormatMetric renders a SHARP_METRIC line for programs to print.
-func FormatMetric(name string, value float64) string {
-	return fmt.Sprintf("SHARP_METRIC %s %s", name, strconv.FormatFloat(value, 'g', -1, 64))
-}

@@ -259,17 +259,3 @@ func core(xs []float64) []float64 {
 	}
 	return s[k : len(s)-k]
 }
-
-// StableMean reports whether the class has a finite, well-behaved mean, i.e.
-// whether mean-based stopping rules (CI) are appropriate at all.
-func (c Class) StableMean() bool {
-	switch c {
-	case HeavyTailed, Unknown:
-		return false
-	default:
-		return true
-	}
-}
-
-// IID reports whether samples of this class can be treated as independent.
-func (c Class) IID() bool { return c != Autocorrelated }

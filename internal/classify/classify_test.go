@@ -77,21 +77,6 @@ func TestClassifyTooFewSamples(t *testing.T) {
 	}
 }
 
-func TestStableMeanAndIID(t *testing.T) {
-	if HeavyTailed.StableMean() || Unknown.StableMean() {
-		t.Error("heavy/unknown must not report stable mean")
-	}
-	if !Normal.StableMean() || !Multimodal.StableMean() {
-		t.Error("normal/multimodal have stable means")
-	}
-	if Autocorrelated.IID() {
-		t.Error("autocorrelated is not IID")
-	}
-	if !Normal.IID() {
-		t.Error("normal is IID")
-	}
-}
-
 func TestConstantWithJitterIsNotConstant(t *testing.T) {
 	rng := randx.New(8)
 	xs := sample(randx.NewNormal(rng, 10, 0.001), 500)

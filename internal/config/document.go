@@ -57,9 +57,6 @@ func Parse(data []byte, ext string) (*Document, error) {
 	}
 }
 
-// Root returns the underlying tree.
-func (d *Document) Root() any { return d.root }
-
 // Lookup resolves a dotted path; ok is false if any segment is missing.
 func (d *Document) Lookup(path string) (any, bool) {
 	cur := d.root

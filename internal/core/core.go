@@ -247,11 +247,7 @@ func (l *Launcher) traceRuleEval(rule stopping.Rule) {
 	if l.Tracer == nil {
 		return
 	}
-	ev, ok := rule.(stopping.Evaluated)
-	if !ok {
-		return
-	}
-	last, has := ev.LastEval()
+	last, has := rule.LastEval()
 	if !has || last.N != rule.N() {
 		return // no convergence check happened on this Add
 	}

@@ -88,9 +88,6 @@ type outcome struct {
 	panicked any
 }
 
-// ruleBounds exposes the guard rails of rules built on stopping's base.
-type ruleBounds interface{ Bounds() stopping.Bounds }
-
 // NewStepper prepares an incremental campaign: defaults are applied, the
 // campaign.start event is emitted and warm-up runs execute, exactly as in
 // Run. The stepper starts at run 0 with nothing measured.
@@ -261,16 +258,12 @@ func (s *Stepper) Step(ctx context.Context, n int) (int, error) {
 // MaxSamples cap — clamped by limit, the runs Step may still attempt. Only a
 // merged successful run adds a sample, so a span with failed runs ends short
 // of the decision point and the next span covers the rest; it never passes
-// it. A rule without Bounds is taken to decide every 10 samples up to 1000.
+// it.
 func (s *Stepper) span(limit int) int {
-	checkEvery, maxSamples := 10, 1000
-	if rb, ok := s.e.Rule.(ruleBounds); ok {
-		b := rb.Bounds()
-		checkEvery, maxSamples = b.CheckEvery, b.MaxSamples
-	}
+	b := s.e.Rule.Bounds()
 	n := s.e.Rule.N()
-	span := checkEvery - n%checkEvery
-	if rem := maxSamples - n; rem > 0 && rem < span {
+	span := b.CheckEvery - n%b.CheckEvery
+	if rem := b.MaxSamples - n; rem > 0 && rem < span {
 		span = rem
 	}
 	return max(1, min(span, limit))

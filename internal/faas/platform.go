@@ -162,24 +162,6 @@ func (p *Platform) newBreaker(name string, cfg resilience.BreakerConfig) *resili
 	return resilience.NewBreaker(cfg)
 }
 
-// ConfigureBreakers replaces every worker's circuit breaker with one built
-// from cfg (tests use short cooldowns and fake clocks). The platform's
-// observability hooks are preserved: cfg.OnTransition, if set, is invoked
-// after them.
-func (p *Platform) ConfigureBreakers(cfg resilience.BreakerConfig) {
-	for _, w := range p.workers {
-		w.breaker = p.newBreaker(w.name, cfg)
-	}
-}
-
-// WrapWorkers decorates each worker's execution backend (fault injection in
-// tests: wrap with backend.NewChaos).
-func (p *Platform) WrapWorkers(wrap func(name string, b backend.Backend) backend.Backend) {
-	for _, w := range p.workers {
-		w.be = wrap(w.name, w.be)
-	}
-}
-
 // WorkerNames lists the platform's worker machines.
 func (p *Platform) WorkerNames() []string {
 	out := make([]string, len(p.workers))
@@ -201,16 +183,6 @@ func (p *Platform) Workers() []WorkerStatus {
 		}
 	}
 	return out
-}
-
-// WorkerState returns the circuit-breaker state of the named worker.
-func (p *Platform) WorkerState(name string) (resilience.State, bool) {
-	for _, w := range p.workers {
-		if w.name == name {
-			return w.breaker.State(), true
-		}
-	}
-	return 0, false
 }
 
 // Evict removes the named worker from dispatch until Admit is called (the

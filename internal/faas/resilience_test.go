@@ -17,6 +17,32 @@ import (
 	"sharp/internal/resilience"
 )
 
+// configureBreakers replaces every worker's circuit breaker with one built
+// from cfg (short cooldowns, fake clocks). The platform's observability
+// hooks are preserved: cfg.OnTransition, if set, is invoked after them.
+func (p *Platform) configureBreakers(cfg resilience.BreakerConfig) {
+	for _, w := range p.workers {
+		w.breaker = p.newBreaker(w.name, cfg)
+	}
+}
+
+// wrapWorkers decorates each worker's execution backend (fault injection).
+func (p *Platform) wrapWorkers(wrap func(name string, b backend.Backend) backend.Backend) {
+	for _, w := range p.workers {
+		w.be = wrap(w.name, w.be)
+	}
+}
+
+// workerState returns the circuit-breaker state of the named worker.
+func (p *Platform) workerState(name string) (resilience.State, bool) {
+	for _, w := range p.workers {
+		if w.name == name {
+			return w.breaker.State(), true
+		}
+	}
+	return 0, false
+}
+
 // failerBackend wraps a backend and fails every invocation while tripped.
 type failerBackend struct {
 	inner   backend.Backend
@@ -76,7 +102,7 @@ func TestColdAfterFailure(t *testing.T) {
 	// Satellite (d): a failed invocation must not mark the function warm.
 	p := NewPlatform(machine.GPUMachines()[:1], 7)
 	var failer *failerBackend
-	p.WrapWorkers(func(name string, b backend.Backend) backend.Backend {
+	p.wrapWorkers(func(name string, b backend.Backend) backend.Backend {
 		failer = &failerBackend{inner: b}
 		return failer
 	})
@@ -104,13 +130,13 @@ func TestColdAfterFailure(t *testing.T) {
 func TestBreakerRoutesAroundFailingWorker(t *testing.T) {
 	p := NewPlatform(machine.GPUMachines(), 42) // machine1, machine3
 	clk := time.Unix(0, 0)
-	p.ConfigureBreakers(resilience.BreakerConfig{
+	p.configureBreakers(resilience.BreakerConfig{
 		FailureThreshold: 3,
 		Cooldown:         time.Minute,
 		Now:              func() time.Time { return clk },
 	})
 	var failers []*failerBackend
-	p.WrapWorkers(func(name string, b backend.Backend) backend.Backend {
+	p.wrapWorkers(func(name string, b backend.Backend) backend.Backend {
 		f := &failerBackend{inner: b}
 		if name == "machine1" {
 			f.tripped.Store(true)
@@ -131,10 +157,10 @@ func TestBreakerRoutesAroundFailingWorker(t *testing.T) {
 	if failures != 3 {
 		t.Fatalf("failures before the breaker opened = %d, want 3 (threshold)", failures)
 	}
-	if st, _ := p.WorkerState("machine1"); st != resilience.Open {
+	if st, _ := p.workerState("machine1"); st != resilience.Open {
 		t.Fatalf("machine1 breaker = %v, want open", st)
 	}
-	if st, _ := p.WorkerState("machine3"); st != resilience.Closed {
+	if st, _ := p.workerState("machine3"); st != resilience.Closed {
 		t.Fatalf("machine3 breaker = %v, want closed", st)
 	}
 	m1Calls := failers[0].calls.Load()
@@ -161,7 +187,7 @@ func TestBreakerRoutesAroundFailingWorker(t *testing.T) {
 	if !probeFailed {
 		t.Fatal("half-open probe never reached machine1")
 	}
-	if st, _ := p.WorkerState("machine1"); st != resilience.Open {
+	if st, _ := p.workerState("machine1"); st != resilience.Open {
 		t.Fatalf("failed probe left breaker %v, want open", st)
 	}
 
@@ -173,7 +199,7 @@ func TestBreakerRoutesAroundFailingWorker(t *testing.T) {
 			t.Fatalf("run %d failed after heal: %s", run, resp.Error)
 		}
 	}
-	if st, _ := p.WorkerState("machine1"); st != resilience.Closed {
+	if st, _ := p.workerState("machine1"); st != resilience.Closed {
 		t.Fatalf("healed worker breaker = %v, want closed", st)
 	}
 }

@@ -157,15 +157,6 @@ func Load(doc *config.Document) ([]Collector, error) {
 	return out, nil
 }
 
-// LoadFile loads collectors from a YAML/JSON file.
-func LoadFile(path string) ([]Collector, error) {
-	doc, err := config.ParseFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Load(doc)
-}
-
 // TimeVerbose returns the built-in GNU `time -v` collector, covering the
 // paper's max-resident-size example plus CPU times and page faults.
 func TimeVerbose() Collector {

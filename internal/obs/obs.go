@@ -26,10 +26,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -50,7 +47,7 @@ type Event struct {
 }
 
 // Event types — the campaign event taxonomy. Producers across the execution
-// stack emit these; sinks (JSONL, text, progress, metrics bridge) consume
+// stack emit these; sinks (JSONL, progress, metrics bridge) consume
 // them uniformly.
 const (
 	// EventCampaignStart opens a measurement campaign
@@ -276,49 +273,6 @@ func (t *JSONL) Close() error {
 		}
 	}
 	return err
-}
-
-// Text is a Tracer writing compact human-readable lines — the operator-
-// facing twin of JSONL.
-type Text struct {
-	// Now is the event clock (tests may override; default time.Now).
-	Now func() time.Time
-
-	mu  sync.Mutex
-	w   io.Writer
-	seq uint64
-}
-
-// NewText returns a Text tracer writing to w.
-func NewText(w io.Writer) *Text { return &Text{Now: time.Now, w: w} }
-
-// Emit implements Tracer.
-func (t *Text) Emit(typ string, fields map[string]any) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	fmt.Fprintf(t.w, "%s %-18s %s\n",
-		t.Now().UTC().Format("15:04:05.000"), typ, formatFields(fields))
-}
-
-// formatFields renders a field map as "k=v" pairs in sorted key order.
-func formatFields(fields map[string]any) string {
-	if len(fields) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%v", k, fields[k])
-	}
-	return b.String()
 }
 
 // Collector is a Tracer accumulating events in memory — the test sink.

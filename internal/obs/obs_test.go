@@ -115,20 +115,6 @@ func TestEmitToleratesNil(t *testing.T) {
 	}
 }
 
-func TestTextRendersSortedFields(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewText(&buf)
-	tr.Now = fixedNow
-	tr.Emit(EventChaosInject, map[string]any{"run": 3, "kind": "error", "instance": 1})
-	line := buf.String()
-	if !strings.Contains(line, "chaos.inject") {
-		t.Errorf("missing type: %q", line)
-	}
-	if !strings.Contains(line, "instance=1 kind=error run=3") {
-		t.Errorf("fields not sorted: %q", line)
-	}
-}
-
 func TestCollectorByType(t *testing.T) {
 	c := NewCollector()
 	c.Emit("a", nil)

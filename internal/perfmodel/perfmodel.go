@@ -234,16 +234,6 @@ func (m *Model) Sampler(mach *machine.Machine, day int, seed uint64) (*Gen, erro
 	}, nil
 }
 
-// MustSampler is Sampler but panics on configuration errors; for use in
-// experiments where the (benchmark, machine) pairing is static.
-func (m *Model) MustSampler(mach *machine.Machine, day int, seed uint64) *Gen {
-	g, err := m.Sampler(mach, day, seed)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Name implements randx.Sampler.
 func (g *Gen) Name() string { return g.model.Bench + "@" + g.mach.Name }
 
@@ -268,10 +258,3 @@ func (g *Gen) Next() float64 {
 	}
 	return v
 }
-
-// MeanEstimate returns the analytic mean of the sampler's mixture (without
-// tail inflation), useful for calibration tests.
-func (g *Gen) MeanEstimate() float64 { return g.scale }
-
-// ModeCount returns the number of active modes for this (machine, day).
-func (g *Gen) ModeCount() int { return len(g.st.modes) }

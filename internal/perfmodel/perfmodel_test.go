@@ -14,19 +14,26 @@ func m1() *machine.Machine { m, _ := machine.ByName("machine1"); return m }
 func m2() *machine.Machine { m, _ := machine.ByName("machine2"); return m }
 func m3() *machine.Machine { m, _ := machine.ByName("machine3"); return m }
 
+// mustSampler is Model.Sampler for configurations known to be valid.
+func mustSampler(m *Model, mach *machine.Machine, day int, seed uint64) *Gen {
+	g, err := m.Sampler(mach, day, seed)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestSuiteComplete(t *testing.T) {
 	all := All()
 	if len(all) != 20 {
 		t.Fatalf("suite has %d benchmarks, want 20", len(all))
 	}
-	if len(CPUBenchmarks()) != 11 {
-		t.Fatalf("CPU benchmarks = %d, want 11", len(CPUBenchmarks()))
-	}
-	if len(CUDABenchmarks()) != 9 {
-		t.Fatalf("CUDA benchmarks = %d, want 9", len(CUDABenchmarks()))
-	}
 	seen := map[string]bool{}
+	cuda := 0
 	for _, m := range all {
+		if m.CUDA {
+			cuda++
+		}
 		if seen[m.Bench] {
 			t.Errorf("duplicate benchmark %s", m.Bench)
 		}
@@ -38,13 +45,16 @@ func TestSuiteComplete(t *testing.T) {
 			t.Errorf("%s: H100 speedup %v out of paper range", m.Bench, m.H100Speedup)
 		}
 	}
+	if cuda != 9 {
+		t.Fatalf("CUDA benchmarks = %d, want 9 (and 11 CPU)", cuda)
+	}
 }
 
 func TestModalitySplitMatchesFig4(t *testing.T) {
 	// Fig. 4 finding: 30% unimodal, 40% bimodal, 20% trimodal, 10% >3 modes.
 	counts := map[int]int{}
 	for _, m := range All() {
-		n := m.ExpectedModes()
+		n := len(m.Modes)
 		if n > 3 {
 			n = 4
 		}
@@ -60,25 +70,25 @@ func TestDetectedModesMatchDesign(t *testing.T) {
 	// samples of the canonical (day-0) distribution on Machine 1.
 	for _, m := range All() {
 		mach := m1()
-		g := m.MustSampler(mach, 0, 42)
+		g := mustSampler(m, mach, 0, 42)
 		data := randx.SampleN(g, 5000)
 		got := stats.CountModes(data)
-		if got != m.ExpectedModes() {
-			t.Errorf("%s: detected %d modes, designed %d", m.Bench, got, m.ExpectedModes())
+		if got != len(m.Modes) {
+			t.Errorf("%s: detected %d modes, designed %d", m.Bench, got, len(m.Modes))
 		}
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	m, _ := For("hotspot")
-	a := randx.SampleN(m.MustSampler(m2(), 3, 7), 50)
-	b := randx.SampleN(m.MustSampler(m2(), 3, 7), 50)
+	a := randx.SampleN(mustSampler(m, m2(), 3, 7), 50)
+	b := randx.SampleN(mustSampler(m, m2(), 3, 7), 50)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("sampler is not deterministic")
 		}
 	}
-	c := randx.SampleN(m.MustSampler(m2(), 4, 7), 50)
+	c := randx.SampleN(mustSampler(m, m2(), 4, 7), 50)
 	if a[0] == c[0] {
 		t.Fatal("different days produced identical streams")
 	}
@@ -93,9 +103,12 @@ func TestCUDAOnGPUlessMachineFails(t *testing.T) {
 
 func TestH100SpeedupRange(t *testing.T) {
 	// §VI-B: H100 consistently faster, speedups 1.2x..2x by benchmark.
-	for _, m := range CUDABenchmarks() {
-		a100 := stats.Mean(randx.SampleN(m.MustSampler(m1(), 0, 5), 2000))
-		h100 := stats.Mean(randx.SampleN(m.MustSampler(m3(), 0, 5), 2000))
+	for _, m := range All() {
+		if !m.CUDA {
+			continue
+		}
+		a100 := stats.Mean(randx.SampleN(mustSampler(m, m1(), 0, 5), 2000))
+		h100 := stats.Mean(randx.SampleN(mustSampler(m, m3(), 0, 5), 2000))
 		speedup := a100 / h100
 		if speedup < 1.1 || speedup > 2.2 {
 			t.Errorf("%s: H100 speedup %.2f outside [1.1, 2.2]", m.Bench, speedup)
@@ -104,10 +117,10 @@ func TestH100SpeedupRange(t *testing.T) {
 	// Fig. 8 / Fig. 9 anchors.
 	bfs, _ := For("bfs-CUDA")
 	srad, _ := For("srad-CUDA")
-	bfsUp := stats.Mean(randx.SampleN(bfs.MustSampler(m1(), 0, 5), 2000)) /
-		stats.Mean(randx.SampleN(bfs.MustSampler(m3(), 0, 5), 2000))
-	sradUp := stats.Mean(randx.SampleN(srad.MustSampler(m1(), 0, 5), 2000)) /
-		stats.Mean(randx.SampleN(srad.MustSampler(m3(), 0, 5), 2000))
+	bfsUp := stats.Mean(randx.SampleN(mustSampler(bfs, m1(), 0, 5), 2000)) /
+		stats.Mean(randx.SampleN(mustSampler(bfs, m3(), 0, 5), 2000))
+	sradUp := stats.Mean(randx.SampleN(mustSampler(srad, m1(), 0, 5), 2000)) /
+		stats.Mean(randx.SampleN(mustSampler(srad, m3(), 0, 5), 2000))
 	if math.Abs(bfsUp-2.0) > 0.25 {
 		t.Errorf("bfs-CUDA speedup %.2f, want ~2.0", bfsUp)
 	}
@@ -119,8 +132,8 @@ func TestH100SpeedupRange(t *testing.T) {
 func TestH100HasMoreModes(t *testing.T) {
 	// Fig. 8: the H100 exposes more performance states for bfs-CUDA.
 	m, _ := For("bfs-CUDA")
-	a100 := stats.CountModes(randx.SampleN(m.MustSampler(m1(), 0, 3), 4000))
-	h100 := stats.CountModes(randx.SampleN(m.MustSampler(m3(), 0, 3), 4000))
+	a100 := stats.CountModes(randx.SampleN(mustSampler(m, m1(), 0, 3), 4000))
+	h100 := stats.CountModes(randx.SampleN(mustSampler(m, m3(), 0, 3), 4000))
 	if h100 <= a100 {
 		t.Errorf("modes: A100=%d H100=%d, want H100 > A100", a100, h100)
 	}
@@ -130,8 +143,8 @@ func TestHotspotDayModeFlip(t *testing.T) {
 	// Fig. 5c: on Machine 2, hotspot day 3 is trimodal, day 5 bimodal, with
 	// nearly identical means (NAMD ~ 0) but a clear KS difference.
 	m, _ := For("hotspot")
-	day3 := randx.SampleN(m.MustSampler(m2(), 3, 42), 1000)
-	day5 := randx.SampleN(m.MustSampler(m2(), 5, 42), 1000)
+	day3 := randx.SampleN(mustSampler(m, m2(), 3, 42), 1000)
+	day5 := randx.SampleN(mustSampler(m, m2(), 5, 42), 1000)
 	if got := stats.CountModes(day3); got != 3 {
 		t.Errorf("day 3 modes = %d, want 3", got)
 	}
@@ -157,7 +170,7 @@ func TestMeanStableBenchmarksKeepMeanAcrossDays(t *testing.T) {
 		m, _ := For(name)
 		means := make([]float64, 5)
 		for d := 1; d <= 5; d++ {
-			means[d-1] = stats.Mean(randx.SampleN(m.MustSampler(m1(), d, 9), 2000))
+			means[d-1] = stats.Mean(randx.SampleN(mustSampler(m, m1(), d, 9), 2000))
 		}
 		lo, hi := stats.Min(means), stats.Max(means)
 		if (hi-lo)/lo > 0.02 {
@@ -260,7 +273,7 @@ func TestConcurrencyPerInstance(t *testing.T) {
 func TestBaseTimesPlausible(t *testing.T) {
 	// Mean of sampled times tracks Base * machine factor within tail slack.
 	for _, m := range All() {
-		g := m.MustSampler(m1(), 0, 2)
+		g := mustSampler(m, m1(), 0, 2)
 		got := stats.Median(randx.SampleN(g, 3000))
 		if math.Abs(got-m.Base)/m.Base > 0.08 {
 			t.Errorf("%s: median %.3f vs base %.3f", m.Bench, got, m.Base)
@@ -295,7 +308,7 @@ func TestAllBenchmarkMachineDayCombinationsProperty(t *testing.T) {
 					t.Errorf("%s@%s day %d: median %.3f far from base %.3f",
 						m.Bench, mach.Name, day, med, m.Base)
 				}
-				again := randx.SampleN(m.MustSampler(mach, day, 77), 200)
+				again := randx.SampleN(mustSampler(m, mach, day, 77), 200)
 				for i := range data {
 					if data[i] != again[i] {
 						t.Fatalf("%s@%s day %d: nondeterministic", m.Bench, mach.Name, day)

@@ -167,33 +167,6 @@ func For(bench string) (*Model, bool) {
 	return nil, false
 }
 
-// CPUBenchmarks returns the 11 CPU-only models (§V-B compares these across
-// days and machines).
-func CPUBenchmarks() []*Model {
-	var out []*Model
-	for _, m := range suite {
-		if !m.CUDA {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// CUDABenchmarks returns the 9 GPU models (§V-C and §VI-B use these).
-func CUDABenchmarks() []*Model {
-	var out []*Model
-	for _, m := range suite {
-		if m.CUDA {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// ExpectedModes returns the designed mode count of the benchmark's canonical
-// distribution (Fig. 4 ground truth on Machine 1).
-func (m *Model) ExpectedModes() int { return len(m.Modes) }
-
 // --- Phase decomposition (leukocyte, Fig. 7) ---
 
 // PhaseGen samples a phase-decomposed benchmark: each draw yields the phase

@@ -363,10 +363,6 @@ func TestCheckpointMetadataRoundTrip(t *testing.T) {
 	if !ok || run != 17 || rows != 34 {
 		t.Fatalf("after round-trip: run=%d rows=%d ok=%v", run, rows, ok)
 	}
-	back.ClearCheckpoint()
-	if _, _, ok := back.Checkpoint(); ok {
-		t.Fatal("checkpoint survives ClearCheckpoint")
-	}
 }
 
 // TestWriteRowsAtomicLeavesNoTempOnFailure exercises the atomic writer's

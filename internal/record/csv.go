@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -869,18 +868,4 @@ func Values(rows []Row) []float64 {
 		out[i] = r.Value
 	}
 	return out
-}
-
-// GroupBy partitions rows by a key function, returning keys sorted.
-func GroupBy(rows []Row, key func(Row) string) (keys []string, groups map[string][]Row) {
-	groups = map[string][]Row{}
-	for _, r := range rows {
-		k := key(r)
-		groups[k] = append(groups[k], r)
-	}
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, groups
 }

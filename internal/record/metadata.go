@@ -123,13 +123,6 @@ func (m *Metadata) SetCheckpoint(run, rows int) {
 	m.Set(ParamCheckpointRows, rows)
 }
 
-// ClearCheckpoint removes the checkpoint marker (set again only if the
-// resumed campaign is itself interrupted).
-func (m *Metadata) ClearCheckpoint() {
-	delete(m.Params, ParamCheckpointRun)
-	delete(m.Params, ParamCheckpointRows)
-}
-
 // Checkpoint returns the interrupt checkpoint, if one is recorded.
 func (m *Metadata) Checkpoint() (run, rows int, ok bool) {
 	r, err1 := strconv.Atoi(m.Get(ParamCheckpointRun))

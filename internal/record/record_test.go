@@ -116,21 +116,6 @@ func TestSelectAndValues(t *testing.T) {
 	}
 }
 
-func TestGroupBy(t *testing.T) {
-	rows := sampleRows(20)
-	keys, groups := GroupBy(rows, func(r Row) string { return "day" + string(rune('0'+r.Day)) })
-	if len(keys) != 5 {
-		t.Fatalf("keys = %v", keys)
-	}
-	total := 0
-	for _, k := range keys {
-		total += len(groups[k])
-	}
-	if total != 20 {
-		t.Fatalf("groups lost rows: %d", total)
-	}
-}
-
 func TestMetadataRoundTrip(t *testing.T) {
 	sut := sysinfo.SUT{
 		Hostname: "machine3", OS: "linux", Kernel: "Linux 5.15.0-116-generic",

@@ -5,8 +5,6 @@ import (
 	"html"
 	"regexp"
 	"strings"
-
-	"sharp/internal/fsx"
 )
 
 // The paper's Reporter exports to PDF, DOCX, LaTeX, HTML, and PPTX via the
@@ -210,10 +208,4 @@ func replacePairs(s, delim, open, close string) string {
 		}
 	}
 	return b.String()
-}
-
-// WriteHTMLFile exports a Markdown report as a standalone HTML file
-// (atomically: temp file + rename).
-func WriteHTMLFile(path, title, markdown string) error {
-	return fsx.WriteFile(path, []byte(ToHTML(title, markdown)), 0o644)
 }

@@ -1,8 +1,6 @@
 package report
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -80,16 +78,5 @@ func TestFullReportConvertsCleanly(t *testing.T) {
 	// Histogram bars must survive inside <pre>.
 	if !strings.Contains(out, "█") {
 		t.Error("plot characters lost")
-	}
-}
-
-func TestWriteHTMLFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "r.html")
-	if err := WriteHTMLFile(path, "t", "# hi\n"); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || !strings.Contains(string(data), "<h1>hi</h1>") {
-		t.Fatalf("file: %v, %q", err, data)
 	}
 }

@@ -536,7 +536,7 @@ func (c *Coordinator) tryCache(cp *campaign) bool {
 	return true
 }
 
-// finish journals a campaign outcome. Under Kill (crash simulation) nothing
+// finish journals a campaign outcome. Under kill (crash simulation) nothing
 // is written: the durable row log IS the recovery state, exactly as after a
 // real coordinator death.
 func (c *Coordinator) finish(cp *campaign, res *core.Result, err error) {
@@ -632,22 +632,6 @@ func (c *Coordinator) Campaigns() []CampaignStatus {
 		out = append(out, c.camps[id].status())
 	}
 	return out
-}
-
-// WaitCampaign blocks until the campaign reaches a terminal state.
-func (c *Coordinator) WaitCampaign(ctx context.Context, id string) (CampaignStatus, error) {
-	c.mu.Lock()
-	cp, ok := c.camps[id]
-	c.mu.Unlock()
-	if !ok {
-		return CampaignStatus{}, fmt.Errorf("service: unknown campaign %q", id)
-	}
-	select {
-	case <-cp.done:
-		return cp.status(), nil
-	case <-ctx.Done():
-		return CampaignStatus{}, ctx.Err()
-	}
 }
 
 // ResultCSVPath returns the campaign's durable row log path.
@@ -766,19 +750,6 @@ func (c *Coordinator) allTerminal() bool {
 		}
 	}
 	return true
-}
-
-// Kill simulates a coordinator crash (kill -9): campaign contexts are
-// cancelled and NO finalization is journaled — recovery must come entirely
-// from the durable per-row CSV logs, like after a real process death.
-// Test hook; production shutdown is Drain.
-func (c *Coordinator) Kill() {
-	c.mu.Lock()
-	c.killed = true
-	c.mu.Unlock()
-	c.rootCancel()
-	c.wg.Wait()
-	c.janitorWG.Wait()
 }
 
 // Close shuts down without the drain grace: campaigns are interrupted and

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 )
 
 // Handler mounts the coordinator's HTTP API:
@@ -283,28 +282,6 @@ func (cl *Client) Status(ctx context.Context, id string) (CampaignStatus, error)
 	var st CampaignStatus
 	_, err := cl.doJSON(ctx, http.MethodGet, "/campaigns/"+id, nil, &st)
 	return st, err
-}
-
-// WaitDone polls until the campaign reaches a terminal state.
-func (cl *Client) WaitDone(ctx context.Context, id string, poll time.Duration) (CampaignStatus, error) {
-	if poll <= 0 {
-		poll = 20 * time.Millisecond
-	}
-	for {
-		st, err := cl.Status(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		switch st.State {
-		case "done", "failed", "interrupted":
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
 }
 
 // ResultCSV fetches the campaign's tidy-data row log bytes.

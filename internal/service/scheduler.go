@@ -502,18 +502,6 @@ func (s *scheduler) setDraining(on bool) {
 	s.mu.Unlock()
 }
 
-// idle reports whether no leases are outstanding and the queue is empty.
-func (s *scheduler) idle() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.queue {
-		if !t.isAbandoned() {
-			return false
-		}
-	}
-	return len(s.leases) == 0
-}
-
 // outstanding returns the number of live leases.
 func (s *scheduler) outstanding() int {
 	s.mu.Lock()

@@ -21,6 +21,61 @@ import (
 	"sharp/internal/resilience"
 )
 
+// waitCampaign blocks until the campaign reaches a terminal state.
+func (c *Coordinator) waitCampaign(ctx context.Context, id string) (CampaignStatus, error) {
+	c.mu.Lock()
+	cp, ok := c.camps[id]
+	c.mu.Unlock()
+	if !ok {
+		return CampaignStatus{}, fmt.Errorf("service: unknown campaign %q", id)
+	}
+	select {
+	case <-cp.done:
+		return cp.status(), nil
+	case <-ctx.Done():
+		return CampaignStatus{}, ctx.Err()
+	}
+}
+
+// kill simulates a coordinator crash (kill -9): campaign contexts are
+// cancelled and NO finalization is journaled — recovery must come entirely
+// from the durable per-row CSV logs, like after a real process death.
+// Production shutdown is Drain.
+func (c *Coordinator) kill() {
+	c.mu.Lock()
+	c.killed = true
+	c.mu.Unlock()
+	c.rootCancel()
+	c.wg.Wait()
+	c.janitorWG.Wait()
+}
+
+// waitDone polls until the campaign reaches a terminal state.
+func (cl *Client) waitDone(ctx context.Context, id string, poll time.Duration) (CampaignStatus, error) {
+	for {
+		st, err := cl.Status(ctx, id)
+		if err != nil {
+			return st, err
+		}
+		switch st.State {
+		case "done", "failed", "interrupted":
+			return st, nil
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(poll):
+		}
+	}
+}
+
+// completedRuns returns how many runs this worker has successfully acknowledged.
+func (w *Worker) completedRuns() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.completed
+}
+
 // frozenTime is the constant row clock: every timestamp in every CSV under
 // test is this instant, so logs byte-compare across launchers, service
 // restarts, and processes.
@@ -103,7 +158,7 @@ func waitDone(t *testing.T, c *Coordinator, id string) CampaignStatus {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := c.WaitCampaign(ctx, id)
+	st, err := c.waitCampaign(ctx, id)
 	if err != nil {
 		t.Fatalf("campaign %s did not finish: %v", id, err)
 	}
@@ -231,7 +286,7 @@ func TestWorkerDeathReassignsExactly(t *testing.T) {
 						case <-time.After(30 * time.Second):
 							t.Fatal("killer never reached its cut point")
 						}
-						if got := killer.Completed(); got != cut {
+						if got := killer.completedRuns(); got != cut {
 							t.Fatalf("killer completed %d runs, want exactly %d", got, cut)
 						}
 
@@ -315,7 +370,7 @@ func TestCoordinatorCrashRestart(t *testing.T) {
 					}
 					time.Sleep(2 * time.Millisecond)
 				}
-				coord1.Kill()
+				coord1.kill()
 				cancel1()
 
 				// Incarnation 2: recover from the journal alone.
@@ -611,7 +666,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Error("429 without Retry-After header")
 	}
 
-	st, err := cl.WaitDone(ctx, id, 5*time.Millisecond)
+	st, err := cl.waitDone(ctx, id, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

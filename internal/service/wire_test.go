@@ -334,7 +334,7 @@ func TestWorkerFallsBackToPerRunComplete(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("killer never reached its cut point")
 	}
-	if got := killer.Completed(); got != cut {
+	if got := killer.completedRuns(); got != cut {
 		t.Fatalf("killer completed %d runs, want exactly %d", got, cut)
 	}
 	spawnWorker(ctx, &Worker{ID: "healthy", API: perRunAPI{coord}})
@@ -594,7 +594,7 @@ func TestKillAfterWorkerAsksNoNextLease(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("killer never reached its cut point")
 	}
-	if got := killer.Completed(); got != cut {
+	if got := killer.completedRuns(); got != cut {
 		t.Fatalf("killer completed %d runs, want exactly %d", got, cut)
 	}
 	if want := []string{"killer", ""}; !reflect.DeepEqual(spy.nexts, want) {

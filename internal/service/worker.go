@@ -208,13 +208,6 @@ func (w *Worker) addCompleted(n int) {
 	w.mu.Unlock()
 }
 
-// Completed returns how many runs this worker has successfully acknowledged.
-func (w *Worker) Completed() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.completed
-}
-
 // backendFor returns the campaign's warmed deterministic backend, building
 // it on first sight: a fresh run-ordered Sim/Chaos with the campaign's
 // warm-up requests replayed, reproducing the draw-stream position the

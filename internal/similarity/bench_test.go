@@ -22,13 +22,13 @@ func benchGroups(groups, runs int) [][]float64 {
 
 // BenchmarkMatrixNAMD measures the heatmap workload: the cached Group layer
 // (sort each group once, upper triangle only) against the per-pair brute
-// force the Matrix used to run.
+// force of the uncached compute oracle.
 func BenchmarkMatrixNAMD(b *testing.B) {
 	groups := benchGroups(5, 1000)
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Matrix(MetricNAMD, groups); err != nil {
+			if _, err := MatrixGroups(MetricNAMD, NewGroups(groups), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -45,7 +45,7 @@ func BenchmarkMatrixNAMD(b *testing.B) {
 						out[r][c] = selfValue(MetricNAMD)
 						continue
 					}
-					v, err := Compute(MetricNAMD, groups[r], groups[c])
+					v, err := compute(MetricNAMD, groups[r], groups[c])
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -62,7 +62,7 @@ func BenchmarkMatrixKS(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Matrix(MetricKS, groups); err != nil {
+			if _, err := MatrixGroups(MetricKS, NewGroups(groups), 1); err != nil {
 				b.Fatal(err)
 			}
 		}

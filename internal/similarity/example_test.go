@@ -30,10 +30,10 @@ func ExampleKS() {
 	// Output: 0.50
 }
 
-func ExampleCompute() {
-	a := []float64{1, 2, 3, 4, 5}
-	b := []float64{1, 2, 3, 4, 5}
-	v, _ := similarity.Compute(similarity.MetricWasserstein, a, b)
+func ExampleComputeGroups() {
+	a := similarity.NewGroup([]float64{1, 2, 3, 4, 5})
+	b := similarity.NewGroup([]float64{1, 2, 3, 4, 5})
+	v, _ := similarity.ComputeGroups(similarity.MetricWasserstein, a, b)
 	fmt.Printf("W1 = %.1f\n", v)
 	// Output: W1 = 0.0
 }

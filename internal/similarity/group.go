@@ -1,11 +1,12 @@
-// Cached similarity layer: Matrix used to recompute sorts, histograms and
-// quantile resamples for every ordered pair of groups — O(n² · n log n) for
-// the NAMD heatmaps. Group memoizes the per-group preprocessing (sorted
+// Cached similarity layer: recomputing sorts, histograms and quantile
+// resamples for every ordered pair of groups costs O(n² · n log n) for the
+// NAMD heatmaps. Group memoizes the per-group preprocessing (sorted
 // view, quantile resamples) so each group is prepared once, every unordered
 // pair is computed once for the symmetric metrics (upper triangle, mirrored),
 // and pairs fan out over a bounded worker pool following the repo's
-// --parallel convention. All pair values are bit-identical to the uncached
-// Compute path: every shipped metric is a function of the two multisets only.
+// --parallel convention. All pair values are bit-identical to evaluating
+// each metric on the raw samples: every shipped metric is a function of the
+// two multisets only.
 package similarity
 
 import (
@@ -31,7 +32,7 @@ type Group struct {
 // NewGroup wraps xs (retained, not copied).
 func NewGroup(xs []float64) *Group { return &Group{data: xs} }
 
-// NewGroups wraps each sample set of a Matrix-style group list.
+// NewGroups wraps each sample set of a group list.
 func NewGroups(groups [][]float64) []*Group {
 	gs := make([]*Group, len(groups))
 	for i, g := range groups {
@@ -43,9 +44,6 @@ func NewGroups(groups [][]float64) []*Group {
 // Len returns the sample count.
 func (g *Group) Len() int { return len(g.data) }
 
-// Data returns the raw (arrival-order) samples. Shared; do not mutate.
-func (g *Group) Data() []float64 { return g.data }
-
 // Sorted returns the ascending-sorted view, built once on first use.
 // Shared; do not mutate.
 func (g *Group) Sorted() []float64 {
@@ -54,7 +52,7 @@ func (g *Group) Sorted() []float64 {
 }
 
 // Resampled returns the n evenly spaced sample quantiles of the group
-// (NAMDTrimmed's length adapter), cached per n. Shared; do not mutate.
+// (the NAMD length adapter for unequal samples), cached per n. Shared; do not mutate.
 func (g *Group) Resampled(n int) []float64 {
 	s := g.Sorted()
 	g.mu.Lock()
@@ -70,10 +68,12 @@ func (g *Group) Resampled(n int) []float64 {
 	return r
 }
 
-// ComputeGroups evaluates the named metric on two prepared groups. It
-// returns exactly Compute(m, a.Data(), b.Data()) — every supported metric
-// depends only on the two multisets — while reusing the groups' cached
-// sorted views and resamples instead of re-sorting per pair.
+// ComputeGroups evaluates the named metric on two prepared groups. NAMD
+// uses the trimmed (quantile-matched) variant so unequal lengths are
+// accepted. The value is exactly that of the metric on the raw samples —
+// every supported metric depends only on the two multisets — while the
+// groups' cached sorted views and resamples are reused instead of
+// re-sorting per pair.
 func ComputeGroups(m Metric, a, b *Group) (float64, error) {
 	switch m {
 	case MetricNAMD:
@@ -107,11 +107,11 @@ func ComputeGroups(m Metric, a, b *Group) (float64, error) {
 }
 
 // symmetric reports whether metric(x, y) == metric(y, x) exactly, which is
-// what licenses computing only the upper triangle of a Matrix and mirroring.
+// what licenses computing only the upper triangle of a matrix and mirroring.
 // NAMD averages the two normalizations and float addition is commutative;
 // KS, Wasserstein, JSD and overlap are order-symmetric multiset distances.
 // Anderson-Darling is NOT symmetric — the A2 statistic weights by the first
-// sample's ECDF — so Matrix computes both of its triangles.
+// sample's ECDF — so MatrixGroups computes both of its triangles.
 func symmetric(m Metric) bool {
 	switch m {
 	case MetricNAMD, MetricKS, MetricWasserstein, MetricJSD, MetricOverlap:

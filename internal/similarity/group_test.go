@@ -37,7 +37,7 @@ func randGroups(rng *rand.Rand, n int) [][]float64 {
 }
 
 // TestComputeGroupsMatchesCompute asserts the cached pair evaluation is
-// bit-identical to the uncached Compute path for every metric over random
+// bit-identical to the uncached compute oracle for every metric over random
 // (including unequal-length) pairs.
 func TestComputeGroupsMatchesCompute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 3))
@@ -49,7 +49,7 @@ func TestComputeGroupsMatchesCompute(t *testing.T) {
 				if i == j {
 					continue
 				}
-				want, errWant := Compute(m, groups[i], groups[j])
+				want, errWant := compute(m, groups[i], groups[j])
 				got, errGot := ComputeGroups(m, gs[i], gs[j])
 				if (errWant == nil) != (errGot == nil) {
 					t.Fatalf("%s[%d,%d]: error mismatch: %v vs %v", m, i, j, errWant, errGot)
@@ -58,7 +58,7 @@ func TestComputeGroupsMatchesCompute(t *testing.T) {
 					continue
 				}
 				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("%s[%d,%d]: ComputeGroups=%x Compute=%x", m, i, j, got, want)
+					t.Fatalf("%s[%d,%d]: ComputeGroups=%x compute=%x", m, i, j, got, want)
 				}
 			}
 		}
@@ -66,17 +66,17 @@ func TestComputeGroupsMatchesCompute(t *testing.T) {
 }
 
 // TestMatrixSymmetry is the regression test for the upper-triangle
-// optimization: every matrix cell must equal the brute-force Compute of its
+// optimization: every matrix cell must equal the brute-force compute of its
 // own ordered pair, and for the symmetric metrics out[i][j] must equal
 // out[j][i] bit-for-bit (so mirroring is exact, not approximate).
 // Anderson-Darling is the deliberate exception — its A2 statistic weights by
-// the first sample's ECDF — and the test pins that Matrix really computes
+// the first sample's ECDF — and the test pins that MatrixGroups really computes
 // both of its triangles instead of mirroring.
 func TestMatrixSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 28))
 	groups := randGroups(rng, 6)
 	for _, m := range All() {
-		out, err := Matrix(m, groups)
+		out, err := MatrixGroups(m, NewGroups(groups), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -92,7 +92,7 @@ func TestMatrixSymmetry(t *testing.T) {
 				// Every ordered cell matches its own brute-force value —
 				// for symmetric metrics this proves mirroring is exact, for
 				// Anderson-Darling that both triangles are truly computed.
-				want, err := Compute(m, groups[i], groups[j])
+				want, err := compute(m, groups[i], groups[j])
 				if err != nil {
 					t.Fatalf("%s: %v", m, err)
 				}
@@ -120,12 +120,12 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(30, 1))
 	groups := randGroups(rng, 7)
 	for _, m := range All() {
-		seq, err := MatrixParallel(m, groups, 1)
+		seq, err := MatrixGroups(m, NewGroups(groups), 1)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
 		for _, workers := range []int{2, 4, 16} {
-			par, err := MatrixParallel(m, groups, workers)
+			par, err := MatrixGroups(m, NewGroups(groups), workers)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", m, workers, err)
 			}
@@ -145,7 +145,7 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 func TestMatrixEmptyGroupError(t *testing.T) {
 	groups := [][]float64{{1, 2, 3}, {}, {4, 5}}
 	for _, workers := range []int{1, 4} {
-		if _, err := MatrixParallel(MetricNAMD, groups, workers); err == nil {
+		if _, err := MatrixGroups(MetricNAMD, NewGroups(groups), workers); err == nil {
 			t.Fatalf("workers=%d: expected error for empty group", workers)
 		}
 	}

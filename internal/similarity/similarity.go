@@ -29,8 +29,7 @@ var errEmptyNAMD = errors.New("similarity: NAMD of empty samples")
 // nan is shorthand for the error-path metric value.
 func nan() float64 { return math.NaN() }
 
-// errUnknownMetric is the shared unknown-metric error of Compute and
-// ComputeGroups.
+// errUnknownMetric is ComputeGroups' unknown-metric error.
 func errUnknownMetric(m Metric) error {
 	return fmt.Errorf("similarity: unknown metric %q", m)
 }
@@ -74,28 +73,11 @@ func NAMDSorted(x, y []float64) (float64, error) {
 	return NAMD(stats.SortedCopy(x), stats.SortedCopy(y))
 }
 
-// NAMDTrimmed computes NAMDSorted on equal-size prefixes when the samples
-// have different lengths, by quantile-matching the larger sample down to the
-// smaller one. This is the practical adapter for comparing a partial run
-// against a longer ground-truth run (Fig. 6's NAMD panel).
-func NAMDTrimmed(x, y []float64) (float64, error) {
-	if len(x) == 0 || len(y) == 0 {
-		return math.NaN(), errEmptyNAMD
-	}
-	if len(x) == len(y) {
-		return NAMDSorted(x, y)
-	}
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	// Sort each input once up front; quantileResampleSorted used to hide a
-	// second sort per call.
-	return NAMD(quantileResampleSorted(stats.SortedCopy(x), n), quantileResampleSorted(stats.SortedCopy(y), n))
-}
-
-// NAMDTrimmedSorted is NAMDTrimmed over pre-sorted (ascending) samples: it
-// reuses the caller's sorted views without copying or re-sorting, so
+// NAMDTrimmedSorted computes NAMD on pre-sorted (ascending) samples of any
+// lengths by quantile-matching the larger sample down to the smaller one.
+// This is the practical adapter for comparing a partial run against a longer
+// ground-truth run (Fig. 6's NAMD panel). It reuses the caller's sorted
+// views without copying or re-sorting, so
 // incremental consumers (the change-point detector's streaming segment
 // accumulators) pay only the quantile-matching walk per evaluation.
 func NAMDTrimmedSorted(a, b []float64) (float64, error) {
@@ -156,17 +138,6 @@ func KS(x, y []float64) float64 {
 	return stats.KSStatistic(x, y)
 }
 
-// Wasserstein1 returns the 1-Wasserstein (earth mover's) distance between
-// the empirical distributions, computed as the L1 distance between quantile
-// functions. For equal-length samples it is the mean absolute difference of
-// order statistics.
-func Wasserstein1(x, y []float64) float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return math.NaN()
-	}
-	return wasserstein1Sorted(stats.SortedCopy(x), stats.SortedCopy(y))
-}
-
 // wasserstein1Sorted computes the 1-Wasserstein distance of two non-empty
 // ascending-sorted samples without re-sorting.
 func wasserstein1Sorted(a, b []float64) float64 {
@@ -216,12 +187,6 @@ func OverlapCoefficient(x, y []float64, bins int) float64 {
 		sum += math.Min(p[i], q[i])
 	}
 	return sum
-}
-
-// AndersonDarling returns the two-sample Anderson-Darling statistic, a
-// tail-weighted alternative to KS.
-func AndersonDarling(x, y []float64) float64 {
-	return stats.AndersonDarling2(x, y)
 }
 
 // commonHistograms bins both samples over the pooled range and returns the
@@ -296,55 +261,23 @@ const (
 	MetricAD          Metric = "anderson-darling"
 )
 
-// Compute evaluates the named metric on the two samples. NAMD uses the
-// trimmed (quantile-matched) variant so unequal lengths are accepted.
-func Compute(m Metric, x, y []float64) (float64, error) {
-	switch m {
-	case MetricNAMD:
-		return NAMDTrimmed(x, y)
-	case MetricKS:
-		return KS(x, y), nil
-	case MetricWasserstein:
-		return Wasserstein1(x, y), nil
-	case MetricJSD:
-		return JensenShannon(x, y, 0), nil
-	case MetricOverlap:
-		return OverlapCoefficient(x, y, 0), nil
-	case MetricAD:
-		return AndersonDarling(x, y), nil
-	default:
-		return nan(), errUnknownMetric(m)
-	}
-}
-
 // All lists every supported metric.
 func All() []Metric {
 	return []Metric{MetricNAMD, MetricKS, MetricWasserstein, MetricJSD, MetricOverlap, MetricAD}
 }
 
-// Matrix computes the pairwise similarity matrix of sample groups under the
-// given metric: out[i][j] = metric(groups[i], groups[j]). This is the
+// MatrixGroups computes the pairwise similarity matrix of sample groups
+// under the given metric: out[i][j] = metric(gs[i], gs[j]). This is the
 // day-to-day comparison structure behind the paper's Fig. 5b heatmaps,
-// usable for any grouping (days, machines, code versions).
-//
-// Each group is preprocessed (sorted, resampled) exactly once via the Group
-// cache, and for the symmetric metrics (all but Anderson-Darling) only the
-// upper triangle is computed, with out[j][i] mirrored from out[i][j].
-// Values are identical to calling Compute on every ordered pair.
-func Matrix(m Metric, groups [][]float64) ([][]float64, error) {
-	return MatrixParallel(m, groups, 1)
-}
-
-// MatrixParallel is Matrix with the pairwise computations fanned out over at
-// most workers goroutines (workers <= 1 means sequential), following the
-// repo's --parallel convention. The result is independent of workers.
-func MatrixParallel(m Metric, groups [][]float64, workers int) ([][]float64, error) {
-	return MatrixGroups(m, NewGroups(groups), workers)
-}
-
-// MatrixGroups is MatrixParallel over pre-wrapped groups, letting callers
-// that evaluate several metrics on the same grouping (the Fig. 5b NAMD/KS
+// usable for any grouping (days, machines, code versions). Callers that
+// evaluate several metrics on the same grouping (the Fig. 5b NAMD/KS
 // heatmap pair) share one set of sorted views and resample caches.
+//
+// Each group is preprocessed (sorted, resampled) exactly once, and for the
+// symmetric metrics (all but Anderson-Darling) only the upper triangle is
+// computed, with out[j][i] mirrored from out[i][j]. The pairs fan out over
+// at most workers goroutines (workers <= 1 means sequential), following the
+// repo's --parallel convention; the result is independent of workers.
 func MatrixGroups(m Metric, gs []*Group, workers int) ([][]float64, error) {
 	n := len(gs)
 	out := make([][]float64, n)

@@ -9,6 +9,50 @@ import (
 	"sharp/internal/stats"
 )
 
+// compute evaluates the named metric on the two raw samples: the uncached
+// oracle that ComputeGroups and MatrixGroups must match bit for bit. NAMD
+// uses the trimmed (quantile-matched) variant so unequal lengths are
+// accepted.
+func compute(m Metric, x, y []float64) (float64, error) {
+	switch m {
+	case MetricNAMD:
+		return namdTrimmed(x, y)
+	case MetricKS:
+		return KS(x, y), nil
+	case MetricWasserstein:
+		return wasserstein1(x, y), nil
+	case MetricJSD:
+		return JensenShannon(x, y, 0), nil
+	case MetricOverlap:
+		return OverlapCoefficient(x, y, 0), nil
+	case MetricAD:
+		return stats.AndersonDarling2(x, y), nil
+	default:
+		return nan(), errUnknownMetric(m)
+	}
+}
+
+// namdTrimmed is NAMD on raw samples of any lengths: the larger sample is
+// quantile-matched down to the smaller one (ComputeGroups' NAMD, uncached).
+func namdTrimmed(x, y []float64) (float64, error) {
+	if len(x) == 0 || len(y) == 0 {
+		return math.NaN(), errEmptyNAMD
+	}
+	if len(x) == len(y) {
+		return NAMDSorted(x, y)
+	}
+	n := min(len(x), len(y))
+	return NAMD(quantileResampleSorted(stats.SortedCopy(x), n), quantileResampleSorted(stats.SortedCopy(y), n))
+}
+
+// wasserstein1 is the 1-Wasserstein distance of two raw samples.
+func wasserstein1(x, y []float64) float64 {
+	if len(x) == 0 || len(y) == 0 {
+		return math.NaN()
+	}
+	return wasserstein1Sorted(stats.SortedCopy(x), stats.SortedCopy(y))
+}
+
 func norm(seed uint64, n int, mu, sigma float64) []float64 {
 	r := rand.New(rand.NewPCG(seed, seed*31+7))
 	out := make([]float64, n)
@@ -116,7 +160,7 @@ func TestKSRange(t *testing.T) {
 
 func TestWasserstein1(t *testing.T) {
 	// Point masses: W1({0},{3}) = 3.
-	if w := Wasserstein1([]float64{0, 0}, []float64{3, 3}); math.Abs(w-3) > 1e-12 {
+	if w := wasserstein1([]float64{0, 0}, []float64{3, 3}); math.Abs(w-3) > 1e-12 {
 		t.Fatalf("W1 = %v, want 3", w)
 	}
 	// Shift property: W1(x, x+c) = c.
@@ -125,11 +169,11 @@ func TestWasserstein1(t *testing.T) {
 	for i, v := range x {
 		y[i] = v + 1.5
 	}
-	if w := Wasserstein1(x, y); math.Abs(w-1.5) > 1e-9 {
+	if w := wasserstein1(x, y); math.Abs(w-1.5) > 1e-9 {
 		t.Fatalf("W1 shift = %v, want 1.5", w)
 	}
 	// Unequal lengths path.
-	w := Wasserstein1(norm(8, 333, 0, 1), norm(9, 777, 0, 1))
+	w := wasserstein1(norm(8, 333, 0, 1), norm(9, 777, 0, 1))
 	if w > 0.2 {
 		t.Fatalf("W1 same dist unequal n = %v", w)
 	}
@@ -165,7 +209,7 @@ func TestComputeDispatch(t *testing.T) {
 	x := norm(15, 100, 5, 1)
 	y := norm(16, 120, 5, 1)
 	for _, m := range All() {
-		v, err := Compute(m, x, y)
+		v, err := compute(m, x, y)
 		if err != nil {
 			t.Errorf("%s: %v", m, err)
 		}
@@ -173,7 +217,7 @@ func TestComputeDispatch(t *testing.T) {
 			t.Errorf("%s returned NaN", m)
 		}
 	}
-	if _, err := Compute("bogus", x, y); err == nil {
+	if _, err := compute("bogus", x, y); err == nil {
 		t.Error("unknown metric must error")
 	}
 }
@@ -181,7 +225,7 @@ func TestComputeDispatch(t *testing.T) {
 func TestNAMDTrimmedUnequal(t *testing.T) {
 	x := norm(17, 500, 10, 1)
 	y := norm(18, 900, 10, 1)
-	v, err := NAMDTrimmed(x, y)
+	v, err := namdTrimmed(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +239,8 @@ func TestMetricsNonNegativeProperty(t *testing.T) {
 		x := norm(uint64(sa)+100, 150, 20, 3)
 		y := norm(uint64(sb)+900, 150, 20+float64(shift)/10, 3)
 		ks := KS(x, y)
-		w := Wasserstein1(x, y)
-		ad := AndersonDarling(x, y)
+		w := wasserstein1(x, y)
+		ad := stats.AndersonDarling2(x, y)
 		nv, err := NAMDSorted(x, y)
 		return ks >= 0 && w >= 0 && ad >= -1e-9 && err == nil && nv >= 0
 	}
@@ -211,7 +255,7 @@ func TestMatrix(t *testing.T) {
 		norm(31, 300, 10, 1),
 		norm(32, 300, 14, 1),
 	}
-	m, err := Matrix(MetricKS, groups)
+	m, err := MatrixGroups(MetricKS, NewGroups(groups), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +275,14 @@ func TestMatrix(t *testing.T) {
 	if m[0][1] > 0.15 {
 		t.Errorf("same-dist KS = %v, want small", m[0][1])
 	}
-	ov, err := Matrix(MetricOverlap, groups)
+	ov, err := MatrixGroups(MetricOverlap, NewGroups(groups), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ov[1][1] != 1 {
 		t.Errorf("overlap diagonal = %v", ov[1][1])
 	}
-	if _, err := Matrix("bogus", groups); err == nil {
+	if _, err := MatrixGroups("bogus", NewGroups(groups), 1); err == nil {
 		t.Error("unknown metric accepted")
 	}
 }
@@ -265,7 +309,7 @@ func TestDivergenceSortedMatchesUnsorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NAMDTrimmed(x, y)
+	want, err := namdTrimmed(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,21 +27,6 @@ func Autocorrelation(xs []float64, lag int) float64 {
 	return num / den
 }
 
-// ACF returns autocorrelations for lags 1..maxLag.
-func ACF(xs []float64, maxLag int) []float64 {
-	if maxLag >= len(xs) {
-		maxLag = len(xs) - 1
-	}
-	if maxLag < 1 {
-		return nil
-	}
-	out := make([]float64, maxLag)
-	for k := 1; k <= maxLag; k++ {
-		out[k-1] = Autocorrelation(xs, k)
-	}
-	return out
-}
-
 // EffectiveSampleSize estimates the number of independent observations in an
 // autocorrelated series, n / (1 + 2*sum(rho_k)) truncated at the first
 // non-positive autocorrelation (Geyer's initial positive sequence, simplified).
@@ -88,46 +73,4 @@ func EffectiveSampleSize(xs []float64) float64 {
 		ess = float64(n)
 	}
 	return ess
-}
-
-// LjungBox performs the Ljung-Box portmanteau test for autocorrelation up to
-// maxLag. Small p-values indicate the series is autocorrelated; the
-// classifier uses it to detect the "autocorrelated sinusoidal" shape.
-func LjungBox(xs []float64, maxLag int) TestResult {
-	n := len(xs)
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	if n < 4 || maxLag < 1 {
-		return TestResult{Statistic: math.NaN(), PValue: math.NaN()}
-	}
-	q := 0.0
-	for k := 1; k <= maxLag; k++ {
-		r := Autocorrelation(xs, k)
-		q += r * r / float64(n-k)
-	}
-	q *= float64(n) * (float64(n) + 2)
-	p := 1 - ChiSquareCDF(q, float64(maxLag))
-	return TestResult{Statistic: q, PValue: clamp01(p), DF: float64(maxLag)}
-}
-
-// DominantPeriod estimates the dominant cycle length of xs by locating the
-// first strong local maximum of the ACF beyond lag 1. It returns 0 when no
-// periodicity is evident (peak autocorrelation below minR).
-func DominantPeriod(xs []float64, minR float64) int {
-	acf := ACF(xs, len(xs)/2)
-	if len(acf) < 3 {
-		return 0
-	}
-	best, bestLag := 0.0, 0
-	for k := 2; k < len(acf)-1; k++ {
-		if acf[k] > acf[k-1] && acf[k] >= acf[k+1] && acf[k] > best {
-			best = acf[k]
-			bestLag = k + 1 // acf[0] is lag 1
-		}
-	}
-	if best < minR {
-		return 0
-	}
-	return bestLag
 }

@@ -9,9 +9,6 @@ type Interval struct {
 	Level float64
 }
 
-// Width returns High - Low.
-func (iv Interval) Width() float64 { return iv.High - iv.Low }
-
 // Contains reports whether x lies inside the interval (inclusive).
 func (iv Interval) Contains(x float64) bool { return x >= iv.Low && x <= iv.High }
 

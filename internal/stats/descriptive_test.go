@@ -197,24 +197,6 @@ func TestRankTies(t *testing.T) {
 	}
 }
 
-func TestOutliers(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 100}
-	out := Outliers(xs, 1.5)
-	if len(out) != 1 || out[0] != 100 {
-		t.Errorf("Outliers = %v", out)
-	}
-}
-
-func TestTrimmedMean(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 1000}
-	if tm := TrimmedMean(xs, 0.2); !almostEq(tm, 3, 1e-12) {
-		t.Errorf("TrimmedMean = %v, want 3", tm)
-	}
-	if tm := TrimmedMean(xs, 0); !almostEq(tm, Mean(xs), 1e-12) {
-		t.Errorf("TrimmedMean(0) = %v", tm)
-	}
-}
-
 func TestSumKahan(t *testing.T) {
 	// 1 + 1e-16 repeated: naive summation loses the small terms.
 	xs := make([]float64, 0, 10000001)

@@ -71,21 +71,24 @@ func TestBinWidthMinRule(t *testing.T) {
 
 func TestHistogramDegenerate(t *testing.T) {
 	h := NewHistogram([]float64{5, 5, 5}, BinMinWidth)
-	if h.Bins() != 1 || h.Counts[0] != 3 {
+	if len(h.Counts) != 1 || h.Counts[0] != 3 {
 		t.Errorf("constant data histogram: %+v", h)
 	}
 	h = NewHistogram(nil, BinSturges)
-	if h.N != 0 || h.Bins() != 1 {
+	if h.N != 0 || len(h.Counts) != 1 {
 		t.Errorf("empty histogram: %+v", h)
 	}
 }
 
+// TestHistogramDensityIntegratesToOne: the bin densities count/(N*width)
+// integrate to one, so every sample lands in exactly one bin.
 func TestHistogramDensityIntegratesToOne(t *testing.T) {
 	xs := normData(2, 5000, 0, 1)
 	h := NewHistogram(xs, BinFreedmanDiaconis)
 	integral := 0.0
 	for i := range h.Counts {
-		integral += h.Density(i) * (h.Edges[i+1] - h.Edges[i])
+		w := h.Edges[i+1] - h.Edges[i]
+		integral += float64(h.Counts[i]) / (float64(h.N) * w) * w
 	}
 	if !almostEq(integral, 1, 1e-9) {
 		t.Errorf("density integral = %v", integral)
@@ -230,7 +233,7 @@ func TestMeanCI(t *testing.T) {
 		t.Errorf("95%% CI %v should contain true mean 50 for this seed", ci)
 	}
 	wide := MeanCI(xs, 0.99)
-	if wide.Width() <= ci.Width() {
+	if wide.High-wide.Low <= ci.High-ci.Low {
 		t.Error("99% CI must be wider than 95% CI")
 	}
 }
@@ -263,7 +266,7 @@ func TestBootstrapCI(t *testing.T) {
 	if !ci.Contains(10) {
 		t.Errorf("bootstrap CI %v excludes true mean", ci)
 	}
-	if ci.Width() <= 0 {
+	if ci.High-ci.Low <= 0 {
 		t.Error("bootstrap CI has non-positive width")
 	}
 }
@@ -473,7 +476,7 @@ func TestBootstrapCIAgreesWithTInterval(t *testing.T) {
 		xs := normData(23, n, 1, 0.05)
 		boot := BootstrapCI(rand.New(rand.NewPCG(uint64(n), 0x5eed)), xs, 500, 0.95, Mean)
 		tci := MeanCI(xs, 0.95)
-		tol := 0.1 * tci.Width()
+		tol := 0.1 * (tci.High - tci.Low)
 		if math.Abs(boot.Low-tci.Low) > tol || math.Abs(boot.High-tci.High) > tol {
 			t.Errorf("n %d: bootstrap CI [%v, %v] strays more than %v from t CI [%v, %v]",
 				n, boot.Low, boot.High, tol, tci.Low, tci.High)

@@ -147,21 +147,6 @@ func NewHistogramWidth(xs []float64, width float64) *Histogram {
 	return h
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.Counts) }
-
-// Center returns the midpoint of bin i.
-func (h *Histogram) Center(i int) float64 { return (h.Edges[i] + h.Edges[i+1]) / 2 }
-
-// Density returns the probability density of bin i (count / (N * width)).
-func (h *Histogram) Density(i int) float64 {
-	w := h.Edges[i+1] - h.Edges[i]
-	if h.N == 0 || w == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(h.N) * w)
-}
-
 // MaxCount returns the largest bin count.
 func (h *Histogram) MaxCount() int {
 	m := 0

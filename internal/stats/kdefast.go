@@ -275,20 +275,6 @@ func countPeaks(ys []float64, minProm, minDip float64) int {
 	return count
 }
 
-// FastGrid is a convenience wrapper: Silverman bandwidth, fresh Analyzer,
-// fast (binned) evaluation with exact fallback. It returns newly allocated
-// slices the caller owns.
-func FastGrid(data []float64, m int) (xs, ys []float64) {
-	sorted := SortedCopy(data)
-	bw := SilvermanFromStats(len(data), StdDev(data),
-		QuantileSorted(sorted, 0.75)-QuantileSorted(sorted, 0.25))
-	var a Analyzer
-	gx, gy := a.GridSorted(sorted, bw, m)
-	xs = append([]float64(nil), gx...)
-	ys = append([]float64(nil), gy...)
-	return xs, ys
-}
-
 // analyzerPool backs the package-level CountModes helpers so concurrent
 // callers (the parallel experiment runner fans mode censuses across
 // workers) reuse warm buffers without sharing them.

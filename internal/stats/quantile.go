@@ -48,16 +48,6 @@ func IQR(xs []float64) float64 {
 	return QuantileSorted(s, 0.75) - QuantileSorted(s, 0.25)
 }
 
-// Percentiles evaluates multiple quantiles with a single sort.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	s := SortedCopy(xs)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = QuantileSorted(s, p)
-	}
-	return out
-}
-
 // rankPair carries a value with its original position through the sort.
 type rankPair struct {
 	v float64
@@ -106,39 +96,4 @@ func Rank(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// Outliers returns the values of xs outside the Tukey fences
-// [Q1 - k*IQR, Q3 + k*IQR]; k = 1.5 matches the boxplot whisker convention
-// used in the paper's Fig. 4.
-func Outliers(xs []float64, k float64) []float64 {
-	s := SortedCopy(xs)
-	q1 := QuantileSorted(s, 0.25)
-	q3 := QuantileSorted(s, 0.75)
-	lo := q1 - k*(q3-q1)
-	hi := q3 + k*(q3-q1)
-	var out []float64
-	for _, x := range s {
-		if x < lo || x > hi {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// TrimmedMean returns the mean after discarding the proportion trim from
-// each tail (e.g. trim=0.05 removes the lowest and highest 5%).
-func TrimmedMean(xs []float64, trim float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if trim <= 0 {
-		return Mean(xs)
-	}
-	s := SortedCopy(xs)
-	k := int(trim * float64(len(s)))
-	if 2*k >= len(s) {
-		return Median(s)
-	}
-	return Mean(s[k : len(s)-k])
 }

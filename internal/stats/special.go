@@ -28,20 +28,6 @@ func GammaP(a, x float64) float64 {
 	return 1 - gammaQContinued(a, x)
 }
 
-// GammaQ returns the regularized upper incomplete gamma function Q(a, x).
-func GammaQ(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinued(a, x)
-}
-
 func gammaPSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)
 	ap := a

@@ -23,18 +23,6 @@ func TestGammaPKnownValues(t *testing.T) {
 	}
 }
 
-func TestGammaPQComplementProperty(t *testing.T) {
-	f := func(a8, x8 uint8) bool {
-		a := float64(a8)/8 + 0.1
-		x := float64(x8) / 8
-		p, q := GammaP(a, x), GammaQ(a, x)
-		return almostEq(p+q, 1, 1e-9) && p >= -1e-12 && p <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBetaIncKnownValues(t *testing.T) {
 	// I_x(1, 1) = x.
 	for _, x := range []float64{0.1, 0.5, 0.9} {

@@ -15,31 +15,6 @@ type TestResult struct {
 // Significant reports whether the test rejects at level alpha.
 func (r TestResult) Significant(alpha float64) bool { return r.PValue < alpha }
 
-// WelchT performs Welch's unequal-variance two-sample t-test on the means of
-// xs and ys (two-sided). This is the "t-test on distributions of averages"
-// comparison discussed in §VII (Hunold et al.).
-func WelchT(xs, ys []float64) TestResult {
-	nx, ny := float64(len(xs)), float64(len(ys))
-	if nx < 2 || ny < 2 {
-		return TestResult{Statistic: math.NaN(), PValue: math.NaN()}
-	}
-	mx, my := Mean(xs), Mean(ys)
-	vx, vy := Variance(xs), Variance(ys)
-	sx2, sy2 := vx/nx, vy/ny
-	se := math.Sqrt(sx2 + sy2)
-	if se == 0 {
-		if mx == my {
-			return TestResult{Statistic: 0, PValue: 1}
-		}
-		return TestResult{Statistic: math.Inf(1), PValue: 0}
-	}
-	t := (mx - my) / se
-	df := (sx2 + sy2) * (sx2 + sy2) /
-		(sx2*sx2/(nx-1) + sy2*sy2/(ny-1))
-	p := 2 * StudentTCDF(-math.Abs(t), df)
-	return TestResult{Statistic: t, PValue: clamp01(p), DF: df}
-}
-
 // MannWhitneyU performs the two-sided Mann-Whitney U test (a.k.a. Wilcoxon
 // rank-sum) with tie correction and normal approximation. The paper's
 // related work (Eismann et al., §VII) uses it for regression testing of
@@ -121,27 +96,6 @@ func KSTestSorted(a, b []float64) TestResult {
 	}
 	ne := na * nb / (na + nb)
 	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return TestResult{Statistic: d, PValue: KolmogorovQ(lambda)}
-}
-
-// KSTestOneSample tests xs against a theoretical CDF.
-func KSTestOneSample(xs []float64, cdf func(float64) float64) TestResult {
-	s := SortedCopy(xs)
-	n := float64(len(s))
-	if n == 0 {
-		return TestResult{Statistic: math.NaN(), PValue: math.NaN()}
-	}
-	d := 0.0
-	for i, x := range s {
-		f := cdf(x)
-		if v := f - float64(i)/n; v > d {
-			d = v
-		}
-		if v := float64(i+1)/n - f; v > d {
-			d = v
-		}
-	}
-	lambda := (math.Sqrt(n) + 0.12 + 0.11/math.Sqrt(n)) * d
 	return TestResult{Statistic: d, PValue: KolmogorovQ(lambda)}
 }
 

@@ -60,8 +60,7 @@ func (p Progress) Urgency() float64 {
 	return u
 }
 
-// Progressor is implemented by rules that can report their convergence
-// state cheaply. Every rule in this package implements it via base.
+// Progressor reports a rule's convergence state cheaply; every Rule does.
 type Progressor interface {
 	Progress() Progress
 }
@@ -78,12 +77,7 @@ func (b *base) Progress() Progress {
 }
 
 // Snapshot returns the rule's Progress without allocating: the budget
-// scheduler takes one per cell on every pick. Rules that do not implement
-// Progressor yield an N/Done-only snapshot whose Urgency is +Inf until
-// done — the scheduler treats opaque rules as always worth feeding.
+// scheduler takes one per cell on every pick.
 func Snapshot(r Rule) Progress {
-	if pr, ok := r.(Progressor); ok {
-		return pr.Progress()
-	}
-	return Progress{N: r.N(), Done: r.Done()}
+	return r.Progress()
 }

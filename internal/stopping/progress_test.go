@@ -118,42 +118,15 @@ func TestMetaRetainsFiniteStatistic(t *testing.T) {
 	}
 }
 
-// opaqueRule is a Rule without Progressor.
-type opaqueRule struct{ n int }
-
-func (o *opaqueRule) Add(float64)        { o.n++ }
-func (o *opaqueRule) Done() bool         { return o.n >= 5 }
-func (o *opaqueRule) N() int             { return o.n }
-func (o *opaqueRule) Name() string       { return "opaque" }
-func (o *opaqueRule) Explain() string    { return "opaque" }
-func (o *opaqueRule) Samples() []float64 { return nil }
-
-func TestSnapshotOpaqueRule(t *testing.T) {
-	r := &opaqueRule{}
-	r.Add(0)
-	p := Snapshot(r)
-	if p.N != 1 || !math.IsInf(p.Urgency(), 1) {
-		t.Fatalf("opaque snapshot = %+v (urgency %v)", p, p.Urgency())
-	}
-	for !r.Done() {
-		r.Add(0)
-	}
-	if u := Snapshot(r).Urgency(); u != 0 {
-		t.Fatalf("done opaque urgency = %v", u)
-	}
-}
-
 // TestSnapshotAllocationFree: the budget scheduler snapshots every cell on
-// every pick, so a snapshot must not allocate — for built-in rules and
-// opaque ones alike.
+// every pick, so a snapshot must not allocate.
 func TestSnapshotAllocationFree(t *testing.T) {
 	b := Bounds{MinSamples: 10, MaxSamples: 500, CheckEvery: 10}
 	rules := map[string]Rule{
-		"ks":     NewKS(0.05, b),
-		"ci":     NewCI(0.95, 0.05, b),
-		"meta":   NewMeta(MetaConfig{}, b),
-		"fixed":  NewFixed(40),
-		"opaque": &opaqueRule{},
+		"ks":    NewKS(0.05, b),
+		"ci":    NewCI(0.95, 0.05, b),
+		"meta":  NewMeta(MetaConfig{}, b),
+		"fixed": NewFixed(40),
 	}
 	for name, r := range rules {
 		rng := rand.New(rand.NewSource(5))

@@ -36,6 +36,12 @@ type Rule interface {
 	N() int
 	// Explain describes the current decision state for the report.
 	Explain() string
+	// Bounds returns the rule's effective guard rails. The rule decides
+	// only every CheckEvery samples and at MaxSamples, so the launcher runs
+	// the samples between two decision points without speculating.
+	Bounds() Bounds
+	Evaluated
+	Progressor
 }
 
 // Bounds are the sample-count guard rails shared by every rule.
@@ -84,8 +90,7 @@ type Eval struct {
 	Stopped bool
 }
 
-// Evaluated is implemented by rules that record their convergence checks.
-// All rules in this package implement it via base.
+// Evaluated reports a rule's convergence checks; every Rule records them.
 type Evaluated interface {
 	// LastEval returns the most recent convergence evaluation; ok is false
 	// before the first check.
@@ -168,10 +173,7 @@ func (b *base) LastEval() (Eval, bool) { return b.lastEval, b.hasEval }
 // Samples returns the observations collected so far (shared slice).
 func (b *base) Samples() []float64 { return b.samples }
 
-// Bounds returns the rule's effective guard rails (after defaulting). The
-// launcher reads the rule's decision points from it — every CheckEvery
-// samples and the MaxSamples cap — and never launches a run past the next
-// one.
+// Bounds implements Rule: the guard rails after defaulting.
 func (b *base) Bounds() Bounds { return b.bounds }
 
 // --- 1. Fixed ---

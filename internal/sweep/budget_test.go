@@ -312,9 +312,6 @@ func TestChaosKilledCellsYieldTypedError(t *testing.T) {
 	if _, err := out.EffectOf("workload"); !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("EffectOf error = %v, want ErrNoSamples", err)
 	}
-	if _, err := out.QuantileTrend("day"); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("QuantileTrend error = %v, want ErrNoSamples", err)
-	}
 
 	// The budgeted scheduler also treats the dead cell as terminal instead
 	// of feeding it the whole budget.

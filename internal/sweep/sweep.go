@@ -538,47 +538,6 @@ func (o *Outcome) EffectOf(factor string) (FactorEffect, error) {
 	return eff, nil
 }
 
-// QuantileTrend fits linear quantile regressions of the response against a
-// numeric factor ("day" or "concurrency") at the given taus. Non-finite
-// samples are excluded; with no usable observations at all the error wraps
-// ErrNoSamples.
-func (o *Outcome) QuantileTrend(factor string, taus ...float64) ([]stats.QuantRegResult, error) {
-	if len(taus) == 0 {
-		taus = []float64{0.1, 0.5, 0.9}
-	}
-	var xs, ys []float64
-	for _, c := range o.Cells {
-		var x float64
-		switch factor {
-		case "day":
-			x = float64(c.Day)
-		case "concurrency":
-			x = float64(c.Concurrency)
-		default:
-			return nil, fmt.Errorf("sweep: factor %q is not numeric", factor)
-		}
-		for _, v := range c.Result.Samples {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			xs = append(xs, x)
-			ys = append(ys, v)
-		}
-	}
-	if len(ys) == 0 {
-		return nil, fmt.Errorf("%w for factor %q", ErrNoSamples, factor)
-	}
-	out := make([]stats.QuantRegResult, 0, len(taus))
-	for _, tau := range taus {
-		fit, err := stats.QuantileRegression(xs, ys, tau)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fit)
-	}
-	return out, nil
-}
-
 // MeanCIWidth returns the mean relative CI half-width of the primary metric
 // across cells at the given confidence level — the sweep-wide "statistical
 // confidence per budget" figure of merit. Cells with fewer than two usable

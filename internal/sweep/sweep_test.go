@@ -75,37 +75,6 @@ func TestEffectOfMachine(t *testing.T) {
 	}
 }
 
-func TestQuantileTrendOverConcurrency(t *testing.T) {
-	// sc-like workloads don't support concurrency in the sim backend's
-	// response model directly, but response vs day should be ~flat for a
-	// mean-stable workload; use concurrency as the numeric factor over a
-	// design where it varies.
-	d := smallDesign()
-	d.Workloads = []string{"bfs"}
-	d.Machines = []string{"machine1"}
-	d.Days = []int{1}
-	d.Concurrencies = []int{1, 2, 4}
-	out, err := Run(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fits, err := out.QuantileTrend("concurrency", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fits) != 1 || fits[0].Tau != 0.5 {
-		t.Fatalf("fits = %+v", fits)
-	}
-	if _, err := out.QuantileTrend("workload"); err == nil {
-		t.Error("non-numeric factor accepted")
-	}
-	// Default taus path.
-	fits, err = out.QuantileTrend("concurrency")
-	if err != nil || len(fits) != 3 {
-		t.Fatalf("default taus: %v, %v", fits, err)
-	}
-}
-
 func TestSaveCSVAndRender(t *testing.T) {
 	d := smallDesign()
 	d.Workloads = []string{"bfs"}
