@@ -122,8 +122,8 @@ func TestResumeBinaryLogViaCLI(t *testing.T) {
 		t.Fatal("binary campaign exports different CSV than a CSV campaign")
 	}
 
-	// Hard crash: a byte-level prefix of the binary log (torn mid-block, no
-	// index sidecar — exactly what kill -9 mid-flush leaves). Resume must
+	// Hard crash: a byte-level prefix of the binary log (torn mid-block —
+	// exactly what kill -9 mid-flush leaves). Resume must
 	// repair it and finish to the reference bytes.
 	crash := filepath.Join(dir, "crash.sharpb")
 	if err := os.WriteFile(crash, wantBin[:2*len(wantBin)/3], 0o644); err != nil {

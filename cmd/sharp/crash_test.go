@@ -147,8 +147,7 @@ func TestResumeReproducesInterruptedCampaign(t *testing.T) {
 }
 
 // segmentedState snapshots a segmented log for byte comparison: the manifest
-// plus every segment file, keyed by name. Sidecar .idx files are a cache and
-// excluded.
+// plus every segment file, keyed by name.
 func segmentedState(t *testing.T, path string) map[string][]byte {
 	t.Helper()
 	state := map[string][]byte{}
@@ -176,8 +175,7 @@ func segmentedState(t *testing.T, path string) map[string][]byte {
 
 // TestSegmentedResumeRepairsTornManifest is the kill -9 shape for a segmented
 // log where the crash also tore the manifest itself: the active segment ends
-// mid-frame with no sidecar index (one is only written on clean close), and
-// the manifest at <path> is a truncated prefix (a torn rewrite). `run
+// mid-frame, and the manifest at <path> is a truncated prefix (a torn rewrite). `run
 // --resume` with the same flags must rebuild the manifest from the segments,
 // drop the torn trailing run, re-execute it, and leave every file — manifest
 // and all segments — byte-identical to the uninterrupted campaign.
@@ -215,8 +213,7 @@ func TestSegmentedResumeRepairsTornManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Tear the active segment mid-frame (no sidecar index: a real crash never
-	// wrote one) and the manifest mid-write.
+	// Tear the active segment mid-frame and the manifest mid-write.
 	ab := want[active]
 	if err := os.WriteFile(filepath.Join(crash+".seg", active), ab[:len(ab)-13], 0o644); err != nil {
 		t.Fatal(err)

@@ -531,49 +531,38 @@ func (rf *runFlags) streamCampaign(ctx context.Context, launcher *core.Launcher,
 }
 
 // resumeCampaign continues an interrupted campaign from the --csv log.
-// Recovery first repairs the log: with a checkpoint in --meta (graceful
-// interrupt) the log is truncated to the checkpointed row count — normally
-// a no-op, since the interrupt flushed everything; without one (hard crash)
-// the possibly-incomplete trailing run block and any torn final line are
-// dropped and that run is re-executed. The repaired rows replay through the
-// stopping rule, the deterministic backends fast-forward past them, and the
-// campaign continues exactly where it stopped, appending to the same log.
+// Recovery first repairs the log (record.Reopen): with a checkpoint in
+// --meta (graceful interrupt) the log is cut to the checkpointed row count —
+// normally a no-op, since the interrupt flushed everything; without one
+// (hard crash) the possibly-incomplete trailing run block and any torn final
+// line are dropped and that run is re-executed. The repaired rows replay
+// through the stopping rule, the deterministic backends fast-forward past
+// them, and the campaign continues exactly where it stopped, appending to
+// the same log.
 func (rf *runFlags) resumeCampaign(ctx context.Context, launcher *core.Launcher, exp core.Experiment) (*core.Result, error) {
 	if rf.outCSV == "" {
 		return nil, fmt.Errorf("run: --resume requires --csv (the log to continue)")
 	}
-	haveCheckpoint := false
+	checkpoint, ckRun := -1, 0
 	if rf.outMeta != "" {
 		if md, err := record.ParseMetadataFile(rf.outMeta); err == nil {
-			if ckRun, ckRows, ok := md.Checkpoint(); ok {
-				haveCheckpoint = true
-				if err := record.TruncateRows(rf.outCSV, ckRows); err != nil {
-					return nil, fmt.Errorf("run: resume: %w", err)
-				}
-				fmt.Fprintf(os.Stderr, "resuming from checkpoint: run %d (%d rows)\n", ckRun, ckRows)
+			if run, rows, ok := md.Checkpoint(); ok {
+				checkpoint, ckRun = rows, run
 			}
 		}
-	}
-	if !haveCheckpoint {
-		_, dropped, err := record.TruncateTrailingRun(rf.outCSV)
-		if err != nil {
-			return nil, fmt.Errorf("run: resume: %w", err)
-		}
-		if dropped > 0 {
-			fmt.Fprintf(os.Stderr, "resuming without checkpoint: dropped trailing run %d for re-execution\n", dropped)
-		}
-	}
-	rows, err := record.ReadFile(rf.outCSV)
-	if err != nil {
-		return nil, fmt.Errorf("run: resume: %w", err)
 	}
 	opts, err := rf.csvOptions()
 	if err != nil {
 		return nil, err
 	}
-	w, _, err := record.OpenAppend(rf.outCSV, opts)
+	w, rows, dropped, err := record.Reopen(rf.outCSV, checkpoint, opts)
 	if err != nil {
 		return nil, fmt.Errorf("run: resume: %w", err)
+	}
+	if checkpoint >= 0 {
+		fmt.Fprintf(os.Stderr, "resuming from checkpoint: run %d (%d rows)\n", ckRun, checkpoint)
+	} else if dropped > 0 {
+		fmt.Fprintf(os.Stderr, "resuming without checkpoint: dropped trailing run %d for re-execution\n", dropped)
 	}
 	launcher.Log = w
 	res, runErr := launcher.Resume(ctx, exp, rows)

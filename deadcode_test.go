@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// deadExportAllow lists the internal functions the guard tolerates without
+// deadExportAllow lists the functions the guard tolerates without
 // a caller it can see, each with the reason it stays.
 var deadExportAllow = map[string]string{
 	"internal/record.ReadFileInto": "BenchmarkReplayReuse1e6 gates reuse_allocs and mmap_speedup_x on it (BENCH_pr9.json)",
@@ -21,7 +21,7 @@ var deadExportAllow = map[string]string{
 
 // deadCode parses every Go file under root, including modules nested there
 // (perfbench), and reports the top-level functions and methods declared in
-// non-test files under internal/ that nothing uses:
+// non-test files under internal/, cmd/ and examples/ that nothing uses:
 //
 //   - an exported one that no non-test file names, nor any test file of
 //     another package (a package's own tests do not keep it alive);
@@ -30,8 +30,9 @@ var deadExportAllow = map[string]string{
 //
 // A reference is an identifier with the function's name, so the scan never
 // reports a function that is called, and may miss one whose name another
-// function shares. A package is a directory. Each finding reads
-// "dir.Name" or "dir.Recv.Name", with dir relative to root.
+// function shares. A package is a directory; init and main are entry points.
+// Each finding reads "dir.Name" or "dir.Recv.Name", with dir relative to
+// root.
 func deadCode(root string) ([]string, error) {
 	type decl struct {
 		key, dir, name string
@@ -68,10 +69,10 @@ func deadCode(root string) ([]string, error) {
 		dir := filepath.ToSlash(rel)
 		test := strings.HasSuffix(path, "_test.go")
 		declared := map[*ast.Ident]bool{}
-		if !test && (dir == "internal" || strings.HasPrefix(dir, "internal/")) {
+		if !test && scanned(dir) {
 			for _, d := range f.Decls {
 				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Name.Name == "init" {
+				if !ok || fn.Recv == nil && (fn.Name.Name == "init" || fn.Name.Name == "main") {
 					continue
 				}
 				declared[fn.Name] = true
@@ -137,6 +138,16 @@ func deadCode(root string) ([]string, error) {
 	return dead, nil
 }
 
+// scanned reports whether deadCode checks the functions declared in dir.
+func scanned(dir string) bool {
+	for _, top := range []string{"internal", "cmd", "examples"} {
+		if dir == top || strings.HasPrefix(dir, top+"/") {
+			return true
+		}
+	}
+	return false
+}
+
 // recvName is the type name of a method receiver: T for T, *T, T[P] and *T[P].
 func recvName(e ast.Expr) string {
 	for {
@@ -157,8 +168,8 @@ func recvName(e ast.Expr) string {
 	}
 }
 
-// TestDeadExportGuard fails on internal API that nothing calls: delete such
-// a function, move it into the _test.go file that still uses it, or, when
+// TestDeadExportGuard fails on internal API, and on functions of commands
+// and examples, that nothing calls: delete such a function, move it into the _test.go file that still uses it, or, when
 // it must stay, add it to deadExportAllow with the reason.
 func TestDeadExportGuard(t *testing.T) {
 	dead, err := deadCode(".")
@@ -180,7 +191,8 @@ func TestDeadExportGuard(t *testing.T) {
 }
 
 // TestDeadExportScanFixture plants one function of each kind in a small
-// two-package tree and checks the scan reports exactly the dead ones.
+// tree of two internal packages and a command, and checks the scan reports
+// exactly the dead ones.
 func TestDeadExportScanFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -232,6 +244,15 @@ import (
 func TestB(t *testing.T) { a.OtherTestOnly(); run() }
 `,
 		"internal/b/testdata/skip.go": "package skip\n\nfunc Dead() {}\n",
+		"cmd/x/main.go": `package main
+
+func main() { run() }
+
+func run() {}
+
+// orphanHelper is named by nothing.
+func orphanHelper() {}
+`,
 	}
 	for name, body := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -247,6 +268,7 @@ func TestB(t *testing.T) { a.OtherTestOnly(); run() }
 		t.Fatal(err)
 	}
 	want := []string{
+		"cmd/x.orphanHelper",
 		"internal/a.Dead",
 		"internal/a.OwnTestOnly",
 		"internal/a.T.Method",

@@ -23,7 +23,10 @@
 // after the rows, so a crash mid-Put leaves at worst an orphaned rows file
 // that the next Put overwrites and Prune sweeps. Deletion inverts the
 // order: Prune removes the .json first, so a crash mid-prune never leaves
-// a committed entry whose rows are gone.
+// a committed entry whose rows are gone. A Put is one atomic file write
+// plus the commit point: the rows file has no sidecar. Older versions wrote
+// a <key>.sharpb.idx index beside each rows file; Prune's orphan sweep
+// deletes those and Stats does not count them.
 package cache
 
 import (
@@ -160,7 +163,6 @@ func (s *Store) Get(key, experiment string) ([]record.Row, *Meta, error) {
 		// point so the next Put rebuilds it cleanly.
 		os.Remove(s.metaPath(key))
 		os.Remove(s.rowsPath(key))
-		os.Remove(s.rowsPath(key) + ".idx")
 		s.count("miss", obs.EventCacheMiss, map[string]any{"key": key, "experiment": experiment})
 		return nil, nil, nil
 	}
@@ -200,7 +202,7 @@ func (s *Store) Stats() (Stats, error) {
 		if st.Oldest.IsZero() || e.meta.Created.Before(st.Oldest) {
 			st.Oldest = e.meta.Created
 		}
-		for _, p := range []string{s.metaPath(e.key), s.rowsPath(e.key), s.rowsPath(e.key) + ".idx"} {
+		for _, p := range []string{s.metaPath(e.key), s.rowsPath(e.key)} {
 			if fi, err := os.Stat(p); err == nil {
 				st.Bytes += fi.Size()
 			}
@@ -210,7 +212,8 @@ func (s *Store) Stats() (Stats, error) {
 }
 
 // Prune removes committed entries created before cutoff and sweeps orphaned
-// rows files left by interrupted Puts or prunes. For each entry the
+// rows files left by interrupted Puts or prunes, and the index files older
+// versions wrote beside rows files. For each entry the
 // metadata commit point is deleted first, so a crash mid-prune leaves an
 // orphan (invisible to Get), never a committed entry without rows.
 func (s *Store) Prune(cutoff time.Time) (removed int, err error) {
@@ -228,22 +231,21 @@ func (s *Store) Prune(cutoff time.Time) (removed int, err error) {
 			return removed, fmt.Errorf("cache: %w", err)
 		}
 		os.Remove(s.rowsPath(e.key))
-		os.Remove(s.rowsPath(e.key) + ".idx")
 		committed[e.key] = false
 		removed++
 	}
-	// Sweep orphans: rows files with no commit point.
+	// Sweep orphans: rows files with no commit point, and every leftover
+	// index file.
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return removed, fmt.Errorf("cache: %w", err)
 	}
 	for _, de := range names {
-		key, ok := strings.CutSuffix(de.Name(), record.BinaryExt)
-		if !ok || committed[key] {
-			continue
+		name := de.Name()
+		key, rowsFile := strings.CutSuffix(name, record.BinaryExt)
+		if rowsFile && !committed[key] || strings.HasSuffix(name, record.BinaryExt+".idx") {
+			os.Remove(filepath.Join(s.dir, name))
 		}
-		os.Remove(filepath.Join(s.dir, de.Name()))
-		os.Remove(filepath.Join(s.dir, de.Name()+".idx"))
 	}
 	return removed, nil
 }

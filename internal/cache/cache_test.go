@@ -203,6 +203,47 @@ func TestPruneDeletesCommitPointFirst(t *testing.T) {
 	}
 }
 
+// TestPruneSweepsStaleIndexFiles plants the <key>.sharpb.idx files older
+// versions wrote beside rows files, for a live entry and for a pruned one:
+// Stats counts neither, a Get still hits, and Prune deletes both while the
+// live entry's rows stay.
+func TestPruneSweepsStaleIndexFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	s.Clock = func() time.Time { return now }
+	old, live := Key("k", "old"), Key("k", "live")
+	s.Put(old, "k", "exp", testRows(4, 1))
+	now = now.Add(48 * time.Hour)
+	s.Put(live, "k", "exp", testRows(4, 1))
+	before, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{old, live} {
+		if err := os.WriteFile(s.rowsPath(key)+".idx", make([]byte, 52), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := s.Stats(); err != nil || st.Bytes != before.Bytes {
+		t.Fatalf("Stats with stale index files = (%d bytes, %v), want %d bytes", st.Bytes, err, before.Bytes)
+	}
+	if got, _, _ := s.Get(live, "exp"); len(got) != 4 {
+		t.Fatal("a stale index file broke a hit")
+	}
+	if _, err := s.Prune(now.Add(-24 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{old, live} {
+		if _, err := os.Stat(s.rowsPath(key) + ".idx"); !os.IsNotExist(err) {
+			t.Fatalf("stale index of %s survived Prune: %v", key, err)
+		}
+	}
+	if got, _, _ := s.Get(live, "exp"); len(got) != 4 {
+		t.Fatal("Prune lost the live entry")
+	}
+}
+
 // tracerFunc adapts a function to obs.Tracer for event capture.
 type tracerFunc func(string, map[string]any)
 

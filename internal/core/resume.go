@@ -41,8 +41,8 @@ import (
 // Resume continues an interrupted campaign. e must be the same experiment
 // configuration the campaign started with (same workload, backend kind,
 // seed, rule, concurrency); rows is the repaired tidy-data log of the
-// completed runs (see record.OpenAppend / record.TruncateTrailingRun for
-// crash repair). Replayed rows are NOT re-sent to the Launcher's Log sink —
+// completed runs, as record.Reopen returns it with the writer that continues
+// the log. Replayed rows are NOT re-sent to the Launcher's Log sink —
 // they are already durable; only newly measured rows stream out.
 //
 // The returned Result spans the whole campaign: replayed rows and samples

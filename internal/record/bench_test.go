@@ -119,7 +119,7 @@ func BenchmarkReplay1e6(b *testing.B) {
 // BenchmarkTornRepair1e6 times the repair that starts every resume of a
 // crashed campaign: OpenAppend+Close of a million-row log written in 4-row
 // blocks (the shape a writer flushing after every run leaves), torn 7 bytes
-// short, with no sidecar index. Each iteration tears the log again, untimed.
+// short. Each iteration tears the log again, untimed.
 // It measures timing only and gates nothing.
 func BenchmarkTornRepair1e6(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "torn.sharpb")
@@ -160,7 +160,6 @@ func BenchmarkTornRepair1e6(b *testing.B) {
 		if err := os.Truncate(path, st.Size()-7); err != nil {
 			b.Fatal(err)
 		}
-		os.Remove(path + binIndexSuffix)
 		runtime.GC()
 		b.StartTimer()
 		w, rows, err := OpenAppend(path, Options{})
@@ -282,8 +281,7 @@ func BenchmarkRecordReplaySpeedup1e6(b *testing.B) {
 // streaming scanner it replaced on a ten-million-row log — resume replay at
 // the scale where allocator traffic dominates. The streaming leg is the
 // original crash replay exactly (scanReference): a buffered scan appending
-// into an unhinted slab, because a crash repair has just invalidated the
-// sidecar index, so it gets no capacity hint and grow-and-copies its way
+// into an unhinted slab, with no capacity hint, so it grow-and-copies its way
 // through ~2 GB of rows (it is timed once — it is the expensive thing being
 // replaced). The mapped leg is ReadFileInto reusing its slab, the shape of
 // the service recovery loop. mmap_speedup_x is gated as a floor in
@@ -308,7 +306,6 @@ func BenchmarkReplay1e7(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	os.Remove(path + binIndexSuffix) // crash shape: no fresh sidecar index
 	streaming := func() time.Duration {
 		runtime.GC()
 		start := time.Now()

@@ -1,16 +1,15 @@
 // Binary columnar log format (".sharpb"). The CSV log pays per-row strconv
 // formatting across 14 text columns and O(rows) re-parsing on every resume;
 // the binary format stores the same tidy rows as fixed-width column blocks
-// with per-block CRC-32 checksums, a file-wide string dictionary, and an
-// atomic sidecar index, so recording is a memcpy-shaped encode and crash
-// repair checks blocks in place without decoding the rows it keeps. The
-// format lives entirely behind the existing Writer / ScanFile / OpenAppend /
-// TruncateRows / TruncateTrailingRun / ReadFile surfaces: the crash-repair
-// semantics (torn tail vs interior corruption) mirror the CSV scanner
-// exactly, so core.Launcher, Resume, and sharp-serve work unchanged. This
-// file holds the format, the writer and the truncations; every read goes
-// through the frame walk in fastread.go, and every repair through its
-// repair scan, checkLog.
+// with per-block CRC-32 checksums and a file-wide string dictionary, so
+// recording is a memcpy-shaped encode and crash repair checks blocks in
+// place without decoding the rows it keeps. The format lives entirely behind
+// the existing Writer / ScanFile / OpenAppend / TruncateTrailingRun /
+// ReadFile / Reopen surfaces: the crash-repair semantics (torn tail vs
+// interior corruption) mirror the CSV scanner exactly, so core.Launcher,
+// Resume, and sharp-serve work unchanged. This file holds the format, the
+// writer, the cut and the one-pass reopen; every read goes through the frame
+// walk in fastread.go.
 //
 // On-disk layout (all integers little-endian; see DESIGN.md §12):
 //
@@ -28,11 +27,9 @@
 // (float64 bits) u64, then eight u32 dictionary-id columns (experiment,
 // workload, backend, machine, metric, unit, status, error) — 68 bytes/row.
 //
-// The sidecar "<path>.idx" caches the scan result (row count, last run, run
-// start, data end) and is written atomically on Close. It is advisory: a
-// freshness check (file size == dataEnd and a CRC over the file's tail)
-// detects staleness after a crash, in which case ScanFile and TruncateRows
-// fall back to the repair scan. OpenAppend always runs the repair scan.
+// The log is the only record of its own state; nothing beside it caches a
+// scan. Resuming a campaign (Reopen) reads the log once, cuts it using the
+// rows that read decoded, and positions the writer after them.
 package record
 
 import (
@@ -117,12 +114,11 @@ func (o Options) resolve(path string) Format {
 
 // Wire-format constants.
 const (
-	binMagic      = "SHARPB1\n" // 8 bytes
-	binIndexMagic = "SHARPIX1"  // 8 bytes
-	binFrameLen   = 21          // kind + rows + firstRun + lastRun + payloadLen + crc
-	binRowBytes   = 68          // per-row bytes in a data-block payload
-	binKindDict   = 0x01
-	binKindData   = 0x02
+	binMagic    = "SHARPB1\n" // 8 bytes
+	binFrameLen = 21          // kind + rows + firstRun + lastRun + payloadLen + crc
+	binRowBytes = 68          // per-row bytes in a data-block payload
+	binKindDict = 0x01
+	binKindData = 0x02
 	// binBlockRows caps rows per data block so a block payload stays cache-
 	// friendly (~272 KiB) and a mid-file seek never decodes more than one
 	// block past its target.
@@ -130,11 +126,6 @@ const (
 	// binMaxPayload is the structural sanity cap on a declared payload
 	// length; a frame claiming more is corruption, not data.
 	binMaxPayload = 64 << 20
-	// binIndexTail is how many trailing data-file bytes the sidecar index
-	// checksums to detect staleness.
-	binIndexTail = 4096
-	// binIndexSuffix is appended to the log path to name its sidecar index.
-	binIndexSuffix = ".idx"
 )
 
 var binCRC = crc32.MakeTable(crc32.IEEE)
@@ -255,7 +246,7 @@ type binWriter struct {
 	// once bw is flushed).
 	off int64
 	// rows / lastRun / runStartRows mirror the CSV scan bookkeeping for the
-	// emitted prefix; they feed the sidecar index on Close.
+	// emitted prefix; they feed the segment manifest when a segment seals.
 	rows         int
 	lastRun      int
 	runStartRows int
@@ -297,9 +288,6 @@ func createBinary(path string, o Options) (*binWriter, error) {
 		f.Close()
 		return nil, err
 	}
-	// A fresh log invalidates any index left over from a previous file at
-	// the same path.
-	os.Remove(path + binIndexSuffix)
 	return w, nil
 }
 
@@ -472,15 +460,12 @@ func (w *binWriter) push() error {
 	return nil
 }
 
-// close emits the pending block, pushes it, writes the sidecar index, and
-// closes the file. The file is closed unconditionally; errors are joined.
+// close emits the pending block, pushes it, and closes the file. The file is
+// closed unconditionally; errors are joined.
 func (w *binWriter) close() error {
 	err := w.emit()
 	if err == nil {
 		err = w.push()
-	}
-	if err == nil {
-		err = writeBinIndex(w.f.Name(), w.f, w.rows, w.lastRun, w.runStartRows, w.off)
 	}
 	return errors.Join(err, w.f.Close())
 }
@@ -614,7 +599,7 @@ func decodeBlockInto(payload []byte, n int, dict []string, blk []Row) error {
 type binScan struct {
 	rows int
 	// lastRun and runStartRows are the CSV scanner's run bookkeeping over
-	// the accepted rows; only checkLog computes them.
+	// the accepted rows; only checkLog and cutBinary compute them.
 	lastRun      int
 	runStartRows int
 	dataEnd      int64 // offset past the last valid block
@@ -623,138 +608,90 @@ type binScan struct {
 	refs         []blockRef
 }
 
-// ---- sidecar index ----
+// ---- dispatch targets ----
 
-// binIndex is the decoded sidecar index.
-type binIndex struct {
-	rows         int
-	lastRun      int
-	runStartRows int
-	dataEnd      int64
-	tailLen      int
-	tailCRC      uint32
-}
-
-const binIndexLen = 8 + 4 + 40 // magic + crc + payload
-
-// writeBinIndex atomically writes the sidecar index for the log at path,
-// checksumming the data file's tail (read via ra) so staleness after a
-// crash is detectable.
-func writeBinIndex(path string, ra io.ReaderAt, rows, lastRun, runStartRows int, dataEnd int64) error {
-	tailLen := int64(binIndexTail)
-	if dataEnd < tailLen {
-		tailLen = dataEnd
-	}
-	tail := make([]byte, tailLen)
-	if _, err := ra.ReadAt(tail, dataEnd-tailLen); err != nil {
-		return fmt.Errorf("record: index tail read: %w", err)
-	}
-	buf := make([]byte, binIndexLen)
-	copy(buf, binIndexMagic)
-	le := binary.LittleEndian
-	p := buf[12:]
-	le.PutUint64(p[0:], uint64(rows))
-	le.PutUint64(p[8:], uint64(lastRun))
-	le.PutUint64(p[16:], uint64(runStartRows))
-	le.PutUint64(p[24:], uint64(dataEnd))
-	le.PutUint32(p[32:], uint32(tailLen))
-	le.PutUint32(p[36:], crc32.Checksum(tail, binCRC))
-	le.PutUint32(buf[8:], crc32.Checksum(p, binCRC))
-	return fsx.WriteFile(path+binIndexSuffix, buf, 0o644)
-}
-
-// loadBinIndex reads and validates the sidecar index for the log at path,
-// returning nil if it is missing or corrupt (callers fall back to a scan).
-func loadBinIndex(path string) *binIndex {
-	buf, err := os.ReadFile(path + binIndexSuffix)
-	if err != nil || len(buf) != binIndexLen || string(buf[:8]) != binIndexMagic {
-		return nil
-	}
-	le := binary.LittleEndian
-	p := buf[12:]
-	if le.Uint32(buf[8:]) != crc32.Checksum(p, binCRC) {
-		return nil
-	}
-	return &binIndex{
-		rows:         int(int64(le.Uint64(p[0:]))),
-		lastRun:      int(int64(le.Uint64(p[8:]))),
-		runStartRows: int(int64(le.Uint64(p[16:]))),
-		dataEnd:      int64(le.Uint64(p[24:])),
-		tailLen:      int(le.Uint32(p[32:])),
-		tailCRC:      le.Uint32(p[36:]),
-	}
-}
-
-// fresh reports whether the index still describes the data file f: the file
-// must end exactly at dataEnd and its checksummed tail must match. Any
-// append, truncation, or torn tail since the index was written fails the
-// check, sending the caller down the full-scan path.
-func (ix *binIndex) fresh(f *os.File) bool {
-	st, err := f.Stat()
-	if err != nil || st.Size() != ix.dataEnd || int64(ix.tailLen) > ix.dataEnd {
-		return false
-	}
-	tail := make([]byte, ix.tailLen)
-	if _, err := f.ReadAt(tail, ix.dataEnd-int64(ix.tailLen)); err != nil {
-		return false
-	}
-	return crc32.Checksum(tail, binCRC) == ix.tailCRC
-}
-
-// ---- read-side dispatch targets ----
-
-// scanBinaryFile is the ScanFile implementation for binary logs. A fresh
-// sidecar index answers in O(1) without touching the row data — this is
-// what makes clean resume a seek instead of a parse.
+// scanBinaryFile is the ScanFile implementation for binary logs.
 func scanBinaryFile(path string) (rows, lastRun int, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer f.Close()
-	if ix := loadBinIndex(path); ix != nil && ix.fresh(f) {
-		return ix.rows, ix.lastRun, false, nil
-	}
 	sc, err := checkLogFile(path)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return sc.rows, sc.lastRun, sc.torn, nil
+	return sc.rows, sc.lastRun, sc.torn, err
 }
 
 // openAppendBinary opens a binary log for continuation: it validates every
 // block, truncates a torn tail, reloads the string dictionary, and positions
 // the writer at the end.
 func openAppendBinary(path string, o Options) (*Writer, int, error) {
-	bw, rows, err := openAppendBinaryCore(path, o)
+	bw, err := openAppendBinaryCore(path, o)
 	if err != nil {
 		return nil, 0, err
 	}
-	return &Writer{bin: bw, opts: o, wroteHeader: true, rows: rows}, rows, nil
+	return &Writer{bin: bw, opts: o, wroteHeader: true, rows: bw.rows}, bw.rows, nil
 }
 
 // openAppendBinaryCore does the work of openAppendBinary but returns the bare
 // binWriter, so the segmented log can reuse the same repair-and-position
 // logic on its active segment.
-func openAppendBinaryCore(path string, o Options) (*binWriter, int, error) {
+func openAppendBinaryCore(path string, o Options) (*binWriter, error) {
 	sc, err := checkLogFile(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if sc.torn {
 		if err := f.Truncate(sc.dataEnd); err != nil {
 			f.Close()
-			return nil, 0, fmt.Errorf("record: truncating torn tail: %w", err)
+			return nil, fmt.Errorf("record: truncating torn tail: %w", err)
 		}
-		os.Remove(path + binIndexSuffix)
 	}
-	if _, err := f.Seek(sc.dataEnd, io.SeekStart); err != nil {
+	bw, err := appendAt(f, sc, o)
+	if err != nil {
 		f.Close()
-		return nil, 0, err
+		return nil, err
+	}
+	return bw, nil
+}
+
+// reopenBinary is Reopen for a single-file binary log.
+func reopenBinary(path string, checkpoint int, o Options) (*Writer, []Row, int, error) {
+	bw, rows, dropped, err := reopenBinaryCore(path, checkpoint, o, nil)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return &Writer{bin: bw, opts: o, wroteHeader: true, rows: bw.rows}, rows, dropped, nil
+}
+
+// reopenBinaryCore is the one-pass reopen of the binary log at path: one
+// read decodes the log and checks every block, the cut to checkpoint rows
+// (or, for a negative checkpoint, past the trailing run) takes a split
+// block's retained rows from that decode, and the writer is positioned
+// after the kept rows. The kept rows are appended to dst.
+func reopenBinaryCore(path string, checkpoint int, o Options, dst []Row) (bw *binWriter, rows []Row, droppedRun int, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	b, err := loadLog(path)
+	if err == nil {
+		defer b.release()
+		var sc, kept binScan
+		if sc, rows, err = readLog(b.data, dst); err == nil {
+			if kept, droppedRun, err = cutBinary(f, b.data, sc, checkpoint, rows[len(dst):]); err == nil {
+				if bw, err = appendAt(f, kept, o); err == nil {
+					return bw, rows[:len(dst)+kept.rows], droppedRun, nil
+				}
+			}
+		}
+	}
+	f.Close()
+	return nil, nil, 0, err
+}
+
+// appendAt positions a writer on f after the log that sc describes.
+func appendAt(f *os.File, sc binScan, o Options) (*binWriter, error) {
+	if _, err := f.Seek(sc.dataEnd, io.SeekStart); err != nil {
+		return nil, err
 	}
 	bw := newBinWriterCore(bufio.NewWriterSize(f, 1<<16))
 	bw.f, bw.sync = f, o.Sync
@@ -763,88 +700,73 @@ func openAppendBinaryCore(path string, o Options) (*binWriter, int, error) {
 	for i, s := range sc.dict {
 		bw.dict[s] = uint32(i)
 	}
-	return bw, sc.rows, nil
+	return bw, nil
 }
 
 // cutBinary cuts the binary log open at f, whose bytes are data and whose
-// repair scan is sc, down to its first n rows. A cut on a block boundary is
-// a plain truncate; a cut inside a block decodes that block alone, truncates
-// at its frame and re-appends the retained prefix as a smaller block (its
-// strings are already in the preceding dictionary). The sidecar index is
-// rewritten to match. Everything read from data is read before the file
-// shrinks under it.
-func cutBinary(f *os.File, data []byte, sc binScan, n int) (err error) {
-	if n > sc.rows {
-		return fmt.Errorf("record: truncate to %d rows: only %d available", n, sc.rows)
-	}
+// scan is sc, down to its first n rows; a negative n drops the trailing run
+// instead (the rows of the last row's run index, unless that is 0), and
+// with it any torn tail. It returns the scan of the log it leaves, without
+// block refs, and the run it dropped. A cut on a block boundary is a plain
+// truncate; a cut inside a block truncates at its frame and re-appends the
+// retained prefix as a smaller block (its strings are already in the
+// preceding dictionary). That prefix comes from rows, the log's decoded
+// rows, or, when rows is nil, from decoding the split block alone.
+// Everything read from data is read before the file shrinks under it.
+func cutBinary(f *os.File, data []byte, sc binScan, n int, rows []Row) (kept binScan, droppedRun int, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer catchFault(&err)
-	lastRun, runStartRows := runTail(data, sc.refs, n)
-	newEnd := sc.dataEnd
-	if n < sc.rows {
-		cut := sc.refs[sort.Search(len(sc.refs), func(i int) bool { return sc.refs[i].firstRow+sc.refs[i].n > n })]
-		var part []Row
-		if k := n - cut.firstRow; k > 0 {
-			blk := make([]Row, cut.n)
-			if err := decodeRef(data, cut, sc.dict, blk); err != nil {
-				return fmt.Errorf("record: corrupt block at offset %d: %s", cut.off, err)
-			}
-			part = blk[:k]
-		}
-		if err := f.Truncate(cut.off); err != nil {
-			return err
-		}
-		newEnd = cut.off
-		if k := len(part); k > 0 {
-			dict := make(map[string]uint32, len(sc.dict))
-			for i, s := range sc.dict {
-				dict[s] = uint32(i)
-			}
-			payload := encodeDataBlock(part, dict)
-			bw := &binWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), off: cut.off}
-			if _, err := f.Seek(cut.off, io.SeekStart); err != nil {
-				return err
-			}
-			if err := bw.writeBlock(binKindData, k, part[0].Run, part[k-1].Run, payload); err != nil {
-				return err
-			}
-			if err := bw.bw.Flush(); err != nil {
-				return err
-			}
-			newEnd = bw.off
-		}
-	} else if sc.torn {
-		if err := f.Truncate(sc.dataEnd); err != nil {
-			return err
+	if n < 0 {
+		n = sc.rows
+		if lastRun, start := runTail(data, sc.refs, n); lastRun != 0 {
+			n, droppedRun = start, lastRun
 		}
 	}
-	return writeBinIndex(f.Name(), f, n, lastRun, runStartRows, newEnd)
-}
-
-// truncateRowsBinary is the TruncateRows implementation for binary logs.
-func truncateRowsBinary(path string, n int) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
+	if n > sc.rows {
+		return kept, 0, fmt.Errorf("record: truncate to %d rows: only %d available", n, sc.rows)
 	}
-	defer f.Close()
-	if n > 0 {
-		// O(1) fast path: a fresh index already proving the file holds
-		// exactly n clean rows means there is nothing to cut.
-		if ix := loadBinIndex(path); ix != nil && ix.fresh(f) && ix.rows == n {
-			return nil
+	kept = binScan{rows: n, dataEnd: sc.dataEnd, dict: sc.dict}
+	kept.lastRun, kept.runStartRows = runTail(data, sc.refs, n)
+	if n == sc.rows {
+		if sc.torn {
+			err = f.Truncate(sc.dataEnd)
 		}
+		return kept, droppedRun, err
 	}
-	b, err := loadLog(path)
-	if err != nil {
-		return err
+	cut := sc.refs[sort.Search(len(sc.refs), func(i int) bool { return sc.refs[i].firstRow+sc.refs[i].n > n })]
+	kept.dataEnd, kept.dict = cut.off, sc.dict[:cut.dictLen]
+	var part []Row
+	if k := n - cut.firstRow; k > 0 && rows != nil {
+		part = rows[cut.firstRow:n]
+	} else if k > 0 {
+		blk := make([]Row, cut.n)
+		if err := decodeRef(data, cut, sc.dict, blk); err != nil {
+			return kept, 0, fmt.Errorf("record: corrupt block at offset %d: %s", cut.off, err)
+		}
+		part = blk[:k]
 	}
-	defer b.release()
-	sc, err := checkLog(b.data)
-	if err != nil {
-		return err
+	if err := f.Truncate(cut.off); err != nil {
+		return kept, 0, err
 	}
-	return cutBinary(f, b.data, sc, n)
+	if k := len(part); k > 0 {
+		dict := make(map[string]uint32, len(kept.dict))
+		for i, s := range kept.dict {
+			dict[s] = uint32(i)
+		}
+		payload := encodeDataBlock(part, dict)
+		bw := &binWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), off: cut.off}
+		if _, err := f.Seek(cut.off, io.SeekStart); err != nil {
+			return kept, 0, err
+		}
+		if err := bw.writeBlock(binKindData, k, part[0].Run, part[k-1].Run, payload); err != nil {
+			return kept, 0, err
+		}
+		if err := bw.bw.Flush(); err != nil {
+			return kept, 0, err
+		}
+		kept.dataEnd = bw.off
+	}
+	return kept, droppedRun, nil
 }
 
 // truncateTrailingRunBinary is the TruncateTrailingRun implementation for
@@ -864,23 +786,15 @@ func truncateTrailingRunBinary(path string) (rows, droppedRun int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if sc.lastRun == 0 {
-		if sc.torn {
-			if err := f.Truncate(sc.dataEnd); err != nil {
-				return 0, 0, err
-			}
-			os.Remove(path + binIndexSuffix)
-		}
-		return sc.rows, 0, nil
-	}
-	if err := cutBinary(f, b.data, sc, sc.runStartRows); err != nil {
+	kept, droppedRun, err := cutBinary(f, b.data, sc, -1, nil)
+	if err != nil {
 		return 0, 0, err
 	}
-	return sc.runStartRows, sc.lastRun, nil
+	return kept.rows, droppedRun, nil
 }
 
 // writeRowsAtomicBinary renders a complete binary log to a temp file and
-// renames it into place, then writes its sidecar index.
+// renames it into place.
 func writeRowsAtomicBinary(path string, rows []Row) error {
 	f, err := fsx.Create(path)
 	if err != nil {
@@ -905,13 +819,5 @@ func writeRowsAtomicBinary(path string, rows []Row) error {
 		f.Abort()
 		return err
 	}
-	if err := f.Close(); err != nil { // sync + atomic rename into place
-		return err
-	}
-	pub, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer pub.Close()
-	return writeBinIndex(path, pub, w.rows, w.lastRun, w.runStartRows, w.off)
+	return f.Close() // sync + atomic rename into place
 }

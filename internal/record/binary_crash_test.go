@@ -39,7 +39,6 @@ func flipByte(t *testing.T, path string, off int64) {
 func binLayout(t *testing.T, path string, rows []Row) []int64 {
 	t.Helper()
 	writeBinary(t, path, rows, Options{FlushEvery: 1})
-	os.Remove(path + binIndexSuffix) // tests control index presence explicitly
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -158,86 +157,6 @@ func TestBinaryInteriorCorruptionRejected(t *testing.T) {
 	}
 }
 
-func TestBinaryStaleIndexFallsBackToScan(t *testing.T) {
-	path := binPath(t, "stale.sharpb")
-	all := runRows(6, 2)
-	writeBinary(t, path, all, Options{FlushEvery: 1})
-
-	t.Run("kill-after-append", func(t *testing.T) {
-		// Append without Close (as a crash would): the on-disk index still
-		// describes the shorter file and must be ignored.
-		w, _, err := OpenAppend(path, Options{FlushEvery: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		extra := sampleRows(1)[0]
-		extra.Run = 7
-		if err := w.Write(extra); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil { // rows reach the OS, index does not
-			t.Fatal(err)
-		}
-		w.bin.f.Close() // simulate kill -9: no Close, no index rewrite
-		rows, lastRun, torn, err := ScanFile(path)
-		if err != nil || torn {
-			t.Fatalf("scan: rows=%d torn=%v err=%v", rows, torn, err)
-		}
-		if rows != 13 || lastRun != 7 {
-			t.Fatalf("stale index served: got (%d,%d), want (13,7)", rows, lastRun)
-		}
-	})
-
-	t.Run("truncated-index", func(t *testing.T) {
-		idx := path + binIndexSuffix
-		writeBinary(t, path, all, Options{})
-		buf, err := os.ReadFile(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(idx, buf[:len(buf)-6], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rows, lastRun, torn, err := ScanFile(path)
-		if err != nil || torn || rows != 12 || lastRun != 6 {
-			t.Fatalf("scan with truncated index = (%d,%d,%v,%v)", rows, lastRun, torn, err)
-		}
-	})
-
-	t.Run("corrupt-index-crc", func(t *testing.T) {
-		writeBinary(t, path, all, Options{})
-		flipByte(t, path+binIndexSuffix, binIndexLen-2)
-		rows, _, _, err := ScanFile(path)
-		if err != nil || rows != 12 {
-			t.Fatalf("scan with corrupt index = (%d,%v)", rows, err)
-		}
-	})
-
-	t.Run("index-from-other-content", func(t *testing.T) {
-		// Rewrite the data file with different rows of the same byte length:
-		// same size, different tail bytes -> index must be detected stale.
-		writeBinary(t, path, all, Options{})
-		ix := loadBinIndex(path)
-		if ix == nil {
-			t.Fatal("index missing")
-		}
-		changed := make([]Row, len(all))
-		copy(changed, all)
-		changed[len(changed)-1].Value += 1000
-		if err := writeRowsAtomicBinary(path+".other", changed); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path + ".other")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if ix.fresh(f) {
-			t.Fatal("index fresh against different content")
-		}
-	})
-}
-
 func TestBinaryEmptyAndHeaderOnly(t *testing.T) {
 	// A log holding only the magic (crashed before the first flush) scans
 	// clean and appends fine.
@@ -281,11 +200,5 @@ func TestBinaryTruncateTrailingRunAfterTorn(t *testing.T) {
 	}
 	if !reflect.DeepEqual(all[:12], got) {
 		t.Fatal("retained prefix differs")
-	}
-	// And the rewritten index must be immediately valid.
-	f, _ := os.Open(path)
-	defer f.Close()
-	if ix := loadBinIndex(path); ix == nil || !ix.fresh(f) || ix.rows != 12 {
-		t.Fatalf("index after repair = %+v", ix)
 	}
 }

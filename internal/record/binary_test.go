@@ -71,36 +71,39 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryScanUsesFreshIndex(t *testing.T) {
-	path := binPath(t, "idx.sharpb")
-	writeBinary(t, path, runRows(10, 3), Options{})
-	if _, err := os.Stat(path + binIndexSuffix); err != nil {
-		t.Fatalf("no sidecar index after Close: %v", err)
-	}
-	ix := loadBinIndex(path)
-	if ix == nil {
-		t.Fatal("index unreadable")
-	}
-	if ix.rows != 30 || ix.lastRun != 10 || ix.runStartRows != 27 {
-		t.Fatalf("index = %+v", ix)
-	}
-	f, err := os.Open(path)
+// TestBinaryLogHasNoSidecar: a log is one file. Nothing that writes or
+// repairs a single-file log leaves another file beside it.
+func TestBinaryLogHasNoSidecar(t *testing.T) {
+	path := binPath(t, "alone.sharpb")
+	all := runRows(10, 3)
+	writeBinary(t, path, all[:20], Options{FlushEvery: 1})
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if !ix.fresh(f) {
-		t.Fatal("index should be fresh right after Close")
+	chop(t, path, st.Size()-7)
+	if _, _, err := TruncateTrailingRun(path); err != nil {
+		t.Fatal(err)
 	}
-	// Any append invalidates it.
-	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	w, kept, _, err := Reopen(path, -1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	af.Write([]byte{0xff})
-	af.Close()
-	if ix.fresh(f) {
-		t.Fatal("index must go stale when the file grows")
+	if err := w.WriteAll(all[len(kept):]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRowsAtomic(path, all); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		t.Fatalf("directory holds %d entries, want the log alone", len(entries))
 	}
 }
 
@@ -143,6 +146,8 @@ func TestBinaryOpenAppendContinues(t *testing.T) {
 	}
 }
 
+// TestBinaryTruncateRows cuts a binary log to a checkpoint through Reopen,
+// on block boundaries and inside blocks.
 func TestBinaryTruncateRows(t *testing.T) {
 	all := runRows(6, 4) // 24 rows
 	for _, tc := range []struct {
@@ -159,8 +164,15 @@ func TestBinaryTruncateRows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := binPath(t, "trunc.sharpb")
 			writeBinary(t, path, all, tc.opts)
-			if err := TruncateRows(path, tc.n); err != nil {
+			w, kept, _, err := Reopen(path, tc.n, Options{})
+			if err != nil {
 				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(kept) != tc.n || (tc.n > 0 && !reflect.DeepEqual(all[:tc.n], kept)) {
+				t.Fatalf("Reopen kept %d rows, want %d", len(kept), tc.n)
 			}
 			got, err := ReadFile(path)
 			if err != nil {
@@ -184,8 +196,8 @@ func TestBinaryTruncateRows(t *testing.T) {
 	t.Run("too-many", func(t *testing.T) {
 		path := binPath(t, "trunc.sharpb")
 		writeBinary(t, path, all, Options{})
-		if err := TruncateRows(path, 25); err == nil {
-			t.Fatal("TruncateRows past EOF should error")
+		if _, _, _, err := Reopen(path, 25, Options{}); err == nil {
+			t.Fatal("Reopen past EOF should error")
 		}
 	})
 }
@@ -222,7 +234,6 @@ func TestBinaryFlushVisibility(t *testing.T) {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
 		}
-		// Before Close there is no index, so this takes the scan path.
 		n, _, torn, err := ScanFile(path)
 		if err != nil || torn {
 			t.Fatalf("scan after row %d: n=%d torn=%v err=%v", i, n, torn, err)
@@ -246,7 +257,6 @@ func TestWriteRowsAtomicBinary(t *testing.T) {
 	if !reflect.DeepEqual(rows, got) {
 		t.Fatal("atomic binary write round-trip mismatch")
 	}
-	// Fresh index must accompany it.
 	n, lastRun, torn, err := ScanFile(path)
 	if err != nil || torn || n != 8 || lastRun != 4 {
 		t.Fatalf("scan = (%d,%d,%v,%v)", n, lastRun, torn, err)
@@ -254,7 +264,7 @@ func TestWriteRowsAtomicBinary(t *testing.T) {
 	// No temp droppings.
 	entries, _ := os.ReadDir(filepath.Dir(path))
 	for _, e := range entries {
-		if e.Name() != filepath.Base(path) && e.Name() != filepath.Base(path)+binIndexSuffix {
+		if e.Name() != filepath.Base(path) {
 			t.Fatalf("unexpected leftover file %q", e.Name())
 		}
 	}

@@ -289,12 +289,14 @@ func TestTruncateTrailingRun(t *testing.T) {
 	})
 }
 
+// TestTruncateRows cuts a CSV log to a row count, the checkpoint cut of
+// Reopen on CSV logs.
 func TestTruncateRows(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "log.csv")
 	writeLog(t, path, runRows(4, 2), Options{})
 
-	if err := TruncateRows(path, 5); err != nil {
+	if err := truncateRowsCSV(path, 5); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
@@ -304,11 +306,11 @@ func TestTruncateRows(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("%d rows, want 5", len(got))
 	}
-	if err := TruncateRows(path, 10); err == nil {
+	if err := truncateRowsCSV(path, 10); err == nil {
 		t.Fatal("truncating beyond the available rows must fail")
 	}
 	// Truncating to the current count is a no-op.
-	if err := TruncateRows(path, 5); err != nil {
+	if err := truncateRowsCSV(path, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ = ReadFile(path); len(got) != 5 {

@@ -481,8 +481,8 @@ func streamCSV(r io.Reader, fn func([]Row) error) error {
 // ReadFile parses a log file in either format (sniffed from the magic
 // bytes). For CSV the row slice is preallocated from the file size (tidy
 // rows are ~100 bytes), so resuming a large campaign does not grow-and-copy
-// its way through millions of appends; for binary logs a fresh sidecar
-// index supplies the exact count.
+// its way through millions of appends; for binary logs the frame walk
+// supplies the exact count.
 func ReadFile(path string) ([]Row, error) {
 	if format, err := sniffRead(path); err != nil {
 		return nil, err
@@ -786,18 +786,49 @@ func TruncateTrailingRun(path string) (rows, droppedRun int, err error) {
 	return res.runStartRows, res.lastRun, nil
 }
 
-// TruncateRows truncates the log at path to exactly its first n complete
-// rows (plus header). It is used when a checkpoint records how many rows
-// were durably part of the campaign: anything past them is discarded before
-// the campaign continues. n larger than the available rows is an error.
-func TruncateRows(path string, n int) error {
-	if format, err := sniffRead(path); err != nil {
-		return err
-	} else if format == formatSegmented {
-		return truncateRowsSegmented(path, n)
-	} else if format == FormatBinary {
-		return truncateRowsBinary(path, n)
-	} else if emptyArtifact(path) {
+// Reopen repairs the log at path for resuming a campaign and opens it for
+// continuation, in one call. With checkpoint >= 0 — the row count a
+// checkpoint recorded as durable — the log is cut to exactly that many rows
+// (more than it holds is an error). With checkpoint < 0 — a hard crash, with
+// no way to know whether the last run's rows are complete — the final run
+// and any torn tail are dropped, and droppedRun names the dropped run (0 if
+// none). Reopen returns the kept rows, to replay, and a Writer positioned
+// after them. The log bytes it leaves are those of the cut, ReadFile and
+// OpenAppend in sequence; a binary log is read once, the cut taking a split
+// block's rows from that read, and a segmented log reads only its sealed
+// segments besides the one the cut lands in.
+func Reopen(path string, checkpoint int, o Options) (w *Writer, rows []Row, droppedRun int, err error) {
+	format, err := sniffRead(path)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	switch format {
+	case formatSegmented:
+		return reopenSegmented(path, checkpoint, o)
+	case FormatBinary:
+		return reopenBinary(path, checkpoint, o)
+	}
+	if checkpoint >= 0 {
+		err = truncateRowsCSV(path, checkpoint)
+	} else {
+		_, droppedRun, err = TruncateTrailingRun(path)
+	}
+	if err == nil {
+		rows, err = ReadFile(path)
+	}
+	if err == nil {
+		w, _, err = OpenAppend(path, o)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return w, rows, droppedRun, nil
+}
+
+// truncateRowsCSV cuts the CSV log at path to exactly its first n complete
+// rows (plus header); n larger than the available rows is an error.
+func truncateRowsCSV(path string, n int) error {
+	if emptyArtifact(path) {
 		if n == 0 {
 			return nil
 		}

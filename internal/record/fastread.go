@@ -1,5 +1,5 @@
 // The binary log reader. Every read of a .sharpb file — ReadFile, StreamFile,
-// ScanFile, OpenAppend, truncation, segments — goes through one frame walk
+// ScanFile, OpenAppend, Reopen, truncation, segments — goes through one frame walk
 // over the file's bytes. Those bytes come from a read-only syscall.Mmap view
 // of the file or, where mmap is unsupported or refused, or under
 // SHARP_RECORD_NOMMAP=1, from os.ReadFile: a reader then holds the whole file
@@ -13,13 +13,14 @@
 //
 //   - readLog checksum-verifies and decodes them with a bounded worker pool,
 //     each block into a disjoint window of the destination slab, so there is
-//     no merge step and steady-state replay allocates nothing;
+//     no merge step and steady-state replay allocates nothing; Reopen cuts
+//     the log using the rows it decoded;
 //   - streamLog decodes them in order into one reused batch for a visitor;
 //   - checkLog, the repair scan behind ScanFile, OpenAppend, the segment
-//     manifest rebuild and the truncations, makes every check a decode makes
-//     on the same worker pool without building a row, then finds the last
-//     run from the frame headers and the raw run columns of the trailing
-//     blocks.
+//     manifest rebuild and TruncateTrailingRun, makes every check a decode
+//     makes on the same worker pool without building a row, then finds the
+//     last run from the frame headers and the raw run columns of the
+//     trailing blocks.
 //
 // Torn/corrupt classification: the lowest-offset failing block decides the
 // outcome, torn if it is the file's final block, hard corruption otherwise.
@@ -225,15 +226,19 @@ func walk(data []byte) (logWalk, error) {
 				w.failAt(off, final, "checksum mismatch")
 				return w, nil
 			}
-			got := 0
+			// A rejected block adds no entries: the dictionary must be the
+			// one of the accepted prefix, which a writer continues.
+			had := len(w.dict)
 			for p := 0; p < len(payload); {
 				if p+4 > len(payload) {
+					w.dict = w.dict[:had]
 					w.failAt(off, final, "truncated dictionary entry")
 					return w, nil
 				}
 				l := int(le.Uint32(payload[p:]))
 				p += 4
 				if l < 0 || p+l > len(payload) {
+					w.dict = w.dict[:had]
 					w.failAt(off, final, "dictionary entry overruns payload")
 					return w, nil
 				}
@@ -241,9 +246,9 @@ func walk(data []byte) (logWalk, error) {
 				// never retain mapped memory past release.
 				w.dict = append(w.dict, string(payload[p:p+l]))
 				p += l
-				got++
 			}
-			if got != nRows {
+			if got := len(w.dict) - had; got != nRows {
+				w.dict = w.dict[:had]
 				w.failAt(off, final, fmt.Sprintf("dictionary has %d entries, frame says %d", got, nRows))
 				return w, nil
 			}

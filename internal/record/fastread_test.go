@@ -265,7 +265,7 @@ func TestTruncatedUnderMappingIsError(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			if err := cutBinary(f, data, checked, checked.rows-50); !faulted(err) {
+			if _, _, err := cutBinary(f, data, checked, checked.rows-50, nil); !faulted(err) {
 				t.Errorf("truncation over a truncated mapping = %v, want a fault error", err)
 			}
 		})
@@ -440,11 +440,11 @@ func TestOpenAppendEmptyBinaryRepairs(t *testing.T) {
 		if rows, dropped, err := TruncateTrailingRun(path); rows != 0 || dropped != 0 || err != nil {
 			t.Fatalf("TruncateTrailingRun = (%d, %d, %v), want (0, 0, nil)", rows, dropped, err)
 		}
-		if err := TruncateRows(path, 0); err != nil {
-			t.Fatalf("TruncateRows(0) = %v, want nil", err)
+		if err := truncateRowsCSV(path, 0); err != nil {
+			t.Fatalf("truncateRowsCSV(0) = %v, want nil", err)
 		}
-		if err := TruncateRows(path, 3); err == nil {
-			t.Fatal("TruncateRows(3) on empty artifact succeeded, want error")
+		if err := truncateRowsCSV(path, 3); err == nil {
+			t.Fatal("truncateRowsCSV(3) on empty artifact succeeded, want error")
 		}
 	})
 	t.Run("csv-empty-resumes", func(t *testing.T) {

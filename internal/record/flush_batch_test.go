@@ -35,8 +35,8 @@ func unevenRuns(runs int) [][]Row {
 	return out
 }
 
-// treeBytes snapshots every file under dir (log, sidecar index, manifest
-// and segments) by relative path.
+// treeBytes snapshots every file under dir (log, manifest and segments) by
+// relative path.
 func treeBytes(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}

@@ -177,11 +177,11 @@ func decodeDataBlock(payload []byte, n int, dict []string, dst []Row) ([]Row, er
 
 // The truncations as they were before the repair scan: they decode the whole
 // log through scanReference and replay the per-row run bookkeeping. They are
-// the oracles the repair scan's truncations are tested against, file and
-// sidecar-index bytes included.
+// the oracles the repair scan's truncations are tested against, file bytes
+// included.
 
 // openAppendReference is OpenAppend followed by Close with nothing
-// appended: it drops a torn tail and writes the index of what remains.
+// appended: it drops a torn tail.
 func openAppendReference(path string) (int, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -197,10 +197,10 @@ func openAppendReference(path string) (int, error) {
 			return 0, err
 		}
 	}
-	return sc.rows, writeBinIndex(path, f, sc.rows, sc.lastRun, sc.runStartRows, sc.dataEnd)
+	return sc.rows, nil
 }
 
-// truncateRowsReference is TruncateRows on a binary log without an index.
+// truncateRowsReference cuts a binary log to its first n rows.
 func truncateRowsReference(path string, n int) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -212,6 +212,43 @@ func truncateRowsReference(path string, n int) error {
 		return err
 	}
 	return cutReference(f, sc, rows, n)
+}
+
+// truncateRowsSegmentedReference cuts a segmented log to its first n rows:
+// a cut inside a sealed segment drops every later segment and unseals it,
+// and the segment the cut lands in is cut by truncateRowsReference.
+func truncateRowsSegmentedReference(path string, n int) error {
+	m, rebuilt, err := loadManifest(path)
+	if err != nil {
+		return err
+	}
+	if rebuilt {
+		if err := writeManifest(path, m); err != nil {
+			return err
+		}
+	}
+	start := 0
+	for i, e := range m.entries {
+		if n < start+e.rows {
+			for j := len(m.entries); j > i; j-- {
+				os.Remove(segPath(path, j))
+			}
+			m.entries = m.entries[:i]
+			if err := writeManifest(path, m); err != nil {
+				return err
+			}
+			return truncateRowsReference(segPath(path, i), n-start)
+		}
+		start += e.rows
+	}
+	ap := segPath(path, len(m.entries))
+	if activeSegMissing(ap) {
+		if n == start {
+			return nil
+		}
+		return fmt.Errorf("record: truncate to %d rows: only %d available", n, start)
+	}
+	return truncateRowsReference(ap, n-start)
 }
 
 // truncateTrailingRunReference is TruncateTrailingRun on a binary log.
@@ -230,7 +267,6 @@ func truncateTrailingRunReference(path string) (rows, droppedRun int, err error)
 			if err := f.Truncate(sc.dataEnd); err != nil {
 				return 0, 0, err
 			}
-			os.Remove(path + binIndexSuffix)
 		}
 		return sc.rows, 0, nil
 	}
@@ -246,7 +282,6 @@ func cutReference(f *os.File, sc refScan, rows []Row, n int) error {
 	if n > sc.rows {
 		return fmt.Errorf("record: truncate to %d rows: only %d available", n, sc.rows)
 	}
-	newEnd := sc.dataEnd
 	if n < sc.rows {
 		var cut refBlock
 		for _, b := range sc.blocks {
@@ -258,7 +293,6 @@ func cutReference(f *os.File, sc refScan, rows []Row, n int) error {
 		if err := f.Truncate(cut.off); err != nil {
 			return err
 		}
-		newEnd = cut.off
 		if k := n - cut.firstRow; k > 0 {
 			part := rows[cut.firstRow:n]
 			dict := make(map[string]uint32, len(sc.dict))
@@ -272,21 +306,10 @@ func cutReference(f *os.File, sc refScan, rows []Row, n int) error {
 			if err := bw.writeBlock(binKindData, k, part[0].Run, part[k-1].Run, encodeDataBlock(part, dict)); err != nil {
 				return err
 			}
-			if err := bw.bw.Flush(); err != nil {
-				return err
-			}
-			newEnd = bw.off
+			return bw.bw.Flush()
 		}
 	} else if sc.torn {
-		if err := f.Truncate(sc.dataEnd); err != nil {
-			return err
-		}
+		return f.Truncate(sc.dataEnd)
 	}
-	lastRun, runStartRows := 0, 0
-	for i := range rows[:n] {
-		if rows[i].Run != lastRun {
-			lastRun, runStartRows = rows[i].Run, i
-		}
-	}
-	return writeBinIndex(f.Name(), f, n, lastRun, runStartRows, newEnd)
+	return nil
 }

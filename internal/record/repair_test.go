@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -70,15 +69,17 @@ func reseal(data []byte, off int64) {
 	le.PutUint32(frame[17:], crc32.Update(crc32.Update(0, binCRC, frame[:17]), binCRC, payload))
 }
 
-// TestTornRepairCheckedBlocks holds the repair scan to the decode path on
-// every repair surface: ScanFile, OpenAppend, TruncateTrailingRun and
-// TruncateRows must return what the scanReference-based oracles return and
-// leave the same log and sidecar-index bytes. The logs carry blocks whose
-// CRC is valid but whose content is not (planted as an interior block, as
-// the final block, or as both), and run tails that the frame headers alone
-// cannot settle. Every log runs with and without mmap, serially and on four
-// workers.
-func TestTornRepairCheckedBlocks(t *testing.T) {
+// repairLog is one binary log the repair differentials run on.
+type repairLog struct {
+	name string
+	data []byte
+}
+
+// repairLogs returns binary logs carrying blocks whose CRC is valid but
+// whose content is not (planted as an interior block, as the final block,
+// or as both), and run tails that the frame headers alone cannot settle,
+// each clean and with a torn payload or frame.
+func repairLogs(t *testing.T) []repairLog {
 	type plant func(data []byte, b refBlock) // edits block b in place
 	payloadAt := func(b refBlock) int64 { return b.off + binFrameLen }
 	faults := []struct {
@@ -111,11 +112,7 @@ func TestTornRepairCheckedBlocks(t *testing.T) {
 			binary.LittleEndian.PutUint32(data[b.off+9:], 77)
 		}},
 	}
-	type logCase struct {
-		name string
-		data []byte
-	}
-	var logs []logCase
+	var logs []repairLog
 	base := withRuns(1, 1, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 5, 6)
 	for _, f := range faults {
 		// "both" plants the fault twice: the interior one, lower, decides.
@@ -133,9 +130,19 @@ func TestTornRepairCheckedBlocks(t *testing.T) {
 				f.plant(data, b)
 				reseal(data, b.off)
 			}
-			logs = append(logs, logCase{f.name + "/" + where, data})
+			logs = append(logs, repairLog{f.name + "/" + where, data})
 		}
 	}
+	// A final dict block whose CRC holds but whose entry count does not: a
+	// torn tail, none of whose entries may reach a writer's dictionary.
+	entry := binary.LittleEndian.AppendUint32(nil, 3)
+	entry = append(entry, "new"...)
+	frame := make([]byte, binFrameLen, binFrameLen+len(entry))
+	frame[0] = binKindDict
+	binary.LittleEndian.PutUint32(frame[1:], 2)
+	binary.LittleEndian.PutUint32(frame[13:], uint32(len(entry)))
+	binary.LittleEndian.PutUint32(frame[17:], crc32.Update(crc32.Update(0, binCRC, frame[:17]), binCRC, entry))
+	logs = append(logs, repairLog{"dict-count/final", append(blockLog(t, base, 4), append(frame, entry...)...)})
 	tails := []struct {
 		name string
 		runs []int
@@ -156,21 +163,29 @@ func TestTornRepairCheckedBlocks(t *testing.T) {
 		blocks := dataBlocks(t, data)
 		last := blocks[len(blocks)-1]
 		logs = append(logs,
-			logCase{tc.name + "/clean", data},
-			logCase{tc.name + "/torn-payload", data[:len(data)-7]},
-			logCase{tc.name + "/torn-frame", data[:last.off+10]})
+			repairLog{tc.name + "/clean", data},
+			repairLog{tc.name + "/torn-payload", data[:len(data)-7]},
+			repairLog{tc.name + "/torn-frame", data[:last.off+10]})
 	}
+	return logs
+}
 
-	// same fails unless the two logs (and their sidecar indexes) hold the
-	// same bytes.
+// TestTornRepairCheckedBlocks holds the repair scan to the decode path on
+// every repair surface that keeps rows encoded: ScanFile, OpenAppend and
+// TruncateTrailingRun must return what the scanReference-based oracles
+// return and leave the same log bytes, on every log of repairLogs. Every log
+// runs with and without mmap, serially and on four workers.
+// TestReopenMatchesTruncateReadAppend holds Reopen, the cut that decodes, to
+// the same oracles on the same logs.
+func TestTornRepairCheckedBlocks(t *testing.T) {
+	logs := repairLogs(t)
+	// same fails unless the two logs hold the same bytes.
 	same := func(t *testing.T, op, got, want string) {
 		t.Helper()
-		for _, suffix := range []string{"", binIndexSuffix} {
-			g, gerr := os.ReadFile(got + suffix)
-			w, werr := os.ReadFile(want + suffix)
-			if errors.Is(gerr, os.ErrNotExist) != errors.Is(werr, os.ErrNotExist) || !bytes.Equal(g, w) {
-				t.Errorf("%s: %q differs from the decode path's (%d vs %d bytes, %v vs %v)", op, suffix, len(g), len(w), gerr, werr)
-			}
+		g, gerr := os.ReadFile(got)
+		w, werr := os.ReadFile(want)
+		if gerr != nil || werr != nil || !bytes.Equal(g, w) {
+			t.Errorf("%s: log differs from the decode path's (%d vs %d bytes, %v vs %v)", op, len(g), len(w), gerr, werr)
 		}
 	}
 	for _, nommap := range []string{"", "1"} {
@@ -220,18 +235,6 @@ func TestTornRepairCheckedBlocks(t *testing.T) {
 						t.Errorf("TruncateTrailingRun = (%d, %d, %v), decode path (%d, %d, %v)", gr, gd, gerr, wr, wd, werr2)
 					}
 					same(t, "TruncateTrailingRun", got, want)
-
-					for _, cut := range []int{0, 1, 2, 4, 5, ref.rows / 2, ref.rows - 1, ref.rows, ref.rows + 1} {
-						if cut < 0 {
-							continue
-						}
-						got, want = fresh("rows"), fresh("rows-ref")
-						gerr, werr2 := TruncateRows(got, cut), truncateRowsReference(want, cut)
-						if fmt.Sprint(gerr) != fmt.Sprint(werr2) {
-							t.Errorf("TruncateRows(%d) = %v, decode path %v", cut, gerr, werr2)
-						}
-						same(t, fmt.Sprintf("TruncateRows(%d)", cut), got, want)
-					}
 				})
 			}
 		}

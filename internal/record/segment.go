@@ -13,13 +13,13 @@
 // All integers little-endian; crc is CRC-32 (IEEE) over the payload. The
 // manifest lists only *sealed* segments (0..count-1), which are immutable;
 // segment NNNN=count is the active tail, examined and repaired by the
-// ordinary single-file machinery (scan, sidecar index, torn-tail truncate).
+// ordinary single-file machinery (repair scan, torn-tail truncate, reopen).
 // Each segment is a complete .sharpb file with its own magic and a re-based
 // dictionary, so any segment decodes in isolation.
 //
 // Segments roll only at run transitions once the active segment reaches
-// segRows rows: a run never spans segments, so TruncateTrailingRun and crash
-// repair touch exactly one segment file, and the manifest is rewritten
+// segRows rows: a run never spans segments, so TruncateTrailingRun, Reopen
+// and crash repair touch exactly one segment file, and the manifest is rewritten
 // (atomically, via fsx) only when a segment seals. A damaged manifest is
 // rebuilt by scanning the segments: a torn or corrupt *sealed* segment is
 // hard corruption (exactly like an interior block of a single-file log),
@@ -216,8 +216,8 @@ func rebuildManifest(path string) (*segManifest, error) {
 // ---- read-side dispatch targets ----
 
 // scanSegmented is the ScanFile implementation for segmented logs: the
-// manifest answers for sealed segments in O(1); only the active segment
-// (itself O(1) under a fresh sidecar index) is examined.
+// manifest answers for sealed segments in O(1); only the active segment is
+// examined.
 func scanSegmented(path string) (rows, lastRun int, torn bool, err error) {
 	m, _, err := loadManifest(path)
 	if err != nil {
@@ -254,16 +254,8 @@ func readSegmented(path string, dst []Row) ([]Row, error) {
 		copy(grown, dst)
 		dst = grown
 	}
-	for i, e := range m.entries {
-		var sc binScan
-		sc, dst, err = readLogFile(segPath(path, i), dst)
-		if err != nil {
-			return nil, err
-		}
-		if sc.torn || sc.rows != e.rows {
-			return nil, fmt.Errorf("record: sealed segment %04d%s has %d rows (torn=%v), manifest says %d",
-				i, BinaryExt, sc.rows, sc.torn, e.rows)
-		}
+	if dst, err = readSealed(path, m, dst); err != nil {
+		return nil, err
 	}
 	if ap := segPath(path, len(m.entries)); !activeSegMissing(ap) {
 		_, rows, err := readLogFile(ap, dst)
@@ -271,6 +263,23 @@ func readSegmented(path string, dst []Row) ([]Row, error) {
 			return dst, nil
 		}
 		return rows, err
+	}
+	return dst, nil
+}
+
+// readSealed decodes the sealed segments of m, appending to dst. Each must
+// decode cleanly to exactly its manifest row count.
+func readSealed(path string, m *segManifest, dst []Row) ([]Row, error) {
+	for i, e := range m.entries {
+		sc, rows, err := readLogFile(segPath(path, i), dst)
+		if err != nil {
+			return nil, err
+		}
+		if sc.torn || sc.rows != e.rows {
+			return nil, fmt.Errorf("record: sealed segment %04d%s has %d rows (torn=%v), manifest says %d",
+				i, BinaryExt, sc.rows, sc.torn, e.rows)
+		}
+		dst = rows
 	}
 	return dst, nil
 }
@@ -325,7 +334,6 @@ func createSegmented(path string, o Options) (*Writer, error) {
 	if err := os.RemoveAll(segDir(path)); err != nil {
 		return nil, err
 	}
-	os.Remove(path + binIndexSuffix)
 	if err := os.MkdirAll(segDir(path), 0o755); err != nil {
 		return nil, err
 	}
@@ -357,7 +365,7 @@ func (w *segWriter) add(r *Row) error {
 }
 
 // roll seals the active segment and starts the next one. The ordering is
-// crash-safe: the segment is completed (flush + sidecar index + close)
+// crash-safe: the segment is completed (flush + close)
 // before the manifest records it, and the manifest records it before the
 // next segment exists — a crash between any two steps leaves a log that
 // OpenAppend repairs without losing rows.
@@ -384,12 +392,15 @@ func (w *segWriter) roll() error {
 // changes when a segment seals).
 func (w *segWriter) close() error { return w.bw.close() }
 
-// openAppendSegmented opens a segmented log for continuation: it repairs the
-// manifest if damaged, then validates and repairs only the active segment.
-func openAppendSegmented(path string, o Options) (*Writer, int, error) {
+// appendManifest loads the manifest of the segmented log at path for a
+// writer with options o: it settles the roll size and persists the manifest
+// when it was rebuilt or the roll size changed. The manifest must describe
+// how the writer actually rolls (a rebuilt manifest records segRows 0), so
+// a repaired-and-resumed log stays byte-identical to an uninterrupted one.
+func appendManifest(path string, o Options) (*segManifest, error) {
 	m, rebuilt, err := loadManifest(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	segRows := o.SegmentRows
 	if segRows <= 0 {
@@ -398,88 +409,149 @@ func openAppendSegmented(path string, o Options) (*Writer, int, error) {
 	if segRows <= 0 {
 		segRows = defaultSegmentRows
 	}
-	// Persist not just after a rebuild but whenever the effective roll size
-	// differs from the stored one (a rebuilt manifest persisted by a repair
-	// records segRows 0): the manifest must describe how the writer actually
-	// rolls, so a repaired-and-resumed log stays byte-identical to an
-	// uninterrupted one.
 	if m.segRows != segRows {
 		m.segRows = segRows
 		rebuilt = true
 	}
 	if rebuilt {
 		if err := writeManifest(path, m); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
+	}
+	return m, nil
+}
+
+// appendWriter wraps the writer bw of the active segment into a Writer
+// continuing the segmented log of manifest m.
+func appendWriter(path string, o Options, m *segManifest, bw *binWriter) *Writer {
+	lastRun := bw.lastRun
+	if bw.rows == 0 && len(m.entries) > 0 {
+		lastRun = m.entries[len(m.entries)-1].lastRun
+	}
+	sw := &segWriter{path: path, opts: o, segRows: m.segRows, m: m, bw: bw, local: bw.rows, lastRun: lastRun}
+	return &Writer{seg: sw, opts: o, wroteHeader: true, rows: m.sealedRows() + bw.rows}
+}
+
+// createActive starts the active segment ap empty: it never came to exist
+// (a crash between sealing a segment and creating its successor) or is a
+// 0-byte artifact (a crash before its first buffer flush), so no rows of it
+// were durable.
+func createActive(path, ap string, o Options) (*binWriter, error) {
+	if err := os.MkdirAll(segDir(path), 0o755); err != nil {
+		return nil, err
+	}
+	return createBinary(ap, o)
+}
+
+// openAppendSegmented opens a segmented log for continuation: it repairs the
+// manifest if damaged, then validates and repairs only the active segment.
+func openAppendSegmented(path string, o Options) (*Writer, int, error) {
+	m, err := appendManifest(path, o)
+	if err != nil {
+		return nil, 0, err
 	}
 	ap := segPath(path, len(m.entries))
 	var bw *binWriter
-	local := 0
 	if activeSegMissing(ap) {
-		// Crash between sealing a segment and creating its successor (the
-		// active segment never came to exist) or before its first buffer
-		// flush (a 0-byte artifact): no rows were durable. Start it empty.
-		if err := os.MkdirAll(segDir(path), 0o755); err != nil {
-			return nil, 0, err
-		}
-		if bw, err = createBinary(ap, o); err != nil {
-			return nil, 0, err
-		}
-	} else if bw, local, err = openAppendBinaryCore(ap, o); err != nil {
+		bw, err = createActive(path, ap, o)
+	} else {
+		bw, err = openAppendBinaryCore(ap, o)
+	}
+	if err != nil {
 		return nil, 0, err
 	}
-	lastRun := bw.lastRun
-	if local == 0 && len(m.entries) > 0 {
-		lastRun = m.entries[len(m.entries)-1].lastRun
-	}
-	total := m.sealedRows() + local
-	sw := &segWriter{path: path, opts: o, segRows: segRows, m: m, bw: bw, local: local, lastRun: lastRun}
-	return &Writer{seg: sw, opts: o, wroteHeader: true, rows: total}, total, nil
+	w := appendWriter(path, o, m, bw)
+	return w, w.rows, nil
 }
 
-// truncateRowsSegmented cuts a segmented log to its first n rows. A cut
-// inside a sealed segment drops every later segment, unseals it, and cuts it
-// with the single-file machinery; a cut in the active segment touches only
-// that file.
-func truncateRowsSegmented(path string, n int) error {
-	m, rebuilt, err := loadManifest(path)
+// unseal makes segment k of m the active one: every later segment is
+// deleted, and the manifest lists only the segments before k.
+func unseal(path string, m *segManifest, k int) error {
+	for j := len(m.entries); j > k; j-- {
+		os.Remove(segPath(path, j))
+	}
+	m.entries = m.entries[:k]
+	return writeManifest(path, m)
+}
+
+// reopenSegmented is Reopen for segmented logs. The cut lands in one
+// segment, which gets the one-pass reopen of a single-file log and becomes
+// the active segment; the sealed segments before it are read, and those
+// after it are dropped. A checkpoint inside a sealed segment unseals it.
+// Without a checkpoint the trailing run lies in the active segment or, when
+// that holds no rows, is the final run of the last sealed segment, which is
+// unsealed. As in the cut-read-append sequence, the cut comes first.
+func reopenSegmented(path string, checkpoint int, o Options) (w *Writer, rows []Row, droppedRun int, err error) {
+	m, err := appendManifest(path, o)
 	if err != nil {
-		return err
+		return nil, nil, 0, err
 	}
-	if rebuilt {
-		if err := writeManifest(path, m); err != nil {
-			return err
-		}
-	}
-	start := 0
-	for i, e := range m.entries {
-		if n < start+e.rows {
-			for j := len(m.entries); j > i; j-- {
-				os.Remove(segPath(path, j))
-				os.Remove(segPath(path, j) + binIndexSuffix)
+	// k is the segment the cut lands in, n the cut within it.
+	k, n := len(m.entries), checkpoint
+	if n >= 0 {
+		for i, e := range m.entries {
+			if n < e.rows {
+				k = i
+				break
 			}
-			m.entries = m.entries[:i]
-			if err := writeManifest(path, m); err != nil {
-				return err
-			}
-			return truncateRowsBinary(segPath(path, i), n-start)
+			n -= e.rows
 		}
-		start += e.rows
 	}
-	ap := segPath(path, len(m.entries))
-	if activeSegMissing(ap) {
-		if n == start {
-			return nil
+	if k < len(m.entries) {
+		if err := unseal(path, m, k); err != nil {
+			return nil, nil, 0, err
 		}
-		return fmt.Errorf("record: truncate to %d rows: only %d available", n, start)
 	}
-	return truncateRowsBinary(ap, n-start)
+	// The sealed rows go in front of the kept segment's, which need at
+	// most one slot per 68 bytes of the segment.
+	sp, prefix, room := segPath(path, k), m.sealedRows(), 0
+	if st, err := os.Stat(sp); err == nil {
+		room = int(st.Size() / binRowBytes)
+	}
+	rows = make([]Row, prefix, prefix+room)
+	var bw *binWriter
+	if !activeSegMissing(sp) {
+		if bw, rows, droppedRun, err = reopenBinaryCore(sp, n, o, rows); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if checkpoint < 0 && k > 0 && (bw == nil || bw.rows == 0 && droppedRun == 0) {
+		// The active segment holds no rows: unseal the last sealed segment
+		// and drop its final run instead.
+		if bw != nil {
+			bw.f.Close()
+		}
+		k--
+		prefix -= m.entries[k].rows
+		if err := unseal(path, m, k); err != nil {
+			return nil, nil, 0, err
+		}
+		sp = segPath(path, k)
+		if bw, rows, droppedRun, err = reopenBinaryCore(sp, -1, o, rows[:prefix]); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if bw == nil {
+		if n > 0 {
+			return nil, nil, 0, fmt.Errorf("record: truncate to %d rows: only %d available", checkpoint, prefix)
+		}
+		if bw, err = createActive(path, sp, o); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if _, err := readSealed(path, m, rows[:0:prefix]); err != nil {
+		bw.f.Close()
+		return nil, nil, 0, err
+	}
+	return appendWriter(path, o, m, bw), rows, droppedRun, nil
 }
 
 // truncateTrailingRunSegmented drops the final (possibly incomplete) run of
 // a segmented log. Runs never span segments, so the cut touches exactly one
-// segment: the active one, or — when the active segment is empty — the last
-// sealed segment, which is unsealed first.
+// segment: the active one, or — when the active segment holds no rows — the
+// last sealed segment, which is unsealed first. The active segment is
+// repair-scanned once: its trailing run is cut in the same pass that finds
+// whether it holds any rows.
 func truncateTrailingRunSegmented(path string) (rows, droppedRun int, err error) {
 	m, rebuilt, err := loadManifest(path)
 	if err != nil {
@@ -491,42 +563,22 @@ func truncateTrailingRunSegmented(path string) (rows, droppedRun int, err error)
 		}
 	}
 	ap := segPath(path, len(m.entries))
-	present, ar := !activeSegMissing(ap), 0
-	if present {
-		var aerr error
-		if ar, _, _, aerr = scanBinaryFile(ap); aerr != nil {
-			if !os.IsNotExist(aerr) {
-				return 0, 0, aerr
-			}
-			present = false
-		}
-	}
-	if present && ar > 0 {
-		lr, dropped, err := truncateTrailingRunBinary(ap)
-		if err != nil {
+	local := 0
+	if !activeSegMissing(ap) {
+		if local, droppedRun, err = truncateTrailingRunBinary(ap); err != nil && !os.IsNotExist(err) {
 			return 0, 0, err
 		}
-		return m.sealedRows() + lr, dropped, nil
 	}
-	if len(m.entries) == 0 {
-		if present {
-			// Zero valid rows but the file exists (possibly torn): trim it.
-			return truncateTrailingRunBinary(ap)
-		}
-		return 0, 0, nil
+	if local > 0 || droppedRun != 0 || len(m.entries) == 0 {
+		return m.sealedRows() + local, droppedRun, nil
 	}
-	// Empty (or missing) active segment: the trailing run is the last sealed
-	// segment's final run. Unseal it and cut there.
-	os.Remove(ap)
-	os.Remove(ap + binIndexSuffix)
 	last := len(m.entries) - 1
-	m.entries = m.entries[:last]
-	if err := writeManifest(path, m); err != nil {
+	if err := unseal(path, m, last); err != nil {
 		return 0, 0, err
 	}
-	lr, dropped, err := truncateTrailingRunBinary(segPath(path, last))
+	local, droppedRun, err = truncateTrailingRunBinary(segPath(path, last))
 	if err != nil {
 		return 0, 0, err
 	}
-	return m.sealedRows() + lr, dropped, nil
+	return m.sealedRows() + local, droppedRun, nil
 }

@@ -282,18 +282,16 @@ func TestSegmentedSealedDamageIsCorruption(t *testing.T) {
 	}
 }
 
-// TestSegmentedTruncateRows cuts at boundaries and interiors of both sealed
-// and active segments, comparing against the single-file reference.
+// TestSegmentedTruncateRows reopens at checkpoints on boundaries and
+// interiors of both sealed and active segments: Reopen keeps exactly the
+// first n rows, and the writer it returns continues the log.
 func TestSegmentedTruncateRows(t *testing.T) {
 	all := runRows(40, 3) // 120 rows, ~10-row segments
 	for _, n := range []int{120, 113, 100, 60, 33, 30, 12, 0} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "cut.sharpb")
 			writeSegmented(t, path, all, 10)
-			if err := TruncateRows(path, n); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadFile(path)
+			w, got, _, err := Reopen(path, n, Options{FlushEvery: 1, SegmentRows: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,11 +301,10 @@ func TestSegmentedTruncateRows(t *testing.T) {
 			if n == 0 && len(got) != 0 {
 				t.Fatalf("got %d rows, want 0", len(got))
 			}
-			// The cut log must remain appendable.
-			w, m, err := OpenAppend(path, Options{FlushEvery: 1, SegmentRows: 10})
-			if err != nil || m != n {
-				t.Fatalf("OpenAppend after cut = (%d, %v), want %d", m, err, n)
+			if w.Rows() != n {
+				t.Fatalf("writer after cut counts %d rows, want %d", w.Rows(), n)
 			}
+			// The cut log must remain appendable.
 			if err := w.WriteAll(all[n:]); err != nil {
 				t.Fatal(err)
 			}
@@ -322,8 +319,8 @@ func TestSegmentedTruncateRows(t *testing.T) {
 	t.Run("too-many", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "cut.sharpb")
 		writeSegmented(t, path, all, 10)
-		if err := TruncateRows(path, len(all)+1); err == nil {
-			t.Fatal("TruncateRows past the end succeeded")
+		if _, _, _, err := Reopen(path, len(all)+1, Options{SegmentRows: 10}); err == nil {
+			t.Fatal("Reopen past the end succeeded")
 		}
 	})
 }
@@ -405,7 +402,6 @@ func TestSegmentedEmptyActiveSegment(t *testing.T) {
 		if err := os.WriteFile(ap, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		os.Remove(ap + binIndexSuffix)
 		m, _, err := loadManifest(path)
 		if err != nil {
 			t.Fatal(err)
@@ -428,13 +424,11 @@ func TestSegmentedEmptyActiveSegment(t *testing.T) {
 		}); err != nil || !reflect.DeepEqual(all[:sealed], streamed) {
 			t.Fatalf("StreamFile = (%d rows, %v), want the %d sealed rows", len(streamed), err, sealed)
 		}
-		if err := TruncateRows(path, sealed); err != nil {
-			t.Fatalf("TruncateRows(%d) = %v, want nil", sealed, err)
+		w, kept, _, err := Reopen(path, sealed, Options{FlushEvery: 1, SegmentRows: 6})
+		if err != nil || !reflect.DeepEqual(all[:sealed], kept) {
+			t.Fatalf("Reopen(%d) = (%d rows, %v), want the %d sealed rows", sealed, len(kept), err, sealed)
 		}
-		w, n, err := OpenAppend(path, Options{FlushEvery: 1, SegmentRows: 6})
-		if err != nil || n != sealed {
-			t.Fatalf("OpenAppend = (%d, %v), want (%d, nil)", n, err, sealed)
-		}
+		n := len(kept)
 		if err := w.WriteAll(all[n:]); err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +474,6 @@ func TestSegmentedEmptyActiveSegment(t *testing.T) {
 		if err := os.WriteFile(ap, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		os.Remove(ap + binIndexSuffix)
 		if rows, lastRun, torn, err := ScanFile(path); rows != 0 || lastRun != 0 || torn || err != nil {
 			t.Fatalf("ScanFile = (%d, %d, %v, %v), want (0, 0, false, nil)", rows, lastRun, torn, err)
 		}

@@ -302,25 +302,7 @@ func (c *Coordinator) recover() error {
 			}
 		}
 
-		// Unfinished: repair the row log. A drain checkpoint gives the exact
-		// durable row count; otherwise drop the (possibly torn) last run —
-		// re-measuring it is free and bit-identical.
-		csv := c.csvPath(rec.ID)
-		if _, err := os.Stat(csv); err == nil {
-			repaired := false
-			if m, err := record.ParseMetadataFile(c.metaPath(rec.ID)); err == nil {
-				if _, rows, ok := m.Checkpoint(); ok {
-					if err := record.TruncateRows(csv, rows); err == nil {
-						repaired = true
-					}
-				}
-			}
-			if !repaired {
-				if _, _, err := record.TruncateTrailingRun(csv); err != nil {
-					return fmt.Errorf("service: repairing %s: %w", csv, err)
-				}
-			}
-		}
+		// Unfinished: the runner repairs its row log and resumes it.
 		cp.state = "queued"
 		c.camps[rec.ID] = cp
 		c.order = append(c.order, rec.ID)
@@ -459,23 +441,9 @@ func (c *Coordinator) runner(cp *campaign, resume bool) {
 	c.sched.register(cp.id, cp.spec)
 	defer c.sched.unregister(cp.id)
 
-	csv := c.csvPath(cp.id)
-	var prior []record.Row
-	var w *record.Writer
-	if resume {
-		if _, statErr := os.Stat(csv); statErr == nil {
-			prior, err = record.ReadFile(csv)
-			if err == nil {
-				w, _, err = record.OpenAppend(csv, record.Options{FlushEvery: 1})
-			}
-		} else {
-			w, err = record.CreateDurable(csv, record.Options{FlushEvery: 1})
-		}
-	} else {
-		w, err = record.CreateDurable(csv, record.Options{FlushEvery: 1})
-	}
+	w, prior, err := c.openLog(cp.id, resume)
 	if err != nil {
-		c.finish(cp, nil, fmt.Errorf("service: opening row log: %w", err))
+		c.finish(cp, nil, err)
 		return
 	}
 
@@ -504,6 +472,37 @@ func (c *Coordinator) runner(cp *campaign, resume bool) {
 		}
 	}
 	c.finish(cp, res, err)
+}
+
+// openLog opens a campaign's row log: a fresh log, or for a recovered
+// campaign its repaired log and the rows it keeps. A drain checkpoint gives
+// the exact durable row count; without one, or when the cut to it fails,
+// the (possibly torn) last run is dropped — re-measuring it is free and
+// bit-identical. A log that cannot be repaired fails only its campaign.
+func (c *Coordinator) openLog(id string, resume bool) (*record.Writer, []record.Row, error) {
+	csv := c.csvPath(id)
+	opts := record.Options{FlushEvery: 1}
+	if _, err := os.Stat(csv); !resume || err != nil { // no log to repair
+		w, err := record.CreateDurable(csv, opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: opening row log: %w", err)
+		}
+		return w, nil, nil
+	}
+	checkpoint := -1
+	if m, err := record.ParseMetadataFile(c.metaPath(id)); err == nil {
+		if _, rows, ok := m.Checkpoint(); ok {
+			checkpoint = rows
+		}
+	}
+	w, rows, _, err := record.Reopen(csv, checkpoint, opts)
+	if err != nil && checkpoint >= 0 {
+		w, rows, _, err = record.Reopen(csv, -1, opts)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: repairing %s: %w", csv, err)
+	}
+	return w, rows, nil
 }
 
 // tryCache answers a fresh campaign from the content-addressed cache: on a

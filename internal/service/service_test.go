@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -467,6 +468,60 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 	got := readCSV(t, coord2.ResultCSVPath(id))
 	if !bytes.Equal(got, want) {
 		t.Errorf("CSV after drain + resume differs from reference (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestRecoveryCorruptLogFailsOnlyItsCampaign: a recovered campaign whose row
+// log is corrupt mid-file cannot be repaired. It fails on its own, with the
+// repair error in its status, while the coordinator starts, finishes the
+// other recovered campaign byte-identically, and admits new ones.
+func TestRecoveryCorruptLogFailsOnlyItsCampaign(t *testing.T) {
+	spec := baseSpec("fixed", 14, 1, nil)
+	want, _ := referenceCSV(t, spec)
+	dir := t.TempDir()
+	corrupt := append([]byte(nil), want...)
+	corrupt[len(corrupt)/2] = '"' // a bare quote inside an interior row
+	logs := map[string][]byte{
+		"c0001": corrupt,
+		"c0002": want[:len(want)*2/3], // a crash mid-row: torn, repairable
+	}
+	for id, csv := range logs {
+		data, err := json.Marshal(specRecord{ID: id, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".spec.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".csv"), csv, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord, err := New(testConfig(dir))
+	if err != nil {
+		t.Fatalf("recovery with one corrupt log: %v", err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spawnWorker(ctx, &Worker{ID: "w1", API: coord})
+	spawnWorker(ctx, &Worker{ID: "w2", API: coord})
+
+	if st := waitDone(t, coord, "c0001"); st.State != "failed" || !strings.Contains(st.Error, "repairing") || !strings.Contains(st.Error, "corrupt row") {
+		t.Errorf("corrupt campaign = %q (%s), want failed with the repair error", st.State, st.Error)
+	}
+	if st := waitDone(t, coord, "c0002"); st.State != "done" {
+		t.Fatalf("torn campaign = %q (%s), want done", st.State, st.Error)
+	}
+	if got := readCSV(t, coord.ResultCSVPath("c0002")); !bytes.Equal(got, want) {
+		t.Errorf("recovered torn campaign differs from reference (%d vs %d bytes)", len(got), len(want))
+	}
+	id, err := coord.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, coord, id); st.State != "done" || !bytes.Equal(readCSV(t, coord.ResultCSVPath(id)), want) {
+		t.Errorf("new campaign after recovery = %q (%s), want done and identical to the reference", st.State, st.Error)
 	}
 }
 

@@ -16,9 +16,10 @@
 //
 //   - Resume accounting. The coordinator journals accepted campaigns and
 //     streams every merged row to a durable CSV; after a coordinator crash,
-//     record.ScanFile/TruncateTrailingRun repair the log and
+//     each recovered campaign's runner repairs its log with record.Reopen and
 //     core.Launcher.Resume replays it through the stopping rule, continuing
-//     the campaign exactly where the row stream ends.
+//     the campaign exactly where the row stream ends. A log that cannot be
+//     repaired fails only its own campaign.
 //
 // Together: campaigns survive worker murder, lease expiry, admission
 // pressure, graceful drain, and coordinator restarts with byte-identical
