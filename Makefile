@@ -95,7 +95,8 @@ trend-check:
 experiments:
 	$(GO) run ./cmd/sharp-experiments --out results all
 
-# Short fuzz sessions over the hand-written parsers.
+# Short fuzz sessions over the hand-written parsers and the statistics
+# that must match a reference bit for bit.
 fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzParseYAML -fuzztime=30s ./internal/config/
 	$(GO) test -run=XXX -fuzz=FuzzParseMetadata -fuzztime=30s ./internal/record/
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz='^FuzzRequestBodies$$' -fuzztime=30s ./internal/service/
 	$(GO) test -run=XXX -fuzz='^FuzzLeaseResponse$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/service/
 	$(GO) test -run=XXX -fuzz=FuzzHalvesKS -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/stream/
+	$(GO) test -run=XXX -fuzz=FuzzMannWhitneyU -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/
 
 examples:
 	@for ex in quickstart gpu-compare concurrency finegrained stopping duet workflow; do \

@@ -644,9 +644,10 @@ type Comparison struct {
 }
 
 // Compare computes the full similarity comparison between two sample sets.
-// The six similarity metrics all consume sorted views, so the Group cache
-// sorts each sample once instead of once per metric; every value is
-// identical to calling the metric functions on the raw samples.
+// The similarity metrics, the KS and Mann-Whitney tests and the mode counts
+// all consume sorted views, so the Group cache sorts each sample once
+// instead of once per statistic; every value is identical to calling the
+// statistics on the raw samples. The means keep the input order.
 func Compare(nameA string, a []float64, nameB string, b []float64) (Comparison, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return Comparison{}, errors.New("core: cannot compare empty sample sets")
@@ -687,10 +688,24 @@ func Compare(nameA string, a []float64, nameB string, b []float64) (Comparison, 
 		W1:          w1,
 		JSD:         jsd,
 		Overlap:     overlap,
-		MannWhitney: stats.MannWhitneyU(a, b),
-		ModesA:      stats.CountModes(a),
-		ModesB:      stats.CountModes(b),
+		MannWhitney: stats.MannWhitneyU(ga.Sorted(), gb.Sorted()),
+		ModesA:      countModes(a, ga.Sorted()),
+		ModesB:      countModes(b, gb.Sorted()),
 	}, nil
+}
+
+// countModes is stats.CountModes(xs) on xs's sorted view: the Silverman
+// bandwidth's standard deviation is still summed in xs's order, so the
+// count is the same.
+func countModes(xs, sorted []float64) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	if stats.Min(xs) == stats.Max(xs) {
+		return 1
+	}
+	bw := stats.SilvermanFromStats(len(xs), stats.StdDev(xs), stats.IQR(sorted))
+	return stats.CountModesSortedBandwidth(sorted, bw)
 }
 
 // CompareResults compares the primary-metric distributions of two Results.

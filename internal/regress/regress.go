@@ -107,16 +107,27 @@ func Check(baseline, current []float64, cfg Config) (Outcome, error) {
 			Explanation: "NaN observations in sample set; check input data",
 		}, nil
 	}
+	// One sort per side serves every statistic that depends only on the
+	// multiset. The means and the mode counter's bandwidth keep the input
+	// order: their summations depend on it.
+	sb, sc := stats.SortedCopy(baseline), stats.SortedCopy(current)
+	// stats.CountModes(xs) on xs's sorted view s; without NaNs, Min(xs) ==
+	// Max(xs) exactly when s[0] == s[len(s)-1], which is the check
+	// CountModesSortedBandwidth makes.
+	modes := func(xs, s []float64) int {
+		bw := stats.SilvermanFromStats(len(xs), stats.StdDev(xs), stats.IQR(s))
+		return stats.CountModesSortedBandwidth(s, bw)
+	}
 	out := Outcome{
 		NBaseline:     len(baseline),
 		NCurrent:      len(current),
-		ModesBaseline: stats.CountModes(baseline),
-		ModesCurrent:  stats.CountModes(current),
-		MannWhitney:   stats.MannWhitneyU(baseline, current),
-		KS:            stats.KSTest(baseline, current),
-		CliffsDelta:   stats.CliffsDelta(current, baseline),
+		ModesBaseline: modes(baseline, sb),
+		ModesCurrent:  modes(current, sc),
+		MannWhitney:   stats.MannWhitneyU(sb, sc),
+		KS:            stats.KSTestSorted(sb, sc),
+		CliffsDelta:   stats.CliffsDelta(sc, sb),
 	}
-	mb, mc := stats.Median(baseline), stats.Median(current)
+	mb, mc := stats.QuantileSorted(sb, 0.5), stats.QuantileSorted(sc, 0.5)
 	meanB, meanC := stats.Mean(baseline), stats.Mean(current)
 	if mb != 0 {
 		out.MedianChangePct = 100 * (mc - mb) / mb

@@ -8,6 +8,7 @@ package report
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 
@@ -55,10 +56,16 @@ func Result(res *core.Result, o Options) string {
 }
 
 // Distribution renders the statistics and plots of one sample set.
+//
+// It sorts the samples once and hands that view to every statistic and
+// plot that depends only on the multiset. The mean CIs, the bootstrap, the
+// KDE bandwidth's standard deviation and Min/Max keep the caller's order:
+// Kahan and plain summation and the resample indices depend on it.
 func Distribution(name string, samples []float64, o Options) string {
 	o = o.withDefaults()
 	var b strings.Builder
-	sum, err := stats.Describe(samples)
+	sorted := stats.SortedCopy(samples)
+	sum, err := stats.Describe(sorted)
 	if err != nil {
 		return fmt.Sprintf("## %s\n\n(no samples)\n", name)
 	}
@@ -87,24 +94,54 @@ func Distribution(name string, samples []float64, o Options) string {
 	meanCI := stats.MeanCI(samples, o.Level)
 	rng := rand.New(rand.NewPCG(uint64(len(samples)), 0x5eed))
 	bootCI := stats.BootstrapCI(rng, samples, o.Bootstrap, o.Level, stats.Mean)
-	medCI := stats.QuantileCI(samples, 0.5, o.Level)
+	medCI := stats.QuantileCI(sorted, 0.5, o.Level)
 	fmt.Fprintf(&b, "Uncertainty (level %.0f%%):\n\n", o.Level*100)
 	fmt.Fprintf(&b, "- mean CI (t): [%.4g, %.4g]\n", meanCI.Low, meanCI.High)
 	fmt.Fprintf(&b, "- mean CI (bootstrap x%d): [%.4g, %.4g]\n", o.Bootstrap, bootCI.Low, bootCI.High)
 	fmt.Fprintf(&b, "- median CI (order stat): [%.4g, %.4g]\n\n", medCI.Low, medCI.High)
 	// Shape: modality + classification.
-	modes := stats.NewKDE(samples).Modes(256, 0.15, 0.25)
+	// stats.NewKDE(samples), built on the shared sorted view.
+	bw := stats.SilvermanFromStats(len(samples), stats.StdDev(samples), stats.IQR(sorted))
+	modes := stats.NewKDESorted(sorted, bw).Modes(256, 0.15, 0.25)
 	fmt.Fprintf(&b, "Modality: %d mode(s) at", len(modes))
 	for _, md := range modes {
 		fmt.Fprintf(&b, " %.4g", md.Location)
 	}
 	fmt.Fprintf(&b, "\n\n")
 	fmt.Fprintf(&b, "Histogram (bin rule: %s):\n\n```\n%s```\n\n",
-		stats.BinMinWidth, textplot.HistogramData(samples, o.PlotWidth))
+		stats.BinMinWidth, textplot.HistogramData(plotView(samples, sorted), o.PlotWidth))
 	lo, hi := stats.Min(samples), stats.Max(samples)
-	fmt.Fprintf(&b, "Boxplot:\n\n```\n%s\n```\n\n", textplot.Boxplot(samples, lo, hi, o.PlotWidth))
-	fmt.Fprintf(&b, "ECDF:\n\n```\n%s```\n", textplot.ECDF(samples, o.PlotWidth, 10))
+	fmt.Fprintf(&b, "Boxplot:\n\n```\n%s\n```\n\n", textplot.Boxplot(sorted, lo, hi, o.PlotWidth))
+	fmt.Fprintf(&b, "ECDF:\n\n```\n%s```\n", textplot.ECDF(plotView(samples, sorted), o.PlotWidth, 10))
 	return b.String()
+}
+
+// plotView picks the slice to hand the plots that print the extremes of
+// their input (textplot.HistogramData and textplot.ECDF take its Min and
+// Max): the sorted view of xs when its Min and Max are the same bits as
+// those of xs, and xs itself otherwise. They differ only when an extreme
+// is a zero of both signs, or for a NaN: Min and Max then answer by
+// position.
+func plotView(xs, sorted []float64) []float64 {
+	if math.Float64bits(stats.Min(sorted)) == math.Float64bits(stats.Min(xs)) &&
+		math.Float64bits(stats.Max(sorted)) == math.Float64bits(stats.Max(xs)) {
+		return sorted
+	}
+	return xs
+}
+
+// countModes is stats.CountModes(xs) on xs's sorted view: the Silverman
+// bandwidth's standard deviation is still summed in xs's order, so the
+// count is the same.
+func countModes(xs, sorted []float64) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	if stats.Min(xs) == stats.Max(xs) {
+		return 1
+	}
+	bw := stats.SilvermanFromStats(len(xs), stats.StdDev(xs), stats.IQR(sorted))
+	return stats.CountModesSortedBandwidth(sorted, bw)
 }
 
 // Comparison renders a pairwise distribution comparison (§V-B style),
@@ -137,12 +174,14 @@ func Comparison(cmp core.Comparison, a, b []float64, o Options) string {
 		if m := stats.Max(b); m > hi {
 			hi = m
 		}
+		// One sort per side serves its boxplot and histogram.
+		sortedA, sortedB := stats.SortedCopy(a), stats.SortedCopy(b)
 		fmt.Fprintf(&sb, "Boxplots (common scale %.4g .. %.4g):\n\n```\n", lo, hi)
-		fmt.Fprintf(&sb, "%-12s %s\n", truncate(cmp.NameA, 12), textplot.Boxplot(a, lo, hi, o.PlotWidth))
-		fmt.Fprintf(&sb, "%-12s %s\n", truncate(cmp.NameB, 12), textplot.Boxplot(b, lo, hi, o.PlotWidth))
+		fmt.Fprintf(&sb, "%-12s %s\n", truncate(cmp.NameA, 12), textplot.Boxplot(sortedA, lo, hi, o.PlotWidth))
+		fmt.Fprintf(&sb, "%-12s %s\n", truncate(cmp.NameB, 12), textplot.Boxplot(sortedB, lo, hi, o.PlotWidth))
 		sb.WriteString("```\n\n")
-		fmt.Fprintf(&sb, "Histogram %s:\n\n```\n%s```\n\n", cmp.NameA, textplot.HistogramData(a, o.PlotWidth))
-		fmt.Fprintf(&sb, "Histogram %s:\n\n```\n%s```\n", cmp.NameB, textplot.HistogramData(b, o.PlotWidth))
+		fmt.Fprintf(&sb, "Histogram %s:\n\n```\n%s```\n\n", cmp.NameA, textplot.HistogramData(plotView(a, sortedA), o.PlotWidth))
+		fmt.Fprintf(&sb, "Histogram %s:\n\n```\n%s```\n", cmp.NameB, textplot.HistogramData(plotView(b, sortedB), o.PlotWidth))
 	}
 	return sb.String()
 }
@@ -193,8 +232,11 @@ func Suite(title string, results []*core.Result, o Options) string {
 	var rows [][]string
 	lo, hi := 0.0, 0.0
 	first := true
-	for _, r := range results {
-		sum, err := r.Summary()
+	// One sort per result serves its summary, mode count and boxplot.
+	sorted := make([][]float64, len(results))
+	for i, r := range results {
+		sorted[i] = stats.SortedCopy(r.Samples)
+		sum, err := stats.Describe(sorted[i])
 		if err != nil {
 			continue
 		}
@@ -212,7 +254,7 @@ func Suite(title string, results []*core.Result, o Options) string {
 			fmt.Sprintf("%.4g", sum.Median),
 			fmt.Sprintf("%.4g", sum.P95),
 			fmt.Sprintf("%.3g", sum.CV),
-			fmt.Sprintf("%d", r.Modes()),
+			fmt.Sprintf("%d", countModes(r.Samples, sorted[i])),
 			r.RuleName,
 		})
 	}
@@ -220,12 +262,12 @@ func Suite(title string, results []*core.Result, o Options) string {
 		[]string{"experiment", "n", "mean", "median", "p95", "cv", "modes", "rule"}, rows))
 	if len(results) > 1 && hi > lo {
 		fmt.Fprintf(&b, "\nBoxplots (common scale %.4g .. %.4g):\n\n```\n", lo, hi)
-		for _, r := range results {
+		for i, r := range results {
 			if len(r.Samples) == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "%-18s %s\n", truncate(r.Experiment.Name, 18),
-				textplot.Boxplot(r.Samples, lo, hi, o.PlotWidth))
+				textplot.Boxplot(sorted[i], lo, hi, o.PlotWidth))
 		}
 		b.WriteString("```\n")
 	}

@@ -11,9 +11,11 @@
 package similarity
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sharp/internal/stats"
 )
@@ -195,10 +197,7 @@ func commonHistograms(x, y []float64, bins int) (p, q []float64) {
 	lo := math.Min(stats.Min(x), stats.Min(y))
 	hi := math.Max(stats.Max(x), stats.Max(y))
 	if bins <= 0 {
-		pooled := make([]float64, 0, len(x)+len(y))
-		pooled = append(pooled, x...)
-		pooled = append(pooled, y...)
-		w := stats.BinWidth(pooled, stats.BinMinWidth)
+		w := stats.BinWidth(pool(x, y), stats.BinMinWidth)
 		if w <= 0 {
 			bins = 1
 		} else {
@@ -234,6 +233,31 @@ func commonHistograms(x, y []float64, bins int) (p, q []float64) {
 		return c
 	}
 	return count(x), count(y)
+}
+
+// pool returns x and y as one sample. Ascending inputs (the sorted views
+// Group hands the metrics) are merged, so the pool is ascending too and
+// BinWidth copies it instead of sorting it. The merge orders values as
+// sort.Float64s does, so it can differ from a sort of the concatenation
+// only in the order of tied ±0 and of NaNs, which leaves the width as it
+// is.
+func pool(x, y []float64) []float64 {
+	out := make([]float64, 0, len(x)+len(y))
+	if !slices.IsSorted(x) || !slices.IsSorted(y) {
+		return append(append(out, x...), y...)
+	}
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		if cmp.Less(y[j], x[i]) {
+			out = append(out, y[j])
+			j++
+		} else {
+			out = append(out, x[i])
+			i++
+		}
+	}
+	out = append(out, x[i:]...)
+	return append(out, y[j:]...)
 }
 
 // klBits computes the Kullback-Leibler divergence KL(p||m) in bits, with

@@ -11,6 +11,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -171,10 +172,19 @@ func MAD(xs []float64) float64 {
 	return Median(dev)
 }
 
-// SortedCopy returns xs sorted ascending without mutating the input.
+// SortedCopy returns a fresh copy of xs sorted ascending (NaNs first, as
+// sort.Float64s orders them) without mutating the input. An input that is
+// already ascending is copied as is: the check stops at the first
+// inversion, so unsorted callers pay almost nothing for it, and a sorted
+// view can flow through every function that calls SortedCopy (Describe,
+// QuantileCI, NewKDE, BinWidth, IQR, CountModes, the textplot renderers)
+// at the cost of a copy. Skipping the sort also keeps tied -0 and +0 in
+// the order the one real sort left them.
 func SortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	if !slices.IsSorted(s) {
+		sort.Float64s(s)
+	}
 	return s
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -208,5 +209,54 @@ func TestSumKahan(t *testing.T) {
 	want := 1 + 1e-9
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Kahan sum = %.18f, want %.18f", got, want)
+	}
+}
+
+// TestSortedCopySortedInput: SortedCopy returns a fresh slice bit-equal to
+// sort.Float64s of its input, whether the input is already ascending
+// (signed zeros tied in either order, leading NaNs) or not.
+func TestSortedCopySortedInput(t *testing.T) {
+	nz, nan := math.Copysign(0, -1), math.NaN()
+	long := make([]float64, 0, 64)
+	for i := 0; i < 64; i++ {
+		v := float64(i/8 - 4)
+		if v == 0 && i%2 == 1 {
+			v = nz
+		}
+		long = append(long, v)
+	}
+	for _, in := range [][]float64{
+		{1},
+		{-1, nz, 0, nz, 0, 2},
+		{0, nz, 0, nz},
+		{nan, nan, -3, nz, 0, 5},
+		{nan, 1, nan},
+		{3, 1, 2, nz, 0},
+		{2, 2, 1},
+		long,
+	} {
+		orig := append([]float64(nil), in...)
+		want := append([]float64(nil), in...)
+		sort.Float64s(want)
+		got := SortedCopy(in)
+		if len(got) != len(want) {
+			t.Fatalf("SortedCopy(%v) = %v", in, got)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("SortedCopy(%v)[%d] = %v, sort.Float64s gives %v", in, i, got[i], want[i])
+			}
+		}
+		if &got[0] == &in[0] {
+			t.Fatalf("SortedCopy(%v) returned its input", in)
+		}
+		for i := range in {
+			if math.Float64bits(in[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("SortedCopy mutated its input: %v, was %v", in, orig)
+			}
+		}
+	}
+	if got := SortedCopy(nil); len(got) != 0 {
+		t.Fatalf("SortedCopy(nil) = %v", got)
 	}
 }

@@ -55,7 +55,9 @@ type rankPair struct {
 }
 
 // Rank assigns average ranks (1-based) to xs, resolving ties by midrank.
-// This is the ranking used by the Mann-Whitney U test.
+// This is the ranking used by the Wilcoxon signed-rank test; the
+// Mann-Whitney U test ranks its two sorted sides by merging them instead.
+// The ranks of NaNs are undefined.
 //
 // It sorts a value/index pair slice with slices.SortFunc rather than a
 // closure-capturing sort.Slice over an index permutation: the generic sort
@@ -72,7 +74,7 @@ func Rank(xs []float64) []float64 {
 	slices.SortFunc(pairs, func(a, b rankPair) int {
 		// Plain comparisons, not cmp.Compare: the NaN-ordering branches it
 		// adds cost ~15% on this hot path, and ranking NaNs is undefined
-		// for the Mann-Whitney inputs this serves.
+		// for the Wilcoxon inputs this serves.
 		switch {
 		case a.v < b.v:
 			return -1

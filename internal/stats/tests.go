@@ -19,37 +19,54 @@ func (r TestResult) Significant(alpha float64) bool { return r.PValue < alpha }
 // rank-sum) with tie correction and normal approximation. The paper's
 // related work (Eismann et al., §VII) uses it for regression testing of
 // response-time variability.
+//
+// It sorts each side (a copy only, for an ascending input; see SortedCopy)
+// and ranks both in one merge walk: every tie group across the two sides
+// gets its midrank, and the group adds count-in-X × midrank to X's rank sum
+// and t³−t to the tie term. Each partial rank sum is a multiple of ½ below
+// 2⁵³, so it is exact in any order, and the tie terms are summed in
+// ascending value order as before: the result is bit-identical to midrank
+// ranking of the pooled sample. NaN has no rank: if either side holds one,
+// the statistic and the p-value are NaN.
 func MannWhitneyU(xs, ys []float64) TestResult {
 	nx, ny := float64(len(xs)), float64(len(ys))
 	if nx == 0 || ny == 0 {
 		return TestResult{Statistic: math.NaN(), PValue: math.NaN()}
 	}
-	all := make([]float64, 0, len(xs)+len(ys))
-	all = append(all, xs...)
-	all = append(all, ys...)
-	ranks := Rank(all)
-	var rx float64
-	for i := range xs {
-		rx += ranks[i]
+	sx, sy := SortedCopy(xs), SortedCopy(ys)
+	// Sorting puts NaNs first.
+	if sx[0] != sx[0] || sy[0] != sy[0] {
+		return TestResult{Statistic: math.NaN(), PValue: math.NaN()}
+	}
+	var rx, tieSum float64
+	i, j, ranked := 0, 0, 0
+	for i < len(sx) || j < len(sy) {
+		var v float64
+		if j == len(sy) || (i < len(sx) && sx[i] < sy[j]) {
+			v = sx[i]
+		} else {
+			v = sy[j]
+		}
+		i0, j0 := i, j
+		for i < len(sx) && sx[i] == v {
+			i++
+		}
+		for j < len(sy) && sy[j] == v {
+			j++
+		}
+		t := i - i0 + j - j0
+		// The group holds ranks ranked+1 .. ranked+t.
+		rx += float64(i-i0) * ((float64(ranked+1) + float64(ranked+t)) / 2)
+		if t > 1 {
+			tf := float64(t)
+			tieSum += tf*tf*tf - tf
+		}
+		ranked += t
 	}
 	u := rx - nx*(nx+1)/2 // U statistic for sample X
 	mu := nx * ny / 2
 	// Tie correction for the variance.
 	n := nx + ny
-	tieSum := 0.0
-	sorted := SortedCopy(all)
-	i := 0
-	for i < len(sorted) {
-		j := i
-		for j+1 < len(sorted) && sorted[j+1] == sorted[i] {
-			j++
-		}
-		t := float64(j - i + 1)
-		if t > 1 {
-			tieSum += t*t*t - t
-		}
-		i = j + 1
-	}
 	sigma2 := nx * ny / 12 * ((n + 1) - tieSum/(n*(n-1)))
 	if sigma2 <= 0 {
 		// All values tied: no evidence of difference.

@@ -1,9 +1,143 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
+
+// mannWhitneyReference is MannWhitneyU as it was before the merge walk:
+// midrank the concatenation with Rank, sum X's ranks, and take the tie term
+// from a sort of the concatenation. It is the oracle FuzzMannWhitneyU holds
+// the merge walk to on NaN-free inputs.
+func mannWhitneyReference(xs, ys []float64) TestResult {
+	nx, ny := float64(len(xs)), float64(len(ys))
+	if nx == 0 || ny == 0 {
+		return TestResult{Statistic: math.NaN(), PValue: math.NaN()}
+	}
+	all := make([]float64, 0, len(xs)+len(ys))
+	all = append(all, xs...)
+	all = append(all, ys...)
+	ranks := Rank(all)
+	var rx float64
+	for i := range xs {
+		rx += ranks[i]
+	}
+	u := rx - nx*(nx+1)/2
+	mu := nx * ny / 2
+	n := nx + ny
+	tieSum := 0.0
+	sorted := SortedCopy(all)
+	i := 0
+	for i < len(sorted) {
+		j := i
+		for j+1 < len(sorted) && sorted[j+1] == sorted[i] {
+			j++
+		}
+		t := float64(j - i + 1)
+		if t > 1 {
+			tieSum += t*t*t - t
+		}
+		i = j + 1
+	}
+	sigma2 := nx * ny / 12 * ((n + 1) - tieSum/(n*(n-1)))
+	if sigma2 <= 0 {
+		return TestResult{Statistic: u, PValue: 1}
+	}
+	z := (u - mu)
+	switch {
+	case z > 0.5:
+		z -= 0.5
+	case z < -0.5:
+		z += 0.5
+	default:
+		z = 0
+	}
+	z /= math.Sqrt(sigma2)
+	p := math.Erfc(math.Abs(z) / math.Sqrt2)
+	return TestResult{Statistic: u, PValue: clamp01(p)}
+}
+
+// sameBits reports whether two test results agree bit for bit.
+func sameBits(a, b TestResult) bool {
+	return math.Float64bits(a.Statistic) == math.Float64bits(b.Statistic) &&
+		math.Float64bits(a.PValue) == math.Float64bits(b.PValue) &&
+		math.Float64bits(a.DF) == math.Float64bits(b.DF)
+}
+
+// mannWhitneySides decodes a fuzz input into two NaN-free sides split at
+// cut. In tie mode each byte is a half-integer in [-8, 7.5], zero signed by
+// the byte's top bit; otherwise each 8 bytes are a float64, NaNs dropped.
+func mannWhitneySides(data []byte, cut uint16, ties bool) (xs, ys []float64) {
+	var vals []float64
+	if ties {
+		for _, b := range data {
+			v := float64(int(b&0x1f)-16) / 2
+			if v == 0 && b&0x80 != 0 {
+				v = math.Copysign(0, -1)
+			}
+			vals = append(vals, v)
+		}
+	} else {
+		for ; len(data) >= 8; data = data[8:] {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(data)); v == v {
+				vals = append(vals, v)
+			}
+		}
+	}
+	k := int(cut) % (len(vals) + 1)
+	return vals[:k], vals[k:]
+}
+
+// FuzzMannWhitneyU holds the merge walk to the Rank-based oracle bit for
+// bit on NaN-free inputs: heavy ties, ±0, infinities, unequal and empty
+// sides, in input order and with either side presorted.
+func FuzzMannWhitneyU(f *testing.F) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	random := make([]byte, 600)
+	for i := range random {
+		random[i] = byte(rng.IntN(256))
+	}
+	f.Add(random, uint16(250), true)
+	f.Add(random, uint16(31), false)
+	f.Add([]byte{0x10, 0x90, 0x10, 0x90, 0x11, 0x0f}, uint16(2), true)
+	f.Add([]byte{0x10, 0x10, 0x10}, uint16(1), true)
+	f.Add([]byte{1, 2, 3}, uint16(0), true)
+	f.Add([]byte{1, 1, 2, 3, 4, 4, 4, 5}, uint16(3), true)
+	f.Add(random[:24], uint16(10), true)
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16, ties bool) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		xs, ys := mannWhitneySides(data, cut, ties)
+		want := mannWhitneyReference(xs, ys)
+		for _, in := range [][2][]float64{{xs, ys}, {SortedCopy(xs), ys}, {xs, SortedCopy(ys)}} {
+			if got := MannWhitneyU(in[0], in[1]); !sameBits(got, want) {
+				t.Fatalf("MannWhitneyU(%v, %v) = %+v, reference %+v", in[0], in[1], got, want)
+			}
+		}
+	})
+}
+
+// TestMannWhitneyNaN: a NaN on either side, wherever it sits, makes the
+// statistic and the p-value NaN instead of a number that depends on where
+// the sort put it.
+func TestMannWhitneyNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range [][2][]float64{
+		{{nan}, {1, 2}},
+		{{1, 2, 3}, {2, nan, 4}},
+		{{3, 1, nan}, {5, 6, 7, 8}},
+		{{nan, nan}, {nan}},
+		{{0, 1, 2, 3, 4, 5}, {nan, 9, 10, 11, 12}},
+	} {
+		r := MannWhitneyU(c[0], c[1])
+		if !math.IsNaN(r.Statistic) || !math.IsNaN(r.PValue) {
+			t.Errorf("MannWhitneyU(%v, %v) = %+v, want NaN statistic and p-value", c[0], c[1], r)
+		}
+	}
+}
 
 func TestMannWhitneySameVsShifted(t *testing.T) {
 	a := normData(24, 300, 0, 1)
