@@ -689,23 +689,9 @@ func Compare(nameA string, a []float64, nameB string, b []float64) (Comparison, 
 		JSD:         jsd,
 		Overlap:     overlap,
 		MannWhitney: stats.MannWhitneyU(ga.Sorted(), gb.Sorted()),
-		ModesA:      countModes(a, ga.Sorted()),
-		ModesB:      countModes(b, gb.Sorted()),
+		ModesA:      stats.CountModesView(a, ga.Sorted()),
+		ModesB:      stats.CountModesView(b, gb.Sorted()),
 	}, nil
-}
-
-// countModes is stats.CountModes(xs) on xs's sorted view: the Silverman
-// bandwidth's standard deviation is still summed in xs's order, so the
-// count is the same.
-func countModes(xs, sorted []float64) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	if stats.Min(xs) == stats.Max(xs) {
-		return 1
-	}
-	bw := stats.SilvermanFromStats(len(xs), stats.StdDev(xs), stats.IQR(sorted))
-	return stats.CountModesSortedBandwidth(sorted, bw)
 }
 
 // CompareResults compares the primary-metric distributions of two Results.

@@ -1,75 +1,33 @@
 package regress
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"sharp/internal/backend"
-	"sharp/internal/machine"
+	"sharp/internal/testsamples"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden outcome file")
-
-// simExecTimes draws the exec_time samples of a 7,813-run campaign at 4
-// instances per run (31,252 samples, the perfbench analysis size) of bench
-// on the named machine from the seeded Sim backend.
-func simExecTimes(t *testing.T, bench, machineName string, seed uint64) []float64 {
-	t.Helper()
-	m, err := machine.ByName(machineName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := backend.NewSim(m, seed)
-	var out []float64
-	for run := 1; run <= 7_813; run++ {
-		invs, err := sim.Invoke(context.Background(), backend.Request{Workload: bench, Concurrency: 4, Run: run, Day: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, inv := range invs {
-			out = append(out, inv.Metrics[backend.MetricExecTime])
-		}
-	}
-	return out
-}
-
-// halfSteps draws n tie-heavy half-integers k/2, k in [lo, lo+8], with
-// zeros of both signs.
-func halfSteps(seed uint64, n, lo int) []float64 {
-	r := rand.New(rand.NewPCG(seed, 0x71e5))
-	out := make([]float64, n)
-	for i := range out {
-		v := float64(lo+r.IntN(9)) / 2
-		if v == 0 && r.IntN(2) == 0 {
-			v = math.Copysign(0, -1)
-		}
-		out[i] = v
-	}
-	return out
-}
 
 // TestGoldenOutcomes pins every field of Check's Outcome, floats printed
 // in their shortest round-trip form, on perfbench-sized Sim pairs and
 // tie-heavy pairs. Regenerate with -update only when the gate is meant to
 // change.
 func TestGoldenOutcomes(t *testing.T) {
-	hot1 := simExecTimes(t, "hotspot", "machine1", 11)
+	hot1 := testsamples.SimExecTimes(t, "hotspot", "machine1", 11)
 	cases := []struct {
 		name              string
 		baseline, current []float64
 	}{
-		{"hotspot machine1 vs machine3", hot1, simExecTimes(t, "hotspot", "machine3", 12)},
-		{"hotspot machine1 vs machine1", hot1, simExecTimes(t, "hotspot", "machine1", 13)},
-		{"srad machine3 vs machine1", simExecTimes(t, "srad", "machine3", 22), simExecTimes(t, "srad", "machine1", 21)},
-		{"ties shifted", halfSteps(31, 3_000, 0), halfSteps(32, 3_000, 1)},
-		{"ties same", halfSteps(33, 3_000, -4), halfSteps(34, 2_500, -4)},
+		{"hotspot machine1 vs machine3", hot1, testsamples.SimExecTimes(t, "hotspot", "machine3", 12)},
+		{"hotspot machine1 vs machine1", hot1, testsamples.SimExecTimes(t, "hotspot", "machine1", 13)},
+		{"srad machine3 vs machine1", testsamples.SimExecTimes(t, "srad", "machine3", 22), testsamples.SimExecTimes(t, "srad", "machine1", 21)},
+		{"ties shifted", testsamples.SeededHalfSteps(31, 3_000, 0), testsamples.SeededHalfSteps(32, 3_000, 1)},
+		{"ties same", testsamples.SeededHalfSteps(33, 3_000, -4), testsamples.SeededHalfSteps(34, 2_500, -4)},
 	}
 	var b strings.Builder
 	for _, c := range cases {

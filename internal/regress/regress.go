@@ -111,18 +111,11 @@ func Check(baseline, current []float64, cfg Config) (Outcome, error) {
 	// multiset. The means and the mode counter's bandwidth keep the input
 	// order: their summations depend on it.
 	sb, sc := stats.SortedCopy(baseline), stats.SortedCopy(current)
-	// stats.CountModes(xs) on xs's sorted view s; without NaNs, Min(xs) ==
-	// Max(xs) exactly when s[0] == s[len(s)-1], which is the check
-	// CountModesSortedBandwidth makes.
-	modes := func(xs, s []float64) int {
-		bw := stats.SilvermanFromStats(len(xs), stats.StdDev(xs), stats.IQR(s))
-		return stats.CountModesSortedBandwidth(s, bw)
-	}
 	out := Outcome{
 		NBaseline:     len(baseline),
 		NCurrent:      len(current),
-		ModesBaseline: modes(baseline, sb),
-		ModesCurrent:  modes(current, sc),
+		ModesBaseline: stats.CountModesView(baseline, sb),
+		ModesCurrent:  stats.CountModesView(current, sc),
 		MannWhitney:   stats.MannWhitneyU(sb, sc),
 		KS:            stats.KSTestSorted(sb, sc),
 		CliffsDelta:   stats.CliffsDelta(sc, sb),

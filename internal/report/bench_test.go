@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sharp/internal/core"
+	"sharp/internal/testsamples"
 )
 
 // benchText keeps the rendered text alive so the compiler cannot drop the
@@ -14,8 +15,8 @@ var benchText string
 // inputs: core.Compare and the rendered comparison of 31,252 hotspot
 // samples from machine1 against as many from machine3.
 func BenchmarkCompare31k(b *testing.B) {
-	xa := simExecTimes(b, "hotspot", "machine1", 11)
-	xb := simExecTimes(b, "hotspot", "machine3", 12)
+	xa := testsamples.SimExecTimes(b, "hotspot", "machine1", 11)
+	xb := testsamples.SimExecTimes(b, "hotspot", "machine3", 12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,7 +32,7 @@ func BenchmarkCompare31k(b *testing.B) {
 // perfbench-sized sample set: the rendered distribution of 31,252 hotspot
 // samples.
 func BenchmarkDistribution31k(b *testing.B) {
-	xs := simExecTimes(b, "hotspot", "machine1", 11)
+	xs := testsamples.SimExecTimes(b, "hotspot", "machine1", 11)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

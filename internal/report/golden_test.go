@@ -1,67 +1,17 @@
 package report
 
 import (
-	"context"
 	"flag"
-	"math"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"sharp/internal/backend"
 	"sharp/internal/core"
-	"sharp/internal/machine"
+	"sharp/internal/testsamples"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden report files")
-
-// simRuns and simConc size the golden and benchmark inputs like the
-// analysis logs of the perfbench harness: 7,813 runs of 4 instances, so
-// 31,252 exec_time samples per side.
-const (
-	simRuns = 7_813
-	simConc = 4
-)
-
-// simExecTimes draws the exec_time samples of a simRuns-run campaign of
-// bench on the named machine from the seeded Sim backend.
-func simExecTimes(tb testing.TB, bench, machineName string, seed uint64) []float64 {
-	tb.Helper()
-	m, err := machine.ByName(machineName)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sim := backend.NewSim(m, seed)
-	out := make([]float64, 0, simRuns*simConc)
-	for run := 1; run <= simRuns; run++ {
-		invs, err := sim.Invoke(context.Background(), backend.Request{Workload: bench, Concurrency: simConc, Run: run, Day: 1})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, inv := range invs {
-			out = append(out, inv.Metrics[backend.MetricExecTime])
-		}
-	}
-	return out
-}
-
-// halfSteps draws n half-integers k/2 with k in [lo, lo+8], so every value
-// is tied many times over. Zeros come with both signs, half of them -0, so
-// a set whose minimum or maximum is zero has ±0 at that end.
-func halfSteps(seed uint64, n, lo int) []float64 {
-	r := rand.New(rand.NewPCG(seed, 0x71e5))
-	out := make([]float64, n)
-	for i := range out {
-		v := float64(lo+r.IntN(9)) / 2
-		if v == 0 && r.IntN(2) == 0 {
-			v = math.Copysign(0, -1)
-		}
-		out[i] = v
-	}
-	return out
-}
 
 // goldenCase is one pair of sample sets rendered by every report entry
 // point: both distributions, their comparison and a two-result suite.
@@ -73,10 +23,10 @@ type goldenCase struct {
 
 func goldenCases() []goldenCase {
 	sim := func(bench, m string, seed uint64) func(testing.TB) []float64 {
-		return func(tb testing.TB) []float64 { return simExecTimes(tb, bench, m, seed) }
+		return func(tb testing.TB) []float64 { return testsamples.SimExecTimes(tb, bench, m, seed) }
 	}
 	ties := func(seed uint64, lo int) func(testing.TB) []float64 {
-		return func(testing.TB) []float64 { return halfSteps(seed, 3_000, lo) }
+		return func(testing.TB) []float64 { return testsamples.SeededHalfSteps(seed, 3_000, lo) }
 	}
 	return []goldenCase{
 		{"hotspot", "hotspot@machine1", "hotspot@machine3", sim("hotspot", "machine1", 11), sim("hotspot", "machine3", 12)},

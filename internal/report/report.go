@@ -101,7 +101,7 @@ func Distribution(name string, samples []float64, o Options) string {
 	fmt.Fprintf(&b, "- median CI (order stat): [%.4g, %.4g]\n\n", medCI.Low, medCI.High)
 	// Shape: modality + classification.
 	// stats.NewKDE(samples), built on the shared sorted view.
-	bw := stats.SilvermanFromStats(len(samples), stats.StdDev(samples), stats.IQR(sorted))
+	bw := stats.SilvermanFromStats(len(samples), stats.StdDev(samples), sum.IQR)
 	modes := stats.NewKDESorted(sorted, bw).Modes(256, 0.15, 0.25)
 	fmt.Fprintf(&b, "Modality: %d mode(s) at", len(modes))
 	for _, md := range modes {
@@ -128,20 +128,6 @@ func plotView(xs, sorted []float64) []float64 {
 		return sorted
 	}
 	return xs
-}
-
-// countModes is stats.CountModes(xs) on xs's sorted view: the Silverman
-// bandwidth's standard deviation is still summed in xs's order, so the
-// count is the same.
-func countModes(xs, sorted []float64) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	if stats.Min(xs) == stats.Max(xs) {
-		return 1
-	}
-	bw := stats.SilvermanFromStats(len(xs), stats.StdDev(xs), stats.IQR(sorted))
-	return stats.CountModesSortedBandwidth(sorted, bw)
 }
 
 // Comparison renders a pairwise distribution comparison (§V-B style),
@@ -254,7 +240,7 @@ func Suite(title string, results []*core.Result, o Options) string {
 			fmt.Sprintf("%.4g", sum.Median),
 			fmt.Sprintf("%.4g", sum.P95),
 			fmt.Sprintf("%.3g", sum.CV),
-			fmt.Sprintf("%d", countModes(r.Samples, sorted[i])),
+			fmt.Sprintf("%d", stats.CountModesView(r.Samples, sorted[i])),
 			r.RuleName,
 		})
 	}

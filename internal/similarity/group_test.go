@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"sharp/internal/testsamples"
 )
 
 // randGroups builds a mix of group shapes and sizes, including unequal
@@ -174,23 +176,14 @@ func TestGroupResampledCached(t *testing.T) {
 }
 
 // TestHistogramMetricsSortedMatchUnsorted: JSD and overlap on the sorted
-// views (pooled by merging) equal the same metrics on the raw samples
-// (pooled by concatenating and sorting) bit for bit, on tie-heavy samples
+// views (an ascending pool) equal the same metrics on the raw samples (an
+// unordered pool that BinWidth sorts) bit for bit, on tie-heavy samples
 // with zeros of both signs at either end.
 func TestHistogramMetricsSortedMatchUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
-	halfSteps := func(n, lo int) []float64 {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(lo+rng.IntN(9)) / 2
-			if xs[i] == 0 && rng.IntN(2) == 0 {
-				xs[i] = math.Copysign(0, -1)
-			}
-		}
-		return xs
-	}
 	for trial := 0; trial < 200; trial++ {
-		x, y := halfSteps(1+rng.IntN(60), -rng.IntN(9)), halfSteps(1+rng.IntN(60), -rng.IntN(9))
+		x := testsamples.HalfSteps(rng, 1+rng.IntN(60), -rng.IntN(9))
+		y := testsamples.HalfSteps(rng, 1+rng.IntN(60), -rng.IntN(9))
 		gx, gy := NewGroup(x), NewGroup(y)
 		for _, m := range []Metric{MetricJSD, MetricOverlap} {
 			want, _ := compute(m, x, y)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"sharp/internal/stats"
 )
@@ -235,17 +234,11 @@ func commonHistograms(x, y []float64, bins int) (p, q []float64) {
 	return count(x), count(y)
 }
 
-// pool returns x and y as one sample. Ascending inputs (the sorted views
-// Group hands the metrics) are merged, so the pool is ascending too and
-// BinWidth copies it instead of sorting it. The merge orders values as
-// sort.Float64s does, so it can differ from a sort of the concatenation
-// only in the order of tied ±0 and of NaNs, which leaves the width as it
-// is.
+// pool merges x and y into one sample. Ascending inputs (the sorted views
+// Group hands the metrics) give an ascending pool, which BinWidth then only
+// copies; any other input still yields the union, which BinWidth sorts.
 func pool(x, y []float64) []float64 {
 	out := make([]float64, 0, len(x)+len(y))
-	if !slices.IsSorted(x) || !slices.IsSorted(y) {
-		return append(append(out, x...), y...)
-	}
 	i, j := 0, 0
 	for i < len(x) && j < len(y) {
 		if cmp.Less(y[j], x[i]) {

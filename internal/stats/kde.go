@@ -182,14 +182,24 @@ func CountModes(data []float64) int {
 // CountModesParams is CountModes with explicit peak-detection parameters
 // (the classifier's tunable prominence/dip thresholds).
 func CountModesParams(data []float64, minProm, minDip float64) int {
-	if len(data) == 0 {
+	return countModesView(data, SortedCopy(data), minProm, minDip)
+}
+
+// CountModesView is CountModes(xs) for a caller that already holds sorted,
+// xs's ascending view (SortedCopy(xs)); it skips the sort. The bandwidth's
+// standard deviation is summed in xs's order, so the count is CountModes'.
+func CountModesView(xs, sorted []float64) int {
+	return countModesView(xs, sorted, modeMinProm, modeMinDip)
+}
+
+func countModesView(xs, sorted []float64, minProm, minDip float64) int {
+	if len(xs) == 0 {
 		return 0
 	}
-	if Min(data) == Max(data) {
+	if Min(xs) == Max(xs) {
 		return 1
 	}
-	sorted := SortedCopy(data)
-	bw := SilvermanFromStats(len(data), StdDev(data),
+	bw := SilvermanFromStats(len(xs), StdDev(xs),
 		QuantileSorted(sorted, 0.75)-QuantileSorted(sorted, 0.25))
 	a := getAnalyzer()
 	defer putAnalyzer(a)
