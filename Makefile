@@ -65,7 +65,9 @@ soak:
 # (UCB must keep beating round-robin by >=1.1x mean CI width on the
 # reference design). speedup_x is machine-timed, so bench-check runs its
 # benchmark five more times and sharp-benchdiff gates the median of the
-# repeats against the floor; exact columns must match on every repeat.
+# repeats against the floor; exact columns must match on every repeat. A
+# benchmark run that fails (a crash, a failed gate inside a benchmark)
+# fails the target and prints the failing packages' output.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -73,15 +75,20 @@ bench-short:
 	$(GO) test -run=XXX -bench=. -benchmem -benchtime=1x ./...
 
 bench-check:
-	@tmp=$$(mktemp) && \
-	$(GO) test -run=XXX -bench=. -benchmem -benchtime=1x ./... | tee $$tmp | \
-		$(GO) run ./cmd/sharp-benchdiff -baseline BENCH_baseline.json -metrics 'multimodal_%,savings_%' && \
-	$(GO) test -run=XXX -bench='^BenchmarkRecordReplaySpeedup1e6$$' -benchtime=1x -count=5 ./internal/record/ >> $$tmp && \
+	@tmp=$$(mktemp) && out=$$(mktemp) && \
+	bench() { \
+		$(GO) test -run=XXX -benchtime=1x "$$@" > $$out 2>&1; rc=$$?; cat $$out >> $$tmp; \
+		[ $$rc -eq 0 ] || awk '{ b = b $$0 "\n" } /^(ok|FAIL|\?)[ \t]/ { if ($$1 == "FAIL") printf "%s", b; b = "" } END { printf "%s", b }' $$out >&2; \
+		return $$rc; \
+	} && \
+	bench -bench=. -benchmem ./... && \
+	$(GO) run ./cmd/sharp-benchdiff -in $$tmp -baseline BENCH_baseline.json -metrics 'multimodal_%,savings_%' && \
+	bench -bench='^BenchmarkRecordReplaySpeedup1e6$$' -count=5 ./internal/record/ && \
 	$(GO) run ./cmd/sharp-benchdiff -in $$tmp -baseline BENCH_pr7.json -metrics 'bin_bytes_per_row' -min 'speedup_x' && \
 	$(GO) run ./cmd/sharp-benchdiff -in $$tmp -baseline BENCH_pr8.json -metrics 'cp_index' && \
 	$(GO) run ./cmd/sharp-benchdiff -in $$tmp -baseline BENCH_pr9.json -metrics 'reuse_allocs' -min 'mmap_speedup_x' && \
 	$(GO) run ./cmd/sharp-benchdiff -in $$tmp -baseline BENCH_pr10.json -metrics 'alloc_runs' -min 'ci_gain_x'; \
-	rc=$$?; rm -f $$tmp; exit $$rc
+	rc=$$?; rm -f $$tmp $$out; exit $$rc
 
 # Change-point scan over the committed snapshot history: E-Divisive per
 # (benchmark, metric) series across every BENCH_*.json, failing on
@@ -101,6 +108,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzParseYAML -fuzztime=30s ./internal/config/
 	$(GO) test -run=XXX -fuzz=FuzzParseMetadata -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzCSVRows -fuzztime=30s ./internal/record/
+	$(GO) test -run=XXX -fuzz=FuzzScanCSV -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzScanBinary -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzScanManifest -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzCompleteBody -fuzztime=30s ./internal/service/

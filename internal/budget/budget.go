@@ -225,10 +225,6 @@ func New(cfg Config, cells []Cell) *Scheduler {
 	}
 }
 
-// Ledger returns the schedule record accumulated so far. After Run returns
-// it is final (cells filled, exhaustion flagged).
-func (s *Scheduler) Ledger() *Ledger { return s.ledger }
-
 // remaining returns the unconsumed budget of a capped schedule.
 func (s *Scheduler) remaining() int {
 	r := s.cfg.Runs - s.ledger.Spent

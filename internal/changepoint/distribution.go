@@ -46,28 +46,26 @@ func DetectDistributions(groups [][]float64, o DistOptions) ([]ChangePoint, erro
 			return nil, fmt.Errorf("changepoint: snapshot %d has no samples", i)
 		}
 	}
-	sc := newDistScanner(groups, o.Divergence, true)
+	sc := newDistScanner(groups, o.Divergence)
 	return run(len(groups), sc, o.Options), nil
 }
 
 // distScanner sweeps the split boundary over pooled sample distributions.
-// The streaming implementation keeps the left and right poolings as two
-// incremental sorted multisets and moves one snapshot's (pre-sorted) sample
-// batch across the boundary per advance; the batch reference re-pools and
-// re-sorts both sides from scratch at every split, and exists to
-// differentially verify the streaming path.
+// It keeps the left and right poolings as two incremental sorted multisets
+// (stream.OrderStats) and moves one snapshot's pre-sorted sample batch
+// across the boundary per advance, so a split costs O(pooled samples)
+// instead of a re-sort of both sides.
 type distScanner struct {
-	sorted    [][]float64 // per-snapshot ascending-sorted samples
-	metric    similarity.Metric
-	streaming bool
+	sorted [][]float64 // per-snapshot ascending-sorted samples
+	metric similarity.Metric
 }
 
-func newDistScanner(groups [][]float64, metric similarity.Metric, streaming bool) *distScanner {
+func newDistScanner(groups [][]float64, metric similarity.Metric) *distScanner {
 	sorted := make([][]float64, len(groups))
 	for i, g := range groups {
 		sorted[i] = stats.SortedCopy(g)
 	}
-	return &distScanner{sorted: sorted, metric: metric, streaming: streaming}
+	return &distScanner{sorted: sorted, metric: metric}
 }
 
 func (s *distScanner) bestSplit(order []int, lo, hi, minSeg int) (int, float64) {
@@ -75,17 +73,6 @@ func (s *distScanner) bestSplit(order []int, lo, hi, minSeg int) (int, float64) 
 	if n < 2*minSeg {
 		return -1, 0
 	}
-	if s.streaming {
-		return s.bestSplitStreaming(order, lo, hi, minSeg)
-	}
-	return s.bestSplitBatch(order, lo, hi, minSeg)
-}
-
-// bestSplitStreaming maintains the two poolings in stream.OrderStats
-// multisets: advancing the boundary merges one sorted snapshot batch into
-// the left side and removes it from the right in O(pooled samples).
-func (s *distScanner) bestSplitStreaming(order []int, lo, hi, minSeg int) (int, float64) {
-	n := hi - lo
 	var left, right stream.OrderStats
 	for i := 0; i < n; i++ {
 		batch := s.sorted[order[lo+i]]
@@ -110,31 +97,6 @@ func (s *distScanner) bestSplitStreaming(order []int, lo, hi, minSeg int) (int, 
 		batch := s.sorted[order[lo+m]]
 		right.RemoveSortedBatch(batch)
 		left.AddSortedBatch(batch)
-	}
-	return bestTau, bestQ
-}
-
-// bestSplitBatch is the recompute-from-scratch reference: identical results,
-// no incremental state.
-func (s *distScanner) bestSplitBatch(order []int, lo, hi, minSeg int) (int, float64) {
-	n := hi - lo
-	pool := func(from, to int) []float64 {
-		var all []float64
-		for i := from; i < to; i++ {
-			all = append(all, s.sorted[order[lo+i]]...)
-		}
-		return stats.SortedCopy(all)
-	}
-	bestTau, bestQ := -1, 0.0
-	for m := minSeg; m <= n-minSeg; m++ {
-		d, err := similarity.DivergenceSorted(s.metric, pool(0, m), pool(m, n))
-		if err != nil {
-			continue
-		}
-		q := distWeight(m, n-m) * d
-		if bestTau < 0 || q > bestQ {
-			bestTau, bestQ = lo+m, q
-		}
 	}
 	return bestTau, bestQ
 }

@@ -7,6 +7,7 @@ import (
 
 	"sharp/internal/randx"
 	"sharp/internal/similarity"
+	"sharp/internal/stats"
 )
 
 // trajectory synthesizes a series of per-snapshot sample distributions.
@@ -36,6 +37,38 @@ func trajectory(seed uint64, shape string, snapshots, samples, at int) [][]float
 	return groups
 }
 
+// batchScanner is the recompute-from-scratch reference for distScanner:
+// it re-pools and re-sorts both sides of every candidate split, with no
+// incremental state, and exists to differentially verify the streaming
+// sweep.
+type batchScanner struct{ *distScanner }
+
+func (s batchScanner) bestSplit(order []int, lo, hi, minSeg int) (int, float64) {
+	n := hi - lo
+	if n < 2*minSeg {
+		return -1, 0
+	}
+	pool := func(from, to int) []float64 {
+		var all []float64
+		for i := from; i < to; i++ {
+			all = append(all, s.sorted[order[lo+i]]...)
+		}
+		return stats.SortedCopy(all)
+	}
+	bestTau, bestQ := -1, 0.0
+	for m := minSeg; m <= n-minSeg; m++ {
+		d, err := similarity.DivergenceSorted(s.metric, pool(0, m), pool(m, n))
+		if err != nil {
+			continue
+		}
+		q := distWeight(m, n-m) * d
+		if bestTau < 0 || q > bestQ {
+			bestTau, bestQ = lo+m, q
+		}
+	}
+	return bestTau, bestQ
+}
+
 func TestDistributionStreamingMatchesBatchReference(t *testing.T) {
 	// The streaming detector (incremental sorted multisets) and the batch
 	// recompute-from-scratch reference must find identical change points —
@@ -52,7 +85,7 @@ func TestDistributionStreamingMatchesBatchReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				o := opts.withDefaults()
-				batch := run(len(groups), newDistScanner(groups, o.Divergence, false), o.Options)
+				batch := run(len(groups), batchScanner{newDistScanner(groups, o.Divergence)}, o.Options)
 				if !reflect.DeepEqual(streaming, batch) {
 					t.Fatalf("%s/%s trial %d: streaming %+v != batch %+v",
 						metric, shape, trial, streaming, batch)

@@ -1,7 +1,9 @@
 package config
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -221,4 +223,21 @@ func TestDefaults(t *testing.T) {
 	if d.Map("a") != nil || d.List("a") != nil {
 		t.Error("mistyped container should return nil")
 	}
+}
+
+// Unmarshal decodes the subtree at path into out (a struct pointer) by
+// round-tripping through encoding/json, so `json` struct tags apply.
+func (d *Document) Unmarshal(path string, out any) error {
+	v, ok := d.Lookup(path)
+	if !ok {
+		return fmt.Errorf("config: path %q not found", path)
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("config: decoding %q: %w", path, err)
+	}
+	return nil
 }

@@ -427,6 +427,14 @@ func (r *Result) Metadata() *record.Metadata {
 		m.Set("backend_seed", sim.Seed)
 	}
 	m.Set("rule", r.RuleName)
+	// Guard rails other than those the rule name alone rebuilds with are
+	// recorded, so a recreated rule stops where the original could.
+	b := e.Rule.Bounds()
+	if def, err := ruleFromName(r.RuleName, e.Seed, stopping.Bounds{}); err != nil || def == nil || def.Bounds() != b {
+		m.Set("min_samples", b.MinSamples)
+		m.Set("max_samples", b.MaxSamples)
+		m.Set("check_every", b.CheckEvery)
+	}
 	m.Set("metric", e.Metric)
 	m.Set("concurrency", e.Concurrency)
 	m.Set("warmup_runs", e.WarmupRuns)
@@ -551,8 +559,13 @@ func RecreateExperiment(m *record.Metadata, backends map[string]backend.Backend)
 		}
 		e.Backend = b
 	}
-	// Rebuild the stopping rule from its recorded name ("ks-0.1" etc.).
-	rule, err := ruleFromName(m.Get("rule"), seed)
+	// Rebuild the stopping rule from its recorded name ("ks-0.1" etc.) and
+	// guard rails; absent ones take the rule's defaults.
+	rule, err := ruleFromName(m.Get("rule"), seed, stopping.Bounds{
+		MinSamples: atoi("min_samples"),
+		MaxSamples: atoi("max_samples"),
+		CheckEvery: atoi("check_every"),
+	})
 	if err != nil {
 		return e, err
 	}
@@ -570,11 +583,12 @@ var ruleKinds = []string{
 }
 
 // ruleFromName parses rule names of the form "kind-threshold" produced by
-// the stopping rules' Name methods. The kind is matched against the known
-// prefixes rather than split at the last '-': thresholds rendered in
-// scientific notation ("ks-1e-05") contain a '-' inside the exponent, which
-// the old last-dash split parsed as kind "ks-1e" with threshold 5.
-func ruleFromName(name string, seed uint64) (stopping.Rule, error) {
+// the stopping rules' Name methods and builds the rule with bounds b (a
+// fixed rule's bounds follow from its count). The kind is matched against
+// the known prefixes rather than split at the last '-': thresholds rendered
+// in scientific notation ("ks-1e-05") contain a '-' inside the exponent,
+// which the old last-dash split parsed as kind "ks-1e" with threshold 5.
+func ruleFromName(name string, seed uint64, b stopping.Bounds) (stopping.Rule, error) {
 	if name == "" {
 		return nil, nil // default rule
 	}
@@ -598,25 +612,25 @@ func ruleFromName(name string, seed uint64) (stopping.Rule, error) {
 	case "fixed":
 		return stopping.NewFixed(int(threshold)), nil
 	case "ci":
-		return stopping.NewCI(0.95, threshold, stopping.Bounds{}), nil
+		return stopping.NewCI(0.95, threshold, b), nil
 	case "ks":
-		return stopping.NewKS(threshold, stopping.Bounds{}), nil
+		return stopping.NewKS(threshold, b), nil
 	case "cv":
-		return stopping.NewCV(threshold, stopping.Bounds{}), nil
+		return stopping.NewCV(threshold, b), nil
 	case "mean-stability":
-		return stopping.NewMeanStability(threshold, 0, stopping.Bounds{}), nil
+		return stopping.NewMeanStability(threshold, 0, b), nil
 	case "median-stability":
-		return stopping.NewMedianStability(threshold, 0, stopping.Bounds{}), nil
+		return stopping.NewMedianStability(threshold, 0, b), nil
 	case "tail-stability":
-		return stopping.NewTailStability(0.95, threshold, stopping.Bounds{}), nil
+		return stopping.NewTailStability(0.95, threshold, b), nil
 	case "modality-stability":
-		return stopping.NewModalityStability(int(threshold), stopping.Bounds{}), nil
+		return stopping.NewModalityStability(int(threshold), b), nil
 	case "ess":
-		return stopping.NewESS(threshold, stopping.Bounds{}), nil
+		return stopping.NewESS(threshold, b), nil
 	case "self-similarity":
-		return stopping.NewSelfSimilarity(threshold, 0, seed, stopping.Bounds{}), nil
+		return stopping.NewSelfSimilarity(threshold, 0, seed, b), nil
 	case "meta":
-		return stopping.NewMeta(stopping.MetaConfig{Seed: seed}, stopping.Bounds{}), nil
+		return stopping.NewMeta(stopping.MetaConfig{Seed: seed}, b), nil
 	default:
 		return nil, fmt.Errorf("core: unknown rule name %q", name)
 	}

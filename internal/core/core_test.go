@@ -177,7 +177,7 @@ func TestRuleFromNameForms(t *testing.T) {
 		"median-stability-0.02", "modality-stability-3", "ess-100",
 		"self-similarity-0.08", "meta",
 	} {
-		r, err := ruleFromName(name, 1)
+		r, err := ruleFromName(name, 1, stopping.Bounds{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -186,7 +186,7 @@ func TestRuleFromNameForms(t *testing.T) {
 			t.Errorf("%s: nil rule", name)
 		}
 	}
-	if _, err := ruleFromName("bogus-1", 1); err == nil {
+	if _, err := ruleFromName("bogus-1", 1, stopping.Bounds{}); err == nil {
 		t.Error("bogus rule accepted")
 	}
 }

@@ -21,6 +21,17 @@ import (
 // Args containing spaces, Parallel, Timeout, retry base delay, and the
 // failure budget were all dropped or mangled before the fix.
 func TestMetadataRoundTrip(t *testing.T) {
+	// A fixed rule, and a rule whose guard rails are not its defaults: a
+	// recreated rule used to lose them and stop elsewhere.
+	for _, rule := range []stopping.Rule{
+		stopping.NewFixed(12),
+		stopping.NewKS(0.1, stopping.Bounds{MinSamples: 20, MaxSamples: 60, CheckEvery: 5}),
+	} {
+		t.Run(rule.Name(), func(t *testing.T) { testMetadataRoundTrip(t, rule) })
+	}
+}
+
+func testMetadataRoundTrip(t *testing.T, rule stopping.Rule) {
 	m1, err := machine.ByName("machine1")
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +43,7 @@ func TestMetadataRoundTrip(t *testing.T) {
 		// rendering, lossless as JSON.
 		Args:        []string{"--size", "64 x", "--mode=[fast]"},
 		Backend:     backend.NewSim(m1, 99),
-		Rule:        stopping.NewFixed(12),
+		Rule:        rule,
 		Metric:      backend.MetricExecTime,
 		Concurrency: 2,
 		Timeout:     2 * time.Second,
@@ -89,7 +100,10 @@ func TestMetadataRoundTrip(t *testing.T) {
 		t.Errorf("FailureBudget = %+v, want %+v", got.FailureBudget, e.FailureBudget)
 	}
 	if got.Rule == nil || got.Rule.Name() != e.Rule.Name() {
-		t.Errorf("Rule = %v, want %q", got.Rule, e.Rule.Name())
+		t.Fatalf("Rule = %v, want %q", got.Rule, e.Rule.Name())
+	}
+	if got.Rule.Bounds() != e.Rule.Bounds() {
+		t.Errorf("Rule.Bounds() = %+v, want %+v", got.Rule.Bounds(), e.Rule.Bounds())
 	}
 	// The simulated backend must be rebuilt with its machine and seed.
 	sim, ok := backend.Unwrap(got.Backend).(*backend.Sim)
@@ -132,6 +146,7 @@ func TestMetadataDefaultsNotRecorded(t *testing.T) {
 	for _, key := range []string{
 		"parallel", "timeout", "retries", "retry_base_delay", "retry_seed",
 		"failure_budget", "max_consecutive_failures", "failure_min_runs", "args",
+		"min_samples", "max_samples", "check_every",
 	} {
 		if v := md.Get(key); v != "" {
 			t.Errorf("default experiment recorded %s=%q; breaks byte-stable regeneration", key, v)

@@ -30,7 +30,7 @@ func TestRuleNameRoundTrip(t *testing.T) {
 	}
 	for _, r := range rules {
 		name := r.Name()
-		got, err := ruleFromName(name, seed)
+		got, err := ruleFromName(name, seed, stopping.Bounds{})
 		if err != nil {
 			t.Errorf("ruleFromName(%q): %v", name, err)
 			continue
@@ -49,12 +49,12 @@ func TestRuleNameRoundTrip(t *testing.T) {
 // not silently parsed as zero.
 func TestRuleFromNameRejectsGarbage(t *testing.T) {
 	for _, name := range []string{"ks-banana", "fixed-1x", "warp-0.1"} {
-		if _, err := ruleFromName(name, 1); err == nil {
+		if _, err := ruleFromName(name, 1, stopping.Bounds{}); err == nil {
 			t.Errorf("ruleFromName(%q) accepted a malformed name", name)
 		}
 	}
 	// Empty means "use the default rule": nil rule, nil error.
-	r, err := ruleFromName("", 1)
+	r, err := ruleFromName("", 1, stopping.Bounds{})
 	if r != nil || err != nil {
 		t.Errorf("ruleFromName(\"\") = %v, %v; want nil, nil", r, err)
 	}

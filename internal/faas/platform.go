@@ -121,10 +121,6 @@ func NewPlatform(machines []*machine.Machine, seed uint64) *Platform {
 	return p
 }
 
-// Metrics returns the platform's metrics registry (the source of the
-// GET /metrics endpoint).
-func (p *Platform) Metrics() *obs.Registry { return p.metrics }
-
 // SetTracer installs the campaign event tracer on the platform and on every
 // worker's backend decorator chain (nil disables emission).
 func (p *Platform) SetTracer(t obs.Tracer) {

@@ -75,9 +75,6 @@ func Create(path string) (*File, error) {
 // Chmod sets the mode the published file will carry.
 func (f *File) Chmod(perm fs.FileMode) { f.perm = perm }
 
-// Name returns the final destination path (not the temp path).
-func (f *File) Name() string { return f.path }
-
 // Write implements io.Writer.
 func (f *File) Write(p []byte) (int, error) { return f.f.Write(p) }
 

@@ -132,3 +132,6 @@ func TestAbortLeavesNothing(t *testing.T) {
 		t.Fatal("Close after Abort published the file")
 	}
 }
+
+// Name returns the final destination path (not the temp path).
+func (f *File) Name() string { return f.path }

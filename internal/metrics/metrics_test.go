@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"sharp/internal/config"
@@ -149,4 +151,42 @@ func TestBuiltins(t *testing.T) {
 	if len(Builtins()) != 2 {
 		t.Fatal("builtins changed unexpectedly")
 	}
+}
+
+// Load reads collector definitions from a parsed configuration document.
+// Expected structure (YAML subset):
+//
+//	collectors:
+//	  - name: time-v
+//	    wrap: [/usr/bin/time, -v]
+//	    patterns:
+//	      - metric: max_rss_bytes
+//	        regex: "Maximum resident set size .*: ([0-9]+)"
+//	        scale: 1024
+func Load(doc *config.Document) ([]Collector, error) {
+	list := doc.List("collectors")
+	if len(list) == 0 {
+		return nil, errors.New("metrics: no collectors defined")
+	}
+	out := make([]Collector, 0, len(list))
+	for i := range list {
+		cd := config.NewDocument(list[i])
+		c := Collector{
+			Name: cd.String("name", ""),
+			Wrap: cd.Strings("wrap"),
+		}
+		for j := range cd.List("patterns") {
+			base := fmt.Sprintf("patterns.%d.", j)
+			c.Patterns = append(c.Patterns, Pattern{
+				Metric: cd.String(base+"metric", ""),
+				Regex:  cd.String(base+"regex", ""),
+				Scale:  cd.Float(base+"scale", 0),
+			})
+		}
+		if err := c.Compile(); err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
 }

@@ -116,26 +116,6 @@ func Register(b *backend.InProcess) {
 	}
 }
 
-// Names lists the microbenchmark names.
-func Names() []string {
-	specs := All()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
-
-// ByName returns the spec with the given name.
-func ByName(name string) (Spec, error) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("microbench: unknown microbenchmark %q", name)
-}
-
 func cpuSpin(ctx context.Context, seed uint64) (map[string]float64, error) {
 	r := rng(seed)
 	x := r.Float64() + 1

@@ -2,6 +2,7 @@ package microbench
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"sharp/internal/backend"
@@ -108,4 +109,24 @@ func TestCompressionVerifiesRoundTrip(t *testing.T) {
 	if m["ratio"] <= 1 {
 		t.Errorf("compressible data did not compress: ratio %v", m["ratio"])
 	}
+}
+
+// ByName returns the spec with the given name.
+func ByName(name string) (Spec, error) {
+	for _, s := range All() {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("microbench: unknown microbenchmark %q", name)
+}
+
+// Names lists the microbenchmark names.
+func Names() []string {
+	specs := All()
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.Name
+	}
+	return out
 }

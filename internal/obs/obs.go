@@ -253,15 +253,6 @@ func (t *JSONL) Emit(typ string, fields map[string]any) {
 	})
 }
 
-// Err returns the first write error, if any (tracing is best-effort: write
-// failures never abort the campaign, but they are reported here and by
-// Close).
-func (t *JSONL) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Close implements io.Closer.
 func (t *JSONL) Close() error {
 	t.mu.Lock()

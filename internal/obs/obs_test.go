@@ -151,3 +151,12 @@ func TestProgressRendersAndFinishes(t *testing.T) {
 		}
 	}
 }
+
+// Err returns the first write error, if any (tracing is best-effort: write
+// failures never abort the campaign, but they are reported here and by
+// Close).
+func (t *JSONL) Err() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
+}

@@ -152,13 +152,6 @@ func (g Gauge) Add(delta float64) {
 	g.s.mu.Unlock()
 }
 
-// Value returns the current gauge value.
-func (g Gauge) Value() float64 {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.value
-}
-
 // Histogram accumulates observations into cumulative buckets.
 type Histogram struct{ s *series }
 
@@ -187,13 +180,6 @@ func (h Histogram) Observe(v float64) {
 	}
 	s.sum += v
 	s.count++
-}
-
-// Count returns the number of observations.
-func (h Histogram) Count() uint64 {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.s.count
 }
 
 // formatValue renders a sample value the way Prometheus expects.
@@ -283,9 +269,6 @@ type MetricsSink struct{ reg *Registry }
 
 // NewMetricsSink returns a Tracer that folds events into r.
 func NewMetricsSink(r *Registry) *MetricsSink { return &MetricsSink{reg: r} }
-
-// Registry returns the backing registry.
-func (m *MetricsSink) Registry() *Registry { return m.reg }
 
 // Emit implements Tracer.
 func (m *MetricsSink) Emit(typ string, fields map[string]any) {

@@ -216,3 +216,17 @@ func TestServeMetricsReleasesPortOnCancel(t *testing.T) {
 		t.Errorf("Close after cancel: %v", err)
 	}
 }
+
+// Value returns the current gauge value.
+func (g Gauge) Value() float64 {
+	g.s.mu.Lock()
+	defer g.s.mu.Unlock()
+	return g.s.value
+}
+
+// Count returns the number of observations.
+func (h Histogram) Count() uint64 {
+	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
+	return h.s.count
+}

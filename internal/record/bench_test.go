@@ -179,8 +179,9 @@ func BenchmarkTornRepair1e6(b *testing.B) {
 // rows in each format against an in-memory stream and reports the binary/CSV
 // speedup. Record is a buffered encode of every row; replay streams the log
 // back in reused batches — the binary log through the serial frame-walk
-// stream over its in-memory bytes, the CSV log through streamCSV — into a
-// per-run accumulator fold (the shape of resume's replay). Memory targets isolate the codec from the benchmark
+// stream over its in-memory bytes, the CSV log through csvBatches, the scan
+// StreamFile runs (csv.Reader and parseRow) — into a per-run accumulator
+// fold (the shape of resume's replay). Memory targets isolate the codec from the benchmark
 // host's disk throughput — on a ~100 MB/s disk the write() calls alone would
 // dominate both formats; the on-disk advantage shows up separately as
 // bin_bytes_per_row (68 vs ~130 for CSV). speedup_x is gated as a floor (the
@@ -207,7 +208,7 @@ func BenchmarkRecordReplaySpeedup1e6(b *testing.B) {
 		if format == FormatBinary {
 			_, err = streamLog(data, fold)
 		} else {
-			err = streamCSV(bytes.NewReader(data), fold)
+			err = csvBatches(bytes.NewReader(data), fold)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -289,14 +290,20 @@ func TestTruncateTrailingRun(t *testing.T) {
 	})
 }
 
-// TestTruncateRows cuts a CSV log to a row count, the checkpoint cut of
-// Reopen on CSV logs.
+// TestTruncateRows cuts a CSV log to a row count: Reopen's checkpoint cut.
 func TestTruncateRows(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "log.csv")
 	writeLog(t, path, runRows(4, 2), Options{})
+	cut := func(n int) error {
+		w, _, _, err := Reopen(path, n, Options{})
+		if err == nil {
+			err = w.Close()
+		}
+		return err
+	}
 
-	if err := truncateRowsCSV(path, 5); err != nil {
+	if err := cut(5); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
@@ -306,15 +313,96 @@ func TestTruncateRows(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("%d rows, want 5", len(got))
 	}
-	if err := truncateRowsCSV(path, 10); err == nil {
+	if err := cut(10); err == nil {
 		t.Fatal("truncating beyond the available rows must fail")
 	}
 	// Truncating to the current count is a no-op.
-	if err := truncateRowsCSV(path, 5); err != nil {
+	if err := cut(5); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ = ReadFile(path); len(got) != 5 {
 		t.Fatalf("no-op truncate changed the log: %d rows", len(got))
+	}
+}
+
+// TestCSVTornTail reads, scans and repairs CSV logs whose final line never
+// got its newline: an unparsable fragment of a row (readers used to fail
+// on it) and a whole row missing only the newline. Readers return the
+// complete rows, and the torn row too when it parses; ScanFile counts only
+// the complete rows and OpenAppend cuts the tail.
+func TestCSVTornTail(t *testing.T) {
+	rows := runRows(4, 2)
+	for _, tc := range []struct {
+		name string
+		tail string // appended to the log of read; "" drops its last newline
+		read []Row  // what readers return
+	}{
+		{"fragment", "2026-07-04T12:00:09Z,fig6,bfs-CUDA,sim,mach", rows},
+		{"unterminated-row", "", runRows(5, 2)[:9]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.csv")
+			writeLog(t, path, tc.read, Options{})
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.tail == "" {
+				data = data[:len(data)-1]
+			} else {
+				data = append(data, tc.tail...)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			got, err := ReadFile(path)
+			if err != nil || !reflect.DeepEqual(got, tc.read) {
+				t.Fatalf("ReadFile = (%d rows, %v), want %d rows", len(got), err, len(tc.read))
+			}
+			var streamed []Row
+			if err := StreamFile(path, func(b []Row) error { streamed = append(streamed, b...); return nil }); err != nil || !reflect.DeepEqual(streamed, tc.read) {
+				t.Fatalf("StreamFile = (%d rows, %v), want %d rows", len(streamed), err, len(tc.read))
+			}
+			if n, lastRun, torn, err := ScanFile(path); n != len(rows) || lastRun != 4 || !torn || err != nil {
+				t.Fatalf("ScanFile = (%d, %d, %v, %v), want (%d, 4, true, nil)", n, lastRun, torn, err, len(rows))
+			}
+			w, n, err := OpenAppend(path, Options{})
+			if err != nil || n != len(rows) {
+				t.Fatalf("OpenAppend = (%d rows, %v)", n, err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ReadFile(path); err != nil || !reflect.DeepEqual(got, rows) {
+				t.Fatalf("after repair: (%d rows, %v)", len(got), err)
+			}
+		})
+	}
+}
+
+// TestCSVInteriorDamageFailsReads: a line that does not parse is a hard
+// error on every surface unless it is the unterminated final line.
+func TestCSVInteriorDamageFailsReads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrupt.csv")
+	writeLog(t, path, runRows(3, 1), Options{})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	lines[2] = "xx,yy\n"
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "corrupt row at line 3") {
+		t.Errorf("ReadFile = %v, want a corrupt row error", err)
+	}
+	if err := StreamFile(path, func([]Row) error { return nil }); err == nil || !strings.Contains(err.Error(), "corrupt row at line 3") {
+		t.Errorf("StreamFile = %v, want a corrupt row error", err)
+	}
+	if _, _, _, err := ScanFile(path); err == nil || !strings.Contains(err.Error(), "corrupt row at line 3") {
+		t.Errorf("ScanFile = %v, want a corrupt row error", err)
 	}
 }
 

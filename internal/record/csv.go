@@ -7,13 +7,13 @@ package record
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"sharp/internal/fsx"
@@ -118,27 +118,27 @@ func (r Row) strings() []string {
 // accepted.
 func parseRow(fields []string) (Row, error) {
 	if len(fields) != len(Header) && len(fields) != legacyHeaderLen {
-		return Row{}, fmt.Errorf("record: row has %d fields, want %d", len(fields), len(Header))
+		return Row{}, fmt.Errorf("row has %d fields, want %d", len(fields), len(Header))
 	}
 	ts, err := time.Parse(time.RFC3339Nano, fields[0])
 	if err != nil {
-		return Row{}, fmt.Errorf("record: bad timestamp %q: %w", fields[0], err)
+		return Row{}, fmt.Errorf("bad timestamp %q: %w", fields[0], err)
 	}
 	day, err := strconv.Atoi(fields[5])
 	if err != nil {
-		return Row{}, fmt.Errorf("record: bad day %q", fields[5])
+		return Row{}, fmt.Errorf("bad day %q", fields[5])
 	}
 	run, err := strconv.Atoi(fields[6])
 	if err != nil {
-		return Row{}, fmt.Errorf("record: bad run %q", fields[6])
+		return Row{}, fmt.Errorf("bad run %q", fields[6])
 	}
 	inst, err := strconv.Atoi(fields[7])
 	if err != nil {
-		return Row{}, fmt.Errorf("record: bad instance %q", fields[7])
+		return Row{}, fmt.Errorf("bad instance %q", fields[7])
 	}
 	val, err := strconv.ParseFloat(fields[9], 64)
 	if err != nil {
-		return Row{}, fmt.Errorf("record: bad value %q", fields[9])
+		return Row{}, fmt.Errorf("bad value %q", fields[9])
 	}
 	row := Row{
 		Timestamp: ts, Experiment: fields[1], Workload: fields[2],
@@ -150,7 +150,7 @@ func parseRow(fields []string) (Row, error) {
 		row.Status = fields[11]
 		attempt, err := strconv.Atoi(fields[12])
 		if err != nil {
-			return Row{}, fmt.Errorf("record: bad attempt %q", fields[12])
+			return Row{}, fmt.Errorf("bad attempt %q", fields[12])
 		}
 		row.Attempt = attempt
 		row.Error = fields[13]
@@ -375,39 +375,148 @@ func validateHeader(rec []string) error {
 	return nil
 }
 
-// readInto parses tidy rows from r, appending to dst (which may carry
-// preallocated capacity); the first record must be the Header (the legacy
-// pre-resilience header, lacking the status/attempt/error columns, is also
-// accepted). Records are streamed with a reused field buffer rather than
-// materialized via ReadAll, so reading a multi-million-row log costs one Row
-// slice, not a second [][]string copy of the whole file.
-func readInto(r io.Reader, dst []Row) ([]Row, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true // parseRow copies what it keeps
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("record: missing header")
+// lineReader counts what a csv.Reader is handed of a log: bytes, newlines
+// and the last byte. With them the scanner tells the unterminated final
+// line of a log, the torn tail an interrupted write leaves, from its
+// complete lines.
+type lineReader struct {
+	r     io.Reader
+	n     int64 // bytes read
+	lines int   // newlines read
+	last  byte  // the last byte read
+}
+
+func (l *lineReader) Read(p []byte) (int, error) {
+	n, err := l.r.Read(p)
+	if n > 0 {
+		l.n += int64(n)
+		l.lines += bytes.Count(p[:n], []byte{'\n'})
+		l.last = p[n-1]
 	}
-	if err != nil {
-		return nil, fmt.Errorf("record: %w", err)
+	return n, err
+}
+
+// csvScan is what one pass over a CSV log finds: its complete rows (parsed
+// and newline-terminated) and where they end, the run bookkeeping that
+// locates the trailing run, and whether a torn tail follows.
+type csvScan struct {
+	width int   // header column count; 0 for a 0-byte log
+	rows  int   // complete rows
+	end   int64 // offset past the header and the complete rows
+	torn  bool  // an unterminated final line follows end
+	// lastRun is the run index of the last complete row (0 when none); its
+	// run's rows begin at offset runStart, after runStartRows rows.
+	lastRun, runStartRows int
+	runStart              int64
+}
+
+// scanCSV reads the CSV log r once, through one csv.Reader, and hands each
+// parsed row to each when it is set. The first record must be the Header
+// (or its legacy pre-resilience prefix); a 0-byte log has no header and no
+// rows. A row that does not parse is a hard error unless it starts on the
+// unterminated final line: that line is the torn tail a crash mid-write
+// leaves, and is skipped. A torn tail that does parse is handed to each but
+// not counted, so readers return it and repair cuts it. With stop >= 0 the
+// scan ends after stop complete rows.
+func scanCSV(r io.Reader, stop int, each func(Row) error) (sc csvScan, err error) {
+	src := &lineReader{r: r}
+	cr := csv.NewReader(bufio.NewReaderSize(src, 1<<16))
+	cr.ReuseRecord = true // parseRow copies what it keeps
+	// unterminated reports whether the record just read ends the log
+	// without a newline.
+	unterminated := func() bool { return cr.InputOffset() == src.n && src.last != '\n' }
+	header, err := cr.Read()
+	switch {
+	case err == io.EOF && src.n == 0:
+		return sc, nil // no byte was ever durable
+	case err == io.EOF:
+		return sc, errors.New("record: missing header")
+	case err != nil:
+		return sc, fmt.Errorf("record: %w", err)
 	}
 	if err := validateHeader(header); err != nil {
-		return nil, err
+		return sc, err
 	}
-	for {
+	sc.width = len(header)
+	if unterminated() { // not even the header line is complete
+		sc.torn = true
+		return sc, nil
+	}
+	sc.end = cr.InputOffset()
+	sc.runStart = sc.end
+	for stop < 0 || sc.rows < stop {
+		start := cr.InputOffset()
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return dst, nil
+			break
+		}
+		var row Row
+		var line int
+		if pe, ok := err.(*csv.ParseError); ok {
+			line, err = pe.StartLine, pe.Err
+		} else if err != nil {
+			return sc, fmt.Errorf("record: %w", err)
+		} else {
+			line, _ = cr.FieldPos(0)
+			row, err = parseRow(rec)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("record: %w", err)
+			if line > src.lines { // it starts on the unterminated final line
+				sc.torn = true
+				break
+			}
+			return sc, fmt.Errorf("record: corrupt row at line %d: %v", line, err)
 		}
-		row, err := parseRow(rec)
-		if err != nil {
-			return nil, err
+		if each != nil {
+			if err := each(row); err != nil {
+				return sc, err
+			}
 		}
-		dst = append(dst, row)
+		if unterminated() {
+			sc.torn = true
+			break
+		}
+		if row.Run != sc.lastRun {
+			sc.lastRun, sc.runStart, sc.runStartRows = row.Run, start, sc.rows
+		}
+		sc.rows++
+		sc.end = cr.InputOffset()
 	}
+	return sc, nil
+}
+
+// repairScan is scanCSV for the surfaces that scan, cut or continue a log.
+// A header that never got its newline left no complete line to continue
+// from, so it is an error here, where readers read it as an empty log.
+func repairScan(r io.Reader, stop int, each func(Row) error) (csvScan, error) {
+	sc, err := scanCSV(r, stop, each)
+	if err == nil && sc.torn && sc.end == 0 {
+		err = errors.New("record: missing header")
+	}
+	return sc, err
+}
+
+// withoutTrailingRun returns where the log sc describes ends once its
+// trailing run (the rows of the last complete row's run index, unless that
+// is 0) and any torn tail are dropped: the offset, the rows kept and the run
+// dropped.
+func (sc csvScan) withoutTrailingRun() (off int64, rows, dropped int) {
+	if sc.lastRun == 0 {
+		return sc.end, sc.rows, 0
+	}
+	return sc.runStart, sc.runStartRows, sc.lastRun
+}
+
+// csvRowCap estimates the rows of the CSV log open at f from its size (tidy
+// rows are ~100 bytes), so reading a large log does not grow-and-copy its
+// way through millions of appends.
+func csvRowCap(f *os.File) int {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return 0
+	}
+	const approxRowBytes = 100
+	return int(st.Size()/approxRowBytes) + 1
 }
 
 // StreamFile parses a log file in either format (sniffed from the magic
@@ -415,96 +524,82 @@ func readInto(r io.Reader, dst []Row) ([]Row, error) {
 // between calls, so fn must copy any row it retains. Replaying this way
 // touches one block-sized scratch batch instead of materializing the whole
 // log, which is what makes streaming consumers (sharp convert, the replay
-// benchmarks) immune to log size. A torn binary tail is silently dropped, as
-// in ReadFile.
+// benchmarks) immune to log size. A torn tail is treated as in ReadFile.
 func StreamFile(path string, fn func(batch []Row) error) error {
 	format, err := sniffRead(path)
 	if err != nil {
 		return err
 	}
-	switch {
-	case format == formatSegmented:
+	switch format {
+	case formatSegmented:
 		return streamSegmented(path, fn)
-	case format == FormatBinary:
+	case FormatBinary:
 		_, err := streamLogFile(path, fn)
 		return err
-	case emptyArtifact(path):
-		return nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return streamCSV(bufio.NewReaderSize(f, 1<<16), fn)
+	return csvBatches(f, fn)
 }
 
-// streamCSV delivers parsed CSV rows to fn in reused batches.
-func streamCSV(r io.Reader, fn func([]Row) error) error {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true // parseRow copies what it keeps
-	header, err := cr.Read()
-	if err == io.EOF {
-		return fmt.Errorf("record: missing header")
-	}
-	if err != nil {
-		return fmt.Errorf("record: %w", err)
-	}
-	if err := validateHeader(header); err != nil {
-		return err
-	}
+// csvBatches scans the CSV log r, delivering its rows to fn in reused
+// block-sized batches.
+func csvBatches(r io.Reader, fn func([]Row) error) error {
 	batch := make([]Row, 0, binBlockRows)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			if len(batch) > 0 {
-				return fn(batch)
-			}
+	_, err := scanCSV(r, -1, func(row Row) error {
+		if batch = append(batch, row); len(batch) < binBlockRows {
 			return nil
 		}
-		if err != nil {
-			return fmt.Errorf("record: %w", err)
-		}
-		row, err := parseRow(rec)
-		if err != nil {
-			return err
-		}
-		if batch = append(batch, row); len(batch) == binBlockRows {
-			if err := fn(batch); err != nil {
-				return err
-			}
-			batch = batch[:0]
-		}
+		err := fn(batch)
+		batch = batch[:0]
+		return err
+	})
+	if err == nil && len(batch) > 0 {
+		err = fn(batch)
 	}
+	return err
 }
 
 // ReadFile parses a log file in either format (sniffed from the magic
-// bytes). For CSV the row slice is preallocated from the file size (tidy
-// rows are ~100 bytes), so resuming a large campaign does not grow-and-copy
-// its way through millions of appends; for binary logs the frame walk
-// supplies the exact count.
-func ReadFile(path string) ([]Row, error) {
-	if format, err := sniffRead(path); err != nil {
+// bytes): ReadFileInto with no slab to reuse.
+func ReadFile(path string) ([]Row, error) { return ReadFileInto(path, nil) }
+
+// ReadFileInto is ReadFile reusing dst's backing array: dst is truncated to
+// zero length and the decoded rows are appended, so a caller replaying many
+// logs of similar size (the service recovery loop, the replay benchmarks)
+// pays for its row slab once instead of re-zeroing hundreds of megabytes per
+// read. Given no slab, a CSV read sizes one from the file; the binary frame
+// walk supplies the exact count. The torn tail of a CSV log, its
+// unterminated final line, is returned when it parses as a row and skipped
+// when it does not; a torn binary tail is dropped.
+func ReadFileInto(path string, dst []Row) ([]Row, error) {
+	dst = dst[:0]
+	format, err := sniffRead(path)
+	if err != nil {
 		return nil, err
-	} else if format == formatSegmented {
-		return readSegmented(path, nil)
-	} else if format == FormatBinary {
-		_, rows, err := readLogFile(path, nil)
+	}
+	switch format {
+	case formatSegmented:
+		return readSegmented(path, dst)
+	case FormatBinary:
+		_, rows, err := readLogFile(path, dst)
 		return rows, err
-	} else if emptyArtifact(path) {
-		return nil, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var dst []Row
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		const approxRowBytes = 100
-		dst = make([]Row, 0, st.Size()/approxRowBytes+1)
+	if n := csvRowCap(f); cap(dst) == 0 && n > 0 {
+		dst = make([]Row, 0, n)
 	}
-	return readInto(bufio.NewReaderSize(f, 1<<16), dst)
+	if _, err := scanCSV(f, -1, func(r Row) error { dst = append(dst, r); return nil }); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // WriteRowsAtomic writes a complete tidy-data log to path atomically: the
@@ -538,110 +633,6 @@ func WriteRowsAtomicFormat(path string, rows []Row, format Format) error {
 	return f.Close() // sync + atomic rename into place
 }
 
-// scanResult describes the on-disk state of a log examined by scanLog.
-type scanResult struct {
-	// rows is the number of complete, parseable data rows.
-	rows int
-	// end is the byte offset just past the last complete row (or the
-	// header); everything after it is a torn tail from an interrupted write.
-	end int64
-	// torn reports whether bytes past end were found.
-	torn bool
-	// lastRun is the run index of the final complete row (0 when empty).
-	lastRun int
-	// runStart is the byte offset where the rows of lastRun's run index
-	// begin — the truncation point that drops the final (possibly
-	// incomplete) run.
-	runStart int64
-	// runStartRows is the row count up to runStart.
-	runStartRows int
-}
-
-// scanLog streams a log file, validating the header and every row, and
-// locates the crash-consistent truncation points. A partial trailing line
-// (no terminating newline, or an unparsable final line — the signature of a
-// process killed mid-flush) is reported as a torn tail; an unparsable line
-// in the interior is a hard corruption error. The scan is line-based, which
-// is sound for SHARP logs: the Writer never emits a field containing a raw
-// newline (error messages are sanitized before logging).
-func scanLog(r io.Reader) (scanResult, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var res scanResult
-	var off int64
-	lineNo := 0
-	for {
-		line, err := br.ReadString('\n')
-		if line == "" && err == io.EOF {
-			return res, nil
-		}
-		if err != nil && err != io.EOF {
-			return res, fmt.Errorf("record: %w", err)
-		}
-		complete := strings.HasSuffix(line, "\n")
-		start := off
-		off += int64(len(line))
-		lineNo++
-		if lineNo == 1 {
-			if !complete {
-				// A torn header means no complete row survived; there is
-				// nothing to continue from.
-				return res, fmt.Errorf("record: missing header")
-			}
-			rec, perr := parseLine(line)
-			if perr != nil || validateHeader(rec) != nil {
-				return res, fmt.Errorf("record: unexpected header %v", strings.TrimSuffix(line, "\n"))
-			}
-			res.end = off
-			res.runStart = off
-			continue
-		}
-		row, perr := func() (Row, error) {
-			rec, perr := parseLine(line)
-			if perr != nil {
-				return Row{}, perr
-			}
-			return parseRow(rec)
-		}()
-		if perr != nil || !complete {
-			if err == io.EOF {
-				// Torn tail: the final line is incomplete or unparsable —
-				// exactly what a crash mid-write leaves behind.
-				res.torn = true
-				return res, nil
-			}
-			if perr == nil {
-				perr = errors.New("incomplete line")
-			}
-			return res, fmt.Errorf("record: corrupt row at line %d: %v", lineNo, perr)
-		}
-		if row.Run != res.lastRun {
-			res.lastRun = row.Run
-			res.runStart = start
-			res.runStartRows = res.rows
-		}
-		res.rows++
-		res.end = off
-		if err == io.EOF {
-			return res, nil
-		}
-	}
-}
-
-// parseLine parses a single CSV line into fields.
-func parseLine(line string) ([]string, error) {
-	cr := csv.NewReader(strings.NewReader(line))
-	rec, err := cr.Read()
-	if err != nil {
-		return nil, err
-	}
-	// A line with trailing garbage after a closing quote etc. yields a
-	// second record; reject it.
-	if _, err := cr.Read(); err != io.EOF {
-		return nil, errors.New("trailing data")
-	}
-	return rec, nil
-}
-
 // ScanFile examines a log file without modifying it, returning the number
 // of complete rows, the run index of the last complete row, and whether a
 // torn tail (crash signature) is present.
@@ -652,19 +643,17 @@ func ScanFile(path string) (rows, lastRun int, torn bool, err error) {
 		return scanSegmented(path)
 	} else if format == FormatBinary {
 		return scanBinaryFile(path)
-	} else if emptyArtifact(path) {
-		return 0, 0, false, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	res, err := scanLog(f)
+	sc, err := repairScan(f, -1, nil)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	return res.rows, res.lastRun, res.torn, nil
+	return sc.rows, sc.lastRun, sc.torn, nil
 }
 
 // OpenAppend opens an existing log for continuation: it validates that the
@@ -697,53 +686,32 @@ func OpenAppend(path string, o Options) (w *Writer, rows int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := scanLog(f)
+	sc, err := repairScan(f, -1, nil)
+	if err == nil {
+		w, err = appendCSV(f, sc, sc.end, sc.rows, o)
+	}
 	if err != nil {
 		f.Close()
 		return nil, 0, err
 	}
-	// Re-check the header width: scanLog accepts the legacy prefix for
-	// reading, but appending 14-column rows under an 11-column header would
-	// produce a log no reader accepts.
-	if err := checkAppendHeader(f); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	if res.torn {
-		if err := f.Truncate(res.end); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("record: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(res.end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return &Writer{
-		w: csv.NewWriter(f), c: f, f: f, opts: o,
-		wroteHeader: true, rows: res.rows,
-	}, res.rows, nil
+	return w, sc.rows, nil
 }
 
-// checkAppendHeader verifies the file's header has the current column count
-// (seeking from the start; the caller restores the offset afterwards).
-func checkAppendHeader(f *os.File) error {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
+// appendCSV cuts the CSV log open at f, which sc describes, to its first
+// off bytes, holding rows rows, and returns a Writer positioned after them.
+// A legacy 11-column log is refused: 14-column rows under its header would
+// make a log no reader accepts.
+func appendCSV(f *os.File, sc csvScan, off int64, rows int, o Options) (*Writer, error) {
+	if sc.width != len(Header) {
+		return nil, fmt.Errorf("record: cannot append to legacy %d-column log (current header has %d columns)", sc.width, len(Header))
 	}
-	br := bufio.NewReader(f)
-	line, err := br.ReadString('\n')
-	if err != nil && err != io.EOF {
-		return fmt.Errorf("record: %w", err)
+	if err := f.Truncate(off); err != nil {
+		return nil, fmt.Errorf("record: cutting log: %w", err)
 	}
-	rec, perr := parseLine(line)
-	if perr != nil {
-		return fmt.Errorf("record: unexpected header %v", strings.TrimSuffix(line, "\n"))
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, err
 	}
-	if len(rec) != len(Header) {
-		return fmt.Errorf("record: cannot append to legacy %d-column log (current header has %d columns)", len(rec), len(Header))
-	}
-	return nil
+	return &Writer{w: csv.NewWriter(f), c: f, f: f, opts: o, wroteHeader: true, rows: rows}, nil
 }
 
 // TruncateTrailingRun truncates the log at path so that the final run's
@@ -760,30 +728,21 @@ func TruncateTrailingRun(path string) (rows, droppedRun int, err error) {
 		return truncateTrailingRunSegmented(path)
 	} else if format == FormatBinary {
 		return truncateTrailingRunBinary(path)
-	} else if emptyArtifact(path) {
-		return 0, 0, nil
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	res, err := scanLog(f)
+	sc, err := repairScan(f, -1, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	if res.lastRun == 0 {
-		if res.torn {
-			if err := f.Truncate(res.end); err != nil {
-				return 0, 0, err
-			}
-		}
-		return res.rows, 0, nil
-	}
-	if err := f.Truncate(res.runStart); err != nil {
+	off, rows, droppedRun := sc.withoutTrailingRun()
+	if err := f.Truncate(off); err != nil {
 		return 0, 0, err
 	}
-	return res.runStartRows, res.lastRun, nil
+	return rows, droppedRun, nil
 }
 
 // Reopen repairs the log at path for resuming a campaign and opens it for
@@ -794,9 +753,10 @@ func TruncateTrailingRun(path string) (rows, droppedRun int, err error) {
 // and any torn tail are dropped, and droppedRun names the dropped run (0 if
 // none). Reopen returns the kept rows, to replay, and a Writer positioned
 // after them. The log bytes it leaves are those of the cut, ReadFile and
-// OpenAppend in sequence; a binary log is read once, the cut taking a split
-// block's rows from that read, and a segmented log reads only its sealed
-// segments besides the one the cut lands in.
+// OpenAppend in sequence. A CSV or binary log is read once, the cut taking
+// its rows from that read (a CSV read with a checkpoint stops there, so
+// damage past the checkpoint is cut away unread), and a segmented log reads
+// only its sealed segments besides the one the cut lands in.
 func Reopen(path string, checkpoint int, o Options) (w *Writer, rows []Row, droppedRun int, err error) {
 	format, err := sniffRead(path)
 	if err != nil {
@@ -808,55 +768,63 @@ func Reopen(path string, checkpoint int, o Options) (w *Writer, rows []Row, drop
 	case FormatBinary:
 		return reopenBinary(path, checkpoint, o)
 	}
+	return reopenCSV(path, checkpoint, o)
+}
+
+// reopenCSV is Reopen for a CSV log: one scan collects the rows (up to the
+// checkpoint, when there is one), then one truncate and one seek position
+// the writer.
+func reopenCSV(path string, checkpoint int, o Options) (w *Writer, rows []Row, droppedRun int, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	n := csvRowCap(f)
 	if checkpoint >= 0 {
-		err = truncateRowsCSV(path, checkpoint)
-	} else {
-		_, droppedRun, err = TruncateTrailingRun(path)
+		n = min(n, checkpoint)
+	}
+	rows = make([]Row, 0, n)
+	sc, err := repairScan(f, checkpoint, func(r Row) error { rows = append(rows, r); return nil })
+	if checkpoint >= 0 && err == nil && sc.rows < checkpoint {
+		err = fmt.Errorf("record: truncate to %d rows: only %d available", checkpoint, sc.rows)
+	} else if checkpoint >= 0 && err != nil {
+		// The cut counts lines before any row is parsed: a damaged log too
+		// short for the checkpoint reports that it is too short.
+		if n, lerr := lineRows(f); lerr == nil && n < checkpoint {
+			err = fmt.Errorf("record: truncate to %d rows: only %d available", checkpoint, n)
+		}
+	}
+	if err == nil && sc.width == 0 { // a 0-byte log: start it over
+		f.Close()
+		w, err = CreateDurable(path, o)
+		return w, nil, 0, err
 	}
 	if err == nil {
-		rows, err = ReadFile(path)
-	}
-	if err == nil {
-		w, _, err = OpenAppend(path, o)
+		off, keep := sc.end, sc.rows
+		if checkpoint < 0 {
+			off, keep, droppedRun = sc.withoutTrailingRun()
+		}
+		rows = rows[:keep]
+		w, err = appendCSV(f, sc, off, keep, o)
 	}
 	if err != nil {
+		f.Close()
 		return nil, nil, 0, err
 	}
 	return w, rows, droppedRun, nil
 }
 
-// truncateRowsCSV cuts the CSV log at path to exactly its first n complete
-// rows (plus header); n larger than the available rows is an error.
-func truncateRowsCSV(path string, n int) error {
-	if emptyArtifact(path) {
-		if n == 0 {
-			return nil
-		}
-		return fmt.Errorf("record: truncate to %d rows: only 0 available", n)
+// lineRows counts the rows a cut on newlines finds in the CSV log open at
+// f: its newline-terminated lines after the header.
+func lineRows(f *os.File) (int, error) {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
+	src := &lineReader{r: f}
+	if _, err := io.Copy(io.Discard, src); err != nil {
+		return 0, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	rows := -1 // header is line 0
-	for rows < n {
-		line, err := br.ReadString('\n')
-		if line == "" && err == io.EOF {
-			return fmt.Errorf("record: truncate to %d rows: only %d available", n, rows)
-		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("record: %w", err)
-		}
-		if !strings.HasSuffix(line, "\n") {
-			return fmt.Errorf("record: truncate to %d rows: only %d available", n, rows)
-		}
-		off += int64(len(line))
-		rows++
-	}
-	return f.Truncate(off)
+	return max(src.lines-1, 0), nil
 }
 
 // Filter returns the rows matching all non-zero criteria of the selector.

@@ -27,7 +27,6 @@
 package record
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -568,30 +567,4 @@ func streamLogFile(path string, sink func([]Row) error) (binScan, error) {
 	}
 	defer b.release()
 	return streamLog(b.data, sink)
-}
-
-// ReadFileInto is ReadFile reusing dst's backing array: dst is truncated to
-// zero length and the decoded rows are appended, so a caller replaying many
-// logs of similar size (the service recovery loop, the replay benchmarks)
-// pays for its row slab once instead of re-zeroing hundreds of megabytes per
-// read. Pass nil for plain ReadFile behavior.
-func ReadFileInto(path string, dst []Row) ([]Row, error) {
-	dst = dst[:0]
-	format, err := sniffRead(path)
-	if err != nil {
-		return nil, err
-	}
-	switch format {
-	case formatSegmented:
-		return readSegmented(path, dst)
-	case FormatBinary:
-		_, rows, err := readLogFile(path, dst)
-		return rows, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readInto(bufio.NewReaderSize(f, 1<<16), dst)
 }

@@ -440,11 +440,15 @@ func TestOpenAppendEmptyBinaryRepairs(t *testing.T) {
 		if rows, dropped, err := TruncateTrailingRun(path); rows != 0 || dropped != 0 || err != nil {
 			t.Fatalf("TruncateTrailingRun = (%d, %d, %v), want (0, 0, nil)", rows, dropped, err)
 		}
-		if err := truncateRowsCSV(path, 0); err != nil {
-			t.Fatalf("truncateRowsCSV(0) = %v, want nil", err)
+		if _, _, _, err := Reopen(path, 3, Options{}); err == nil {
+			t.Fatal("Reopen(3) on empty artifact succeeded, want error")
 		}
-		if err := truncateRowsCSV(path, 3); err == nil {
-			t.Fatal("truncateRowsCSV(3) on empty artifact succeeded, want error")
+		w, rows, dropped, err := Reopen(path, 0, Options{})
+		if err != nil || len(rows) != 0 || dropped != 0 {
+			t.Fatalf("Reopen(0) = (%d rows, dropped %d, %v), want a fresh log", len(rows), dropped, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 	t.Run("csv-empty-resumes", func(t *testing.T) {
@@ -460,6 +464,12 @@ func TestOpenAppendEmptyBinaryRepairs(t *testing.T) {
 		}
 		if got, err := ReadFile(path); len(got) != 0 || err != nil {
 			t.Fatalf("ReadFile = (%d rows, %v), want empty", len(got), err)
+		}
+		if got, err := ReadFileInto(path, nil); len(got) != 0 || err != nil {
+			t.Fatalf("ReadFileInto = (%d rows, %v), want empty", len(got), err)
+		}
+		if err := StreamFile(path, func([]Row) error { return errors.New("no batches expected") }); err != nil {
+			t.Fatalf("StreamFile = %v, want nil", err)
 		}
 		if rows, dropped, err := TruncateTrailingRun(path); rows != 0 || dropped != 0 || err != nil {
 			t.Fatalf("TruncateTrailingRun = (%d, %d, %v), want (0, 0, nil)", rows, dropped, err)

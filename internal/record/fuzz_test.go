@@ -2,9 +2,13 @@ package record
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -217,7 +221,7 @@ func FuzzCSVRows(f *testing.F) {
 	f.Add("timestamp,experiment,workload,backend,machine,day,run,instance,metric,value,unit\n")
 	f.Add("not,a,header\n1,2,3\n")
 	f.Fuzz(func(t *testing.T, s string) {
-		rows, err := readInto(strings.NewReader(s), nil)
+		rows, err := readCSV(strings.NewReader(s))
 		if err != nil {
 			return
 		}
@@ -230,7 +234,7 @@ func FuzzCSVRows(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		again, err := readInto(bytes.NewReader(out.Bytes()), nil)
+		again, err := readCSV(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("round trip parse: %v", err)
 		}
@@ -238,4 +242,112 @@ func FuzzCSVRows(f *testing.F) {
 			t.Fatalf("row count drifted: %d -> %d", len(rows), len(again))
 		}
 	})
+}
+
+// FuzzScanCSV holds the one-pass CSV scanner to the parsers it replaced,
+// kept in csv_reference_test.go: the read surfaces to readInto on rows and
+// on whether there is an error; the repair scan to scanLog on rows, the end
+// offset, the torn verdict, lastRun, the trailing run's offset and rows, and
+// whether there is an error; and the checkpoint cut to truncateRowsCSV's
+// offset. Two inputs read differently on purpose: a 0-byte log reads as
+// empty, and an unterminated final line that does not parse (a torn tail)
+// is skipped where readInto failed. Where scanLog's line grammar and
+// csv.Reader's record grammar part (blank lines, records spanning lines,
+// rows of another accepted width than the header's) the scanner follows
+// csv.Reader, and only the read parity is checked.
+func FuzzScanCSV(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	rows := runRows(4, 2)
+	rows[3].Status, rows[3].Error = StatusError, `backend said "no", twice`
+	w.WriteAll(rows)
+	w.Close()
+	log := buf.String()
+	f.Add(log)
+	f.Add(log[:len(log)-9])                            // torn mid-row
+	f.Add(log[:len(log)-1])                            // a whole row missing its newline
+	f.Add(log[:len(log)/2] + `"` + log[len(log)/2+1:]) // a stray quote
+	f.Add(log[:strings.IndexByte(log, '\n')])          // torn header
+	f.Add(legacyCSV)
+	f.Add(strings.Replace(log, "\n", "\n\n", 2))
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := readCSV(strings.NewReader(s))
+		want, werr := readInto(strings.NewReader(s), nil)
+		if nl := strings.LastIndexByte(s, '\n'); werr != nil && s == "" {
+			want, werr = nil, nil
+		} else if werr != nil && nl < len(s)-1 {
+			if prefix, perr := readInto(strings.NewReader(s[:nl+1]), nil); perr == nil {
+				want, werr = prefix, nil // the failing record is the torn tail
+			}
+		}
+		if (err == nil) != (werr == nil) || err == nil && !sameRows(got, want) {
+			t.Fatalf("read = (%d rows, %v), reference (%d rows, %v)", len(got), err, len(want), werr)
+		}
+
+		if !sameGrammar(s) {
+			return
+		}
+		sc, err := repairScan(strings.NewReader(s), -1, nil)
+		ref, rerr := scanLog(strings.NewReader(s))
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("repair scan error %v, reference %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if sc.rows != ref.rows || sc.end != ref.end || sc.torn != ref.torn || sc.lastRun != ref.lastRun ||
+			sc.runStart != ref.runStart || sc.runStartRows != ref.runStartRows {
+			t.Fatalf("repair scan %+v, reference %+v", sc, ref)
+		}
+		path := filepath.Join(t.TempDir(), "log.csv")
+		for _, k := range []int{0, sc.rows / 2, sc.rows, sc.rows + 1} {
+			cut, err := repairScan(strings.NewReader(s), k, nil)
+			if err == nil && cut.rows < k {
+				err = errors.New("short")
+			}
+			if werr := os.WriteFile(path, []byte(s), 0o644); werr != nil {
+				t.Fatal(werr)
+			}
+			terr := truncateRowsCSV(path, k)
+			if (err == nil) != (terr == nil) {
+				t.Fatalf("cut to %d rows: error %v, reference %v", k, err, terr)
+			}
+			if st, serr := os.Stat(path); serr != nil || err == nil && (cut.end != st.Size() || cut.rows != k) {
+				t.Fatalf("cut to %d rows = (%d rows, offset %d), reference offset %d (%v)", k, cut.rows, cut.end, st.Size(), serr)
+			}
+		}
+	})
+}
+
+// sameGrammar reports whether scanLog, which parses each line alone, and
+// csv.Reader read s alike: no blank line, no record that spans lines, and
+// no row of the other accepted width than the header's (scanLog accepted
+// both widths on every row). A record that does not parse ends the check:
+// both fail on it, or both take it for the torn tail.
+func sameGrammar(s string) bool {
+	cr := csv.NewReader(strings.NewReader(s))
+	cr.FieldsPerRecord = -1 // widths are compared here
+	width := 0
+	var prev int64
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return prev == int64(len(s)) // else blank lines end s
+		}
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			return pe.StartLine == strings.Count(s[:prev], "\n")+1
+		}
+		seg := s[prev:cr.InputOffset()]
+		prev = cr.InputOffset()
+		if err != nil || strings.Count(strings.TrimSuffix(seg, "\n"), "\n") > 0 {
+			return false
+		}
+		if width == 0 {
+			width = len(rec)
+		} else if n := len(rec); n != width && (n == len(Header) || n == legacyHeaderLen) {
+			return false
+		}
+	}
 }

@@ -13,7 +13,7 @@ const legacyCSV = `timestamp,experiment,workload,backend,machine,day,run,instanc
 `
 
 func TestReadLegacyLog(t *testing.T) {
-	rows, err := readInto(strings.NewReader(legacyCSV), nil)
+	rows, err := readCSV(strings.NewReader(legacyCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestNewColumnsRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := readInto(strings.NewReader(sb.String()), nil)
+	rows, err := readCSV(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

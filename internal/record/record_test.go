@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -24,6 +25,14 @@ func sampleRows(n int) []Row {
 	return rows
 }
 
+// readCSV reads the rows of a CSV log held in memory through the scanner
+// behind every CSV read surface.
+func readCSV(r io.Reader) ([]Row, error) {
+	var rows []Row
+	_, err := scanCSV(r, -1, func(row Row) error { rows = append(rows, row); return nil })
+	return rows, err
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	rows := sampleRows(25)
 	var buf bytes.Buffer
@@ -34,7 +43,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readInto(&buf, nil)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,19 +66,19 @@ func TestEmptyLogHasHeader(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "timestamp,experiment") {
 		t.Fatalf("no header in empty log: %q", buf.String())
 	}
-	rows, err := readInto(&buf, nil)
+	rows, err := readCSV(&buf)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("read empty: %v, %v", rows, err)
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := readInto(strings.NewReader("a,b,c\n1,2,3\n"), nil); err == nil {
+	if _, err := readCSV(strings.NewReader("a,b,c\n1,2,3\n")); err == nil {
 		t.Error("bad header accepted")
 	}
 	bad := "timestamp,experiment,workload,backend,machine,day,run,instance,metric,value,unit\n" +
 		"not-a-time,e,w,b,m,1,1,1,x,1.0,s\n"
-	if _, err := readInto(strings.NewReader(bad), nil); err == nil {
+	if _, err := readCSV(strings.NewReader(bad)); err == nil {
 		t.Error("bad timestamp accepted")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"sharp/internal/core"
-	"sharp/internal/fsx"
 	"sharp/internal/stats"
 	"sharp/internal/textplot"
 )
@@ -201,61 +200,4 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n]
-}
-
-// WriteFile writes a rendered report to path atomically (temp file +
-// rename), so an interrupted export never leaves a truncated report.
-func WriteFile(path, content string) error {
-	return fsx.WriteFile(path, []byte(content), 0o644)
-}
-
-// Suite renders an overview of multiple results: a summary table plus
-// boxplots on a common scale, the presentation style of the paper's Fig. 4.
-func Suite(title string, results []*core.Result, o Options) string {
-	o = o.withDefaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "# SHARP suite report: %s\n\n", title)
-	var rows [][]string
-	lo, hi := 0.0, 0.0
-	first := true
-	// One sort per result serves its summary, mode count and boxplot.
-	sorted := make([][]float64, len(results))
-	for i, r := range results {
-		sorted[i] = stats.SortedCopy(r.Samples)
-		sum, err := stats.Describe(sorted[i])
-		if err != nil {
-			continue
-		}
-		if first || sum.Min < lo {
-			lo = sum.Min
-		}
-		if first || sum.Max > hi {
-			hi = sum.Max
-		}
-		first = false
-		rows = append(rows, []string{
-			r.Experiment.Name,
-			fmt.Sprintf("%d", sum.N),
-			fmt.Sprintf("%.4g", sum.Mean),
-			fmt.Sprintf("%.4g", sum.Median),
-			fmt.Sprintf("%.4g", sum.P95),
-			fmt.Sprintf("%.3g", sum.CV),
-			fmt.Sprintf("%d", stats.CountModesView(r.Samples, sorted[i])),
-			r.RuleName,
-		})
-	}
-	b.WriteString(textplot.Table(
-		[]string{"experiment", "n", "mean", "median", "p95", "cv", "modes", "rule"}, rows))
-	if len(results) > 1 && hi > lo {
-		fmt.Fprintf(&b, "\nBoxplots (common scale %.4g .. %.4g):\n\n```\n", lo, hi)
-		for i, r := range results {
-			if len(r.Samples) == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "%-18s %s\n", truncate(r.Experiment.Name, 18),
-				textplot.Boxplot(sorted[i], lo, hi, o.PlotWidth))
-		}
-		b.WriteString("```\n")
-	}
-	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sharp/internal/fsx"
 	"strings"
 	"testing"
 
@@ -138,4 +139,10 @@ func TestSuiteReport(t *testing.T) {
 	if out := Suite("empty", nil, Options{}); !strings.Contains(out, "empty") {
 		t.Error("empty suite broken")
 	}
+}
+
+// WriteFile writes a rendered report to path atomically (temp file +
+// rename), so an interrupted export never leaves a truncated report.
+func WriteFile(path, content string) error {
+	return fsx.WriteFile(path, []byte(content), 0o644)
 }

@@ -115,13 +115,3 @@ func CUDA() []Benchmark {
 	}
 	return out
 }
-
-// Names returns all benchmark names in Table II order.
-func Names() []string {
-	suite := Suite()
-	out := make([]string, len(suite))
-	for i, b := range suite {
-		out[i] = b.Name
-	}
-	return out
-}

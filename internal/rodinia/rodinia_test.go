@@ -78,3 +78,13 @@ func TestNamesOrdered(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 }
+
+// Names returns all benchmark names in Table II order.
+func Names() []string {
+	suite := Suite()
+	out := make([]string, len(suite))
+	for i, b := range suite {
+		out[i] = b.Name
+	}
+	return out
+}

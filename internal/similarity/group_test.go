@@ -194,3 +194,8 @@ func TestHistogramMetricsSortedMatchUnsorted(t *testing.T) {
 		}
 	}
 }
+
+// All lists every supported metric.
+func All() []Metric {
+	return []Metric{MetricNAMD, MetricKS, MetricWasserstein, MetricJSD, MetricOverlap, MetricAD}
+}

@@ -278,11 +278,6 @@ const (
 	MetricAD          Metric = "anderson-darling"
 )
 
-// All lists every supported metric.
-func All() []Metric {
-	return []Metric{MetricNAMD, MetricKS, MetricWasserstein, MetricJSD, MetricOverlap, MetricAD}
-}
-
 // MatrixGroups computes the pairwise similarity matrix of sample groups
 // under the given metric: out[i][j] = metric(gs[i], gs[j]). This is the
 // day-to-day comparison structure behind the paper's Fig. 5b heatmaps,

@@ -9,9 +9,6 @@ type Interval struct {
 	Level float64
 }
 
-// Contains reports whether x lies inside the interval (inclusive).
-func (iv Interval) Contains(x float64) bool { return x >= iv.Low && x <= iv.High }
-
 // normalQuantile is the standard normal quantile; kept here (duplicated from
 // randx) so stats has no dependency on the sampling package.
 func normalQuantile(p float64) float64 {

@@ -483,3 +483,6 @@ func TestBootstrapCIAgreesWithTInterval(t *testing.T) {
 		}
 	}
 }
+
+// Contains reports whether x lies inside the interval (inclusive).
+func (iv Interval) Contains(x float64) bool { return x >= iv.Low && x <= iv.High }

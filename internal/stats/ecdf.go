@@ -14,9 +14,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: SortedCopy(xs)}
 }
 
-// N returns the number of observations.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // Eval returns F(x) = (#observations <= x) / n.
 func (e *ECDF) Eval(x float64) float64 {
 	if len(e.sorted) == 0 {
@@ -30,12 +27,6 @@ func (e *ECDF) Eval(x float64) float64 {
 	}
 	return float64(i) / float64(len(e.sorted))
 }
-
-// Values returns the sorted underlying sample (shared, do not mutate).
-func (e *ECDF) Values() []float64 { return e.sorted }
-
-// Quantile returns the p-th quantile (type-7 interpolation) of the sample.
-func (e *ECDF) Quantile(p float64) float64 { return QuantileSorted(e.sorted, p) }
 
 // KSStatistic returns the two-sample Kolmogorov-Smirnov statistic
 // sup_x |F1(x) - F2(x)| between the two samples, computed exactly by the

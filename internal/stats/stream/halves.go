@@ -95,9 +95,6 @@ func (h *Halves) Add(x float64) {
 	}
 }
 
-// N returns the number of observations.
-func (h *Halves) N() int { return h.n }
-
 // KS returns the two-sample Kolmogorov-Smirnov statistic between the two
 // halves, bit-identical to stats.KSStatistic(stats.SplitHalves(xs)).
 func (h *Halves) KS() float64 {

@@ -36,16 +36,9 @@ func (m *Modality) Add(x float64) {
 	m.memoValid = false
 }
 
-// N returns the number of observations.
-func (m *Modality) N() int { return m.order.N() }
-
 // IQR returns the interquartile range of the multiset, bit-identical to
 // stats.IQR (the Silverman bandwidth input).
 func (m *Modality) IQR() float64 { return m.order.IQR() }
-
-// Sorted returns the ascending view of the observations (shared; do not
-// mutate, do not retain across Add).
-func (m *Modality) Sorted() []float64 { return m.order.Sorted() }
 
 // Count returns the number of KDE density modes at the given bandwidth,
 // with SHARP's default detection parameters. It matches

@@ -102,3 +102,10 @@ func TestModalityMemo(t *testing.T) {
 		t.Fatalf("memo not invalidated by Add")
 	}
 }
+
+// Sorted returns the ascending view of the observations (shared; do not
+// mutate, do not retain across Add).
+func (m *Modality) Sorted() []float64 { return m.order.Sorted() }
+
+// N returns the number of observations.
+func (m *Modality) N() int { return m.order.N() }

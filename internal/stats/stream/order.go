@@ -31,16 +31,6 @@ func (o *OrderStats) Add(x float64) {
 	o.sorted[i] = x
 }
 
-// Remove deletes one occurrence of x. It reports whether x was present.
-func (o *OrderStats) Remove(x float64) bool {
-	i := o.search(x)
-	if i >= len(o.sorted) || !same(o.sorted[i], x) {
-		return false
-	}
-	o.sorted = append(o.sorted[:i], o.sorted[i+1:]...)
-	return true
-}
-
 // search returns the first index whose element does not sort before x in
 // sort.Float64s order, where NaNs come first: NaN lands at 0, and for any
 // other x the NaN prefix fails SearchFloat64s's >= test like a smaller
@@ -127,14 +117,6 @@ func (o *OrderStats) Min() float64 {
 	return o.sorted[0]
 }
 
-// Max returns the largest element, NaN when empty.
-func (o *OrderStats) Max() float64 {
-	if len(o.sorted) == 0 {
-		return nan()
-	}
-	return o.sorted[len(o.sorted)-1]
-}
-
 // Quantile returns the p-th sample quantile (Hyndman-Fan type 7),
 // bit-identical to stats.Quantile over the same multiset.
 func (o *OrderStats) Quantile(p float64) float64 {
@@ -147,19 +129,6 @@ func (o *OrderStats) Median() float64 { return o.Quantile(0.5) }
 // IQR returns Q3 - Q1, bit-identical to stats.IQR.
 func (o *OrderStats) IQR() float64 {
 	return o.Quantile(0.75) - o.Quantile(0.25)
-}
-
-// Eval is the incremental ECDF: F(x) = (#observations <= x)/n,
-// right-continuous, bit-identical to stats.ECDF.Eval.
-func (o *OrderStats) Eval(x float64) float64 {
-	if len(o.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(o.sorted, x)
-	for i < len(o.sorted) && o.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(o.sorted))
 }
 
 // MAD returns the median absolute deviation from the median, bit-identical to

@@ -43,12 +43,6 @@ func (k *KahanSum) Add(x float64) {
 	k.n++
 }
 
-// N returns the number of observations.
-func (k *KahanSum) N() int { return k.n }
-
-// Sum returns the compensated sum.
-func (k *KahanSum) Sum() float64 { return k.sum }
-
 // Mean returns Sum/N, NaN when empty — bit-identical to stats.Mean over the
 // same sequence.
 func (k *KahanSum) Mean() float64 {

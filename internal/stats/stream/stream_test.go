@@ -3,6 +3,7 @@ package stream
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"sharp/internal/stats"
@@ -417,3 +418,40 @@ func TestOrderStatsOrdersNaNLikeSort(t *testing.T) {
 		}
 	}
 }
+
+// Sum returns the compensated sum.
+func (k *KahanSum) Sum() float64 { return k.sum }
+
+// Max returns the largest element, NaN when empty.
+func (o *OrderStats) Max() float64 {
+	if len(o.sorted) == 0 {
+		return nan()
+	}
+	return o.sorted[len(o.sorted)-1]
+}
+
+// Eval is the incremental ECDF: F(x) = (#observations <= x)/n,
+// right-continuous, bit-identical to stats.ECDF.Eval.
+func (o *OrderStats) Eval(x float64) float64 {
+	if len(o.sorted) == 0 {
+		return 0
+	}
+	i := sort.SearchFloat64s(o.sorted, x)
+	for i < len(o.sorted) && o.sorted[i] == x {
+		i++
+	}
+	return float64(i) / float64(len(o.sorted))
+}
+
+// Remove deletes one occurrence of x. It reports whether x was present.
+func (o *OrderStats) Remove(x float64) bool {
+	i := o.search(x)
+	if i >= len(o.sorted) || !same(o.sorted[i], x) {
+		return false
+	}
+	o.sorted = append(o.sorted[:i], o.sorted[i+1:]...)
+	return true
+}
+
+// N returns the number of observations.
+func (h *Halves) N() int { return h.n }

@@ -313,3 +313,17 @@ func TestCliffsDelta(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 }
+
+// KSTest performs the two-sample Kolmogorov-Smirnov test. The statistic is
+// the paper's distribution similarity metric (§V-A3); the p-value uses the
+// asymptotic Kolmogorov distribution with the effective sample size.
+func KSTest(xs, ys []float64) TestResult {
+	d := KSStatistic(xs, ys)
+	nx, ny := float64(len(xs)), float64(len(ys))
+	if nx == 0 || ny == 0 {
+		return TestResult{Statistic: d, PValue: math.NaN()}
+	}
+	ne := nx * ny / (nx + ny)
+	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
+	return TestResult{Statistic: d, PValue: KolmogorovQ(lambda)}
+}

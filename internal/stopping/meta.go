@@ -150,9 +150,6 @@ func NewMeta(cfg MetaConfig, b Bounds) *Meta {
 // Name implements Rule.
 func (r *Meta) Name() string { return "meta" }
 
-// Profile returns the most recent distribution characterization.
-func (r *Meta) Profile() classify.Profile { return r.profile }
-
 // Add implements Rule.
 func (r *Meta) Add(x float64) {
 	if r.done {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -152,20 +151,4 @@ func procMemTotalMB() int64 {
 		}
 	}
 	return 0
-}
-
-// Environment captures selected environment variables relevant to
-// reproducibility (GOMAXPROCS, locale, scheduler hints). Keys are sorted.
-func Environment(keys ...string) [][2]string {
-	if len(keys) == 0 {
-		keys = []string{"GOMAXPROCS", "GOGC", "LANG", "TZ"}
-	}
-	sort.Strings(keys)
-	var out [][2]string
-	for _, k := range keys {
-		if v, ok := os.LookupEnv(k); ok {
-			out = append(out, [2]string{k, v})
-		}
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package sysinfo
 
 import (
+	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,4 +82,20 @@ func TestFieldsAreComplete(t *testing.T) {
 	if m["simulated"] != "false" {
 		t.Errorf("simulated = %q", m["simulated"])
 	}
+}
+
+// Environment captures selected environment variables relevant to
+// reproducibility (GOMAXPROCS, locale, scheduler hints). Keys are sorted.
+func Environment(keys ...string) [][2]string {
+	if len(keys) == 0 {
+		keys = []string{"GOMAXPROCS", "GOGC", "LANG", "TZ"}
+	}
+	sort.Strings(keys)
+	var out [][2]string
+	for _, k := range keys {
+		if v, ok := os.LookupEnv(k); ok {
+			out = append(out, [2]string{k, v})
+		}
+	}
+	return out
 }
