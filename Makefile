@@ -67,7 +67,9 @@ soak:
 # benchmark five more times and sharp-benchdiff gates the median of the
 # repeats against the floor; exact columns must match on every repeat. A
 # benchmark run that fails (a crash, a failed gate inside a benchmark)
-# fails the target and prints the failing packages' output.
+# fails the target and prints the failing packages' output. The full pass
+# runs one package's benchmark binary at a time (-p 1): BenchmarkReplay1e7
+# peaks near 6.8 GB, which must not share an 8 GB host with another one.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -81,7 +83,7 @@ bench-check:
 		[ $$rc -eq 0 ] || awk '{ b = b $$0 "\n" } /^(ok|FAIL|\?)[ \t]/ { if ($$1 == "FAIL") printf "%s", b; b = "" } END { printf "%s", b }' $$out >&2; \
 		return $$rc; \
 	} && \
-	bench -bench=. -benchmem ./... && \
+	bench -bench=. -benchmem -p 1 ./... && \
 	$(GO) run ./cmd/sharp-benchdiff -in $$tmp -baseline BENCH_baseline.json -metrics 'multimodal_%,savings_%' && \
 	bench -bench='^BenchmarkRecordReplaySpeedup1e6$$' -count=5 ./internal/record/ && \
 	$(GO) run ./cmd/sharp-benchdiff -in $$tmp -baseline BENCH_pr7.json -metrics 'bin_bytes_per_row' -min 'speedup_x' && \
@@ -117,6 +119,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz='^FuzzLeaseResponse$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/service/
 	$(GO) test -run=XXX -fuzz=FuzzHalvesKS -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/stream/
 	$(GO) test -run=XXX -fuzz=FuzzMannWhitneyU -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/
+	$(GO) test -run=XXX -fuzz=FuzzBootstrapMeanCI -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/
 
 examples:
 	@for ex in quickstart gpu-compare concurrency finegrained stopping duet workflow; do \

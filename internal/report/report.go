@@ -92,7 +92,7 @@ func Distribution(name string, samples []float64, o Options) string {
 	// CI for the median.
 	meanCI := stats.MeanCI(samples, o.Level)
 	rng := rand.New(rand.NewPCG(uint64(len(samples)), 0x5eed))
-	bootCI := stats.BootstrapCI(rng, samples, o.Bootstrap, o.Level, stats.Mean)
+	bootCI := stats.BootstrapMeanCI(rng, samples, o.Bootstrap, o.Level)
 	medCI := stats.QuantileCI(sorted, 0.5, o.Level)
 	fmt.Fprintf(&b, "Uncertainty (level %.0f%%):\n\n", o.Level*100)
 	fmt.Fprintf(&b, "- mean CI (t): [%.4g, %.4g]\n", meanCI.Low, meanCI.High)

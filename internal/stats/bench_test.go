@@ -107,7 +107,9 @@ func BenchmarkJarqueBera1k(b *testing.B) {
 }
 
 // BenchmarkBootstrapCI covers a small sample and the report's scale: a
-// 31 252-sample campaign log with the report's 500 resamples.
+// 31 252-sample campaign log with the report's 500 resamples. The mean
+// leg times BootstrapMeanCI, the fused kernel the report runs, on the
+// same input.
 func BenchmarkBootstrapCI(b *testing.B) {
 	for _, c := range []struct{ n, resamples int }{{300, 200}, {31252, 500}} {
 		b.Run(fmt.Sprintf("n=%d/R=%d", c.n, c.resamples), func(b *testing.B) {
@@ -119,6 +121,14 @@ func BenchmarkBootstrapCI(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mean/n=31252/R=500", func(b *testing.B) {
+		x := benchData(31252)
+		rng := rand.New(rand.NewPCG(3, 4))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			BootstrapMeanCI(rng, x, 500, 0.95)
+		}
+	})
 }
 
 // rankSortSlice is the previous Rank implementation (closure-capturing

@@ -27,6 +27,26 @@ import (
 // must not retain it. The two endpoints are picked from the resample
 // statistics by expected-O(R) quickselect (quantileSelect).
 func BootstrapCI(rng *rand.Rand, xs []float64, resamples int, level float64, stat func([]float64) float64) Interval {
+	return bootstrap(rng, xs, resamples, level, func(seed uint64, out []float64, first int) {
+		resampleRange(xs, seed, out, first, stat)
+	})
+}
+
+// BootstrapMeanCI is BootstrapCI(rng, xs, resamples, level, Mean), bit for
+// bit and under the same determinism contract, without the resample
+// buffer: each resample's draws are Kahan-summed as they are drawn
+// (meanRange).
+func BootstrapMeanCI(rng *rand.Rand, xs []float64, resamples int, level float64) Interval {
+	return bootstrap(rng, xs, resamples, level, func(seed uint64, out []float64, first int) {
+		meanRange(xs, seed, out, first)
+	})
+}
+
+// bootstrap is the driver behind BootstrapCI and BootstrapMeanCI: it draws
+// the seed, splits the resamples across GOMAXPROCS workers and selects the
+// endpoints. kernel(seed, out, first) sets out[i] to the statistic of
+// resample first+i.
+func bootstrap(rng *rand.Rand, xs []float64, resamples int, level float64, kernel func(seed uint64, out []float64, first int)) Interval {
 	if len(xs) == 0 {
 		return Interval{Level: level}
 	}
@@ -39,7 +59,7 @@ func BootstrapCI(rng *rand.Rand, xs []float64, resamples int, level float64, sta
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resampleRange(xs, seed, boots[lo:hi], lo, stat)
+			kernel(seed, boots[lo:hi], lo)
 		}()
 	}
 	wg.Wait()
@@ -72,6 +92,39 @@ func resampleRange(xs []float64, seed uint64, out []float64, first int, stat fun
 			}
 		}
 		out[i] = stat(buf)
+	}
+}
+
+// meanRange fills out[i] with the mean of resample first+i, drawing the
+// same indices as resampleRange and applying Sum's Kahan update to each
+// value as it is drawn: the same operations in the same order as Mean of
+// the gathered buffer, so the same bits.
+func meanRange(xs []float64, seed uint64, out []float64, first int) {
+	n := uint64(len(xs))
+	var src rand.PCG
+	for i := range out {
+		src.Seed(resampleSeed(seed, first+i))
+		var sum, c float64
+		if n&(n-1) == 0 {
+			for range n {
+				y := xs[src.Uint64()&(n-1)] - c
+				t := sum + y
+				c = (t - sum) - y
+				sum = t
+			}
+		} else {
+			for range n {
+				hi, lo := bits.Mul64(src.Uint64(), n)
+				if lo < n {
+					hi = redraw(&src, n, hi, lo)
+				}
+				y := xs[hi] - c
+				t := sum + y
+				c = (t - sum) - y
+				sum = t
+			}
+		}
+		out[i] = sum / float64(n)
 	}
 }
 
