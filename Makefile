@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz='^FuzzLeaseResponse$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/service/
 	$(GO) test -run=XXX -fuzz=FuzzHalvesKS -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/stream/
 	$(GO) test -run=XXX -fuzz=FuzzMannWhitneyU -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/
+	$(GO) test -run=XXX -fuzz=FuzzSortedCopy -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/
 	$(GO) test -run=XXX -fuzz=FuzzBootstrapMeanCI -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/
 
 examples:

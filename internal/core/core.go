@@ -173,6 +173,10 @@ type Result struct {
 	// across concurrent instances).
 	Samples []float64
 	// Rows is the complete tidy-data log (one row per instance per metric).
+	// After Resume or ReplayLog its replayed prefix may share the array of
+	// the rows passed in; it is capped at their length, so appending to Rows
+	// never writes into that array, but writing an element of the prefix
+	// writes the caller's row.
 	Rows []record.Row
 	// Runs is the number of measured repetitions.
 	Runs int
@@ -655,13 +659,20 @@ type Comparison struct {
 	MannWhitney stats.TestResult
 	ModesA      int
 	ModesB      int
+	// Sorted holds the ascending views of the two sample sets,
+	// stats.SortedCopy of A's and of B's, that every statistic above
+	// was computed on; report.Comparison draws its plots from them instead
+	// of sorting again. Shared; do not mutate.
+	Sorted [2][]float64
 }
 
 // Compare computes the full similarity comparison between two sample sets.
 // The similarity metrics, the KS and Mann-Whitney tests and the mode counts
 // all consume sorted views, so the Group cache sorts each sample once
 // instead of once per statistic; every value is identical to calling the
-// statistics on the raw samples. The means keep the input order.
+// statistics on the raw samples. The means keep the input order. The two
+// sorted views are returned in Comparison.Sorted, so rendering the
+// comparison sorts nothing again.
 func Compare(nameA string, a []float64, nameB string, b []float64) (Comparison, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return Comparison{}, errors.New("core: cannot compare empty sample sets")
@@ -705,6 +716,7 @@ func Compare(nameA string, a []float64, nameB string, b []float64) (Comparison, 
 		MannWhitney: stats.MannWhitneyU(ga.Sorted(), gb.Sorted()),
 		ModesA:      stats.CountModesView(a, ga.Sorted()),
 		ModesB:      stats.CountModesView(b, gb.Sorted()),
+		Sorted:      [2][]float64{ga.Sorted(), gb.Sorted()},
 	}, nil
 }
 

@@ -112,19 +112,29 @@ func (l *Launcher) ReplayLog(e Experiment, rows []record.Row) (*Result, error) {
 	return s.Finish(""), nil
 }
 
-// replayRows folds the recorded rows of runs 1..lastRun into res and the
-// stopping rule, reproducing processRun's folding exactly: per-instance
+// replayRows folds the recorded rows of runs 1..lastRun into the fresh res
+// and the stopping rule, reproducing processRun's folding exactly: per-instance
 // error rows count into res.Errors; the run's sample is the plain mean of
 // the primary metric over OK rows in row order; a run with no OK primary
 // rows is a failed run. Returns the last completed run index and the
 // consecutive-failure count at the cut, the two loop variables the
 // continuation needs.
+//
+// A log that goes on past the run where the campaign stopped (the rule was
+// satisfied, or a failed run exhausted the failure budget) fails: no
+// campaign under e wrote it, and the rule would silently ignore the extra
+// samples. res.Rows adopts rows, capped at their length, instead of
+// copying them, so appending to res.Rows never writes into the caller's
+// array.
 func (l *Launcher) replayRows(e Experiment, res *Result, rows []record.Row) (lastRun, consecutiveFailed int, err error) {
 	type runAcc struct {
 		sum    float64
 		ok     int
 		anyRow bool
 	}
+	// overBudget mirrors processRun, which checks the failure budget after
+	// a failed run only.
+	overBudget := false
 	flush := func(run int, acc runAcc) {
 		if !acc.anyRow {
 			return
@@ -132,6 +142,7 @@ func (l *Launcher) replayRows(e Experiment, res *Result, rows []record.Row) (las
 		if acc.ok == 0 {
 			res.FailedRuns++
 			consecutiveFailed++
+			overBudget, _ = e.FailureBudget.exceeded(consecutiveFailed, res.FailedRuns, run)
 			return
 		}
 		consecutiveFailed = 0
@@ -151,6 +162,10 @@ func (l *Launcher) replayRows(e Experiment, res *Result, rows []record.Row) (las
 			// same run, keep accumulating
 		case row.Run == cur+1:
 			flush(cur, acc)
+			if e.Rule.Done() || overBudget {
+				return 0, 0, fmt.Errorf("core: resume: log runs past the campaign's stop: row %d starts run %d, the campaign stopped after run %d",
+					i+1, row.Run, cur)
+			}
 			acc = runAcc{}
 			cur = row.Run
 		default:
@@ -168,6 +183,6 @@ func (l *Launcher) replayRows(e Experiment, res *Result, rows []record.Row) (las
 		}
 	}
 	flush(cur, acc)
-	res.Rows = append(res.Rows, rows...)
+	res.Rows = rows[:len(rows):len(rows)]
 	return cur, consecutiveFailed, nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"sharp/internal/backend"
 	"sharp/internal/record"
+	"sharp/internal/stopping"
 )
 
 // newFakeLauncherAt returns a launcher whose deterministic clock has already
@@ -363,4 +364,165 @@ func TestResumeAtStopBoundary(t *testing.T) {
 			t.Errorf("parallel=%d: finished %v != %v", parallel, res.Finished, full.Finished)
 		}
 	}
+}
+
+// withRule is buildExperiment's hotspot campaign (machine1, seed 42, no
+// chaos) under rule.
+func withRule(t *testing.T, rule stopping.Rule) Experiment {
+	e := buildExperiment(t, "fixed", 1, false)
+	e.Rule = rule
+	return e
+}
+
+// TestReplayRejectsRowsPastStop: a log that goes on past the run where the
+// rule stopped is no log of a campaign under that rule, so ReplayLog and
+// Resume refuse it rather than report the rule's stop over the longer log.
+// The same log cut at the stop replays.
+func TestReplayRejectsRowsPastStop(t *testing.T) {
+	ksRule := func() stopping.Rule { return stopping.NewKS(0.1, stopping.Bounds{MaxSamples: 1000}) }
+	ks, err := newFakeLauncher().Run(context.Background(), withRule(t, ksRule()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ks.StopReason, "KS") {
+		t.Fatalf("KS campaign stopped at run %d on %q, not on its KS check", ks.Runs, ks.StopReason)
+	}
+	for _, c := range []struct {
+		name    string
+		logRuns int
+		rule    func() stopping.Rule
+		stop    int
+	}{
+		{"fixed", 30, func() stopping.Rule { return stopping.NewFixed(20) }, 20},
+		{"ks", ks.Runs + 40, ksRule, ks.Runs},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			long, err := newFakeLauncher().Run(context.Background(), withRule(t, stopping.NewFixed(c.logRuns)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("stopped after run %d", c.stop)
+			if _, err := newFakeLauncher().ReplayLog(withRule(t, c.rule()), long.Rows); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("ReplayLog of a %d-run log under a rule that stops at %d: err %v", c.logRuns, c.stop, err)
+			}
+			if _, err := newFakeLauncher().Resume(context.Background(), withRule(t, c.rule()), long.Rows); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Resume of a %d-run log under a rule that stops at %d: err %v", c.logRuns, c.stop, err)
+			}
+			res, err := newFakeLauncher().ReplayLog(withRule(t, c.rule()), rowPrefix(long.Rows, c.stop))
+			if err != nil || res.Runs != c.stop {
+				t.Fatalf("ReplayLog of the log cut at the stop: err %v", err)
+			}
+		})
+	}
+}
+
+// failFirst fails every measured run up to run n as a whole.
+type failFirst struct {
+	backend.Backend
+	n int
+}
+
+func (f failFirst) Unwrap() backend.Backend { return f.Backend }
+
+func (f failFirst) Invoke(ctx context.Context, req backend.Request) ([]backend.Invocation, error) {
+	if req.Run >= 1 && req.Run <= f.n {
+		return nil, errors.New("injected failure")
+	}
+	return f.Backend.Invoke(ctx, req)
+}
+
+// TestReplayRejectsRowsPastFailureBudget: a log whose first five runs fail
+// goes on past run 3, where a budget of three consecutive failures ran
+// out; replay refuses it, and the log cut there reproduces the abort.
+func TestReplayRejectsRowsPastFailureBudget(t *testing.T) {
+	failing := func(budget FailureBudget) Experiment {
+		e := withRule(t, stopping.NewFixed(12))
+		e.Backend = failFirst{e.Backend, 5}
+		e.FailureBudget = budget
+		return e
+	}
+	long, err := newFakeLauncher().Run(context.Background(), failing(FailureBudget{MaxConsecutive: -1, MaxFraction: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long.Runs != 17 || long.FailedRuns != 5 {
+		t.Fatalf("unbudgeted campaign: %d runs, %d failed; want 17 and 5", long.Runs, long.FailedRuns)
+	}
+	budget := FailureBudget{MaxConsecutive: 3, MaxFraction: -1}
+	if _, err := newFakeLauncher().ReplayLog(failing(budget), long.Rows); err == nil || !strings.Contains(err.Error(), "stopped after run 3") {
+		t.Fatalf("ReplayLog past the failure budget: %v", err)
+	}
+	res, err := newFakeLauncher().ReplayLog(failing(budget), rowPrefix(long.Rows, 3))
+	if !errors.Is(err, ErrFailureBudget) || res.Runs != 3 {
+		t.Fatalf("ReplayLog of the log cut at the budget: err %v", err)
+	}
+}
+
+// TestResumeKeepsBudgetParity: runs 1-6 fail and the rest succeed, so
+// after run 10 six of ten runs failed, over the default 50% budget, but the
+// budget is asked only after a failed run and the campaign goes on. A
+// resume from the checkpoint at run 10 must go on as well.
+func TestResumeKeepsBudgetParity(t *testing.T) {
+	mk := func() Experiment {
+		e := withRule(t, stopping.NewFixed(12))
+		e.Backend = failFirst{e.Backend, 6}
+		return e
+	}
+	full, err := newFakeLauncher().Run(context.Background(), mk())
+	if err != nil || full.Runs != 18 {
+		t.Fatalf("uninterrupted campaign: %v", err)
+	}
+	res, err := newFakeLauncherAt(10).Resume(context.Background(), mk(), rowPrefix(full.Rows, 10))
+	if err != nil {
+		t.Fatalf("resume at run 10: %v", err)
+	}
+	if res.Runs != full.Runs || res.StopReason != full.StopReason || len(res.Rows) != len(full.Rows) {
+		t.Fatalf("resumed (%d runs, %q, %d rows) != uninterrupted (%d, %q, %d)",
+			res.Runs, res.StopReason, len(res.Rows), full.Runs, full.StopReason, len(full.Rows))
+	}
+}
+
+// TestReplayAdoptsRows: the replayed Result adopts the caller's rows
+// without copying them, and appending to its Rows, by hand or by the runs a
+// resumed campaign measures, never writes into the caller's array.
+func TestReplayAdoptsRows(t *testing.T) {
+	full, err := newFakeLauncher().Run(context.Background(), buildExperiment(t, "fixed", 1, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := func(rows []record.Row) []record.Row {
+		out := make([]record.Row, len(rows), 2*len(rows))
+		copy(out, rows)
+		return out
+	}
+	untouched := func(what string, rows []record.Row) {
+		t.Helper()
+		for i, r := range rows[len(rows):cap(rows)] {
+			if r != (record.Row{}) {
+				t.Fatalf("%s wrote the caller's spare capacity at %d: %+v", what, len(rows)+i, r)
+			}
+		}
+	}
+
+	rows := spare(full.Rows)
+	res, err := newFakeLauncher().ReplayLog(buildExperiment(t, "fixed", 1, false), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &res.Rows[0] != &rows[0] {
+		t.Error("ReplayLog copied the rows instead of adopting them")
+	}
+	res.Rows = append(res.Rows, record.Row{Experiment: "appended"})
+	untouched("append to a replayed Result", rows)
+
+	cut := full.Runs / 2
+	rows = spare(rowPrefix(full.Rows, cut))
+	resumed, err := newFakeLauncherAt(cut).Resume(context.Background(), buildExperiment(t, "fixed", 1, false), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed.Rows) != len(full.Rows) {
+		t.Fatalf("resumed %d rows, want %d", len(resumed.Rows), len(full.Rows))
+	}
+	untouched("Resume", rows)
 }

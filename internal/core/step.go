@@ -470,8 +470,14 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 
 // overBudget finalizes the campaign at the last merged run when the failure
 // budget is exhausted and returns the ErrFailureBudget-wrapped error; nil
-// means the budget still holds.
+// means the budget still holds. The budget runs out only on a failed run,
+// the one place processRun asks: after a run that succeeded the failed
+// fraction may still read above MaxFraction, yet the campaign goes on, so
+// a resume or replay cut there must go on too.
 func (s *Stepper) overBudget() error {
+	if s.consecutiveFailed == 0 {
+		return nil
+	}
 	over, why := s.e.FailureBudget.exceeded(s.consecutiveFailed, s.res.FailedRuns, s.run)
 	if !over {
 		return nil

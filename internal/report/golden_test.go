@@ -91,6 +91,28 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
+// TestComparisonCarriedViews: Comparison renders the same bytes from the
+// sorted views core.Compare carries as from a Comparison without them,
+// which sorts each side itself, on every golden pair.
+func TestComparisonCarriedViews(t *testing.T) {
+	for _, c := range goldenCases() {
+		a, b := c.a(t), c.b(t)
+		cmp, err := core.Compare(c.nameA, a, c.nameB, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cmp.Sorted[0]) != len(a) || len(cmp.Sorted[1]) != len(b) {
+			t.Fatalf("%s: Compare carried views of %d and %d values for sets of %d and %d",
+				c.name, len(cmp.Sorted[0]), len(cmp.Sorted[1]), len(a), len(b))
+		}
+		carried := Comparison(cmp, a, b, Options{})
+		cmp.Sorted = [2][]float64{}
+		if own := Comparison(cmp, a, b, Options{}); own != carried {
+			t.Fatalf("%s: Comparison from carried views differs from one that sorts", c.name)
+		}
+	}
+}
+
 // Suite renders an overview of multiple results: a summary table plus
 // boxplots on a common scale, the presentation style of the paper's Fig. 4.
 func Suite(title string, results []*core.Result, o Options) string {

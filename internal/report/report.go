@@ -132,6 +132,10 @@ func plotView(xs, sorted []float64) []float64 {
 // Comparison renders a pairwise distribution comparison (§V-B style),
 // showing both the point-summary view (NAMD, means) and the
 // distribution view (KS with p-value, Wasserstein, JSD, overlap, modality).
+// a and b are the sample sets cmp was computed from: the boxplots and
+// histograms are drawn from the sorted views core.Compare left in
+// cmp.Sorted, and a side is sorted here only when its view is not as long
+// as the set (a Comparison built by hand, say).
 func Comparison(cmp core.Comparison, a, b []float64, o Options) string {
 	o = o.withDefaults()
 	var sb strings.Builder
@@ -159,8 +163,13 @@ func Comparison(cmp core.Comparison, a, b []float64, o Options) string {
 		if m := stats.Max(b); m > hi {
 			hi = m
 		}
-		// One sort per side serves its boxplot and histogram.
-		sortedA, sortedB := stats.SortedCopy(a), stats.SortedCopy(b)
+		sortedA, sortedB := cmp.Sorted[0], cmp.Sorted[1]
+		if len(sortedA) != len(a) {
+			sortedA = stats.SortedCopy(a)
+		}
+		if len(sortedB) != len(b) {
+			sortedB = stats.SortedCopy(b)
+		}
 		fmt.Fprintf(&sb, "Boxplots (common scale %.4g .. %.4g):\n\n```\n", lo, hi)
 		fmt.Fprintf(&sb, "%-12s %s\n", truncate(cmp.NameA, 12), textplot.Boxplot(sortedA, lo, hi, o.PlotWidth))
 		fmt.Fprintf(&sb, "%-12s %s\n", truncate(cmp.NameB, 12), textplot.Boxplot(sortedB, lo, hi, o.PlotWidth))

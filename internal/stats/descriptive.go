@@ -180,9 +180,25 @@ func MAD(xs []float64) float64 {
 // QuantileCI, NewKDE, BinWidth, IQR, CountModes, the textplot renderers)
 // at the cost of a copy. Skipping the sort also keeps tied -0 and +0 in
 // the order the one real sort left them.
+//
+// An unsorted input of at least radixCutoff values is radix-sorted
+// (radix.go), and the result is the one sort.Float64s gives, bit for bit.
+// sort.Float64s is not stable, so only a sort whose order is unique
+// could promise that: every ascending arrangement of the input must be the
+// same sequence of bits. On an input with no NaN that holds unless it has
+// zeros of both signs: two non-NaN values compare equal only if they have
+// identical bits or are -0 and +0, so elements that tie are
+// interchangeable. The radix order ranks every non-NaN value as < does
+// (and -0 below +0, which such an input never meets), so it yields that
+// unique arrangement. An input with a NaN, whose place among equal NaNs
+// sort.Float64s leaves to its pivots, or with both -0 and +0 keeps
+// sort.Float64s, as do shorter inputs.
 func SortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
-	if !slices.IsSorted(s) {
+	if slices.IsSorted(s) {
+		return s
+	}
+	if len(s) < radixCutoff || !radixSort(s) {
 		sort.Float64s(s)
 	}
 	return s
