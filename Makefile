@@ -115,6 +115,7 @@ fuzz:
 	$(GO) test -run=XXX -fuzz=FuzzScanManifest -fuzztime=30s ./internal/record/
 	$(GO) test -run=XXX -fuzz=FuzzCompleteBody -fuzztime=30s ./internal/service/
 	$(GO) test -run=XXX -fuzz='^FuzzCampaignSpec$$' -fuzztime=30s ./internal/service/
+	$(GO) test -run=XXX -fuzz='^FuzzSpec$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/core/
 	$(GO) test -run=XXX -fuzz='^FuzzRequestBodies$$' -fuzztime=30s ./internal/service/
 	$(GO) test -run=XXX -fuzz='^FuzzLeaseResponse$$' -fuzztime=30s -fuzzminimizetime=100x ./internal/service/
 	$(GO) test -run=XXX -fuzz=FuzzHalvesKS -fuzztime=30s -fuzzminimizetime=100x ./internal/stats/stream/

@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"sharp/internal/backend"
 	"sharp/internal/core"
 	"sharp/internal/machine"
 	"sharp/internal/stopping"
@@ -108,20 +107,23 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := machine.ByName(*machineName)
-	if err != nil {
+	if _, err := machine.ByName(*machineName); err != nil {
 		return err
 	}
 	launcher := core.NewLauncher()
 	err = w.Execute(context.Background(), func(ctx context.Context, task string, act workflow.Action) error {
-		res, err := launcher.Run(ctx, core.Experiment{
+		e, err := core.Spec{
 			Name:     task + "/" + act.Function,
 			Workload: act.Function,
-			Backend:  backend.NewSim(m, *seed),
-			Rule:     stopping.NewFixed(*runs),
+			Backend:  core.BackendSpec{Kind: "sim", Machine: *machineName, Seed: *seed},
+			Rule:     stopping.Spec{Kind: "fixed", Threshold: float64(*runs)},
 			Day:      1,
 			Seed:     *seed,
-		})
+		}.Experiment(nil)
+		if err != nil {
+			return err
+		}
+		res, err := launcher.Run(ctx, e)
 		if err != nil {
 			return err
 		}

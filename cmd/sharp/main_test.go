@@ -207,3 +207,19 @@ experiment:
 		t.Fatal("missing config accepted")
 	}
 }
+
+// TestDaysHonoursRunFlags: `sharp days` builds each day's campaign from the
+// same flags as `sharp run`, so the backend, chaos and concurrency flags it
+// registers take effect (they were once ignored).
+func TestDaysHonoursRunFlags(t *testing.T) {
+	for _, bad := range [][]string{{"--backend", "ghost"}, {"--chaos", "1.5"}} {
+		args := append([]string{"days", "--workload", "bfs", "--days", "2", "--runs", "20"}, bad...)
+		if err := run(context.Background(), args); err == nil {
+			t.Errorf("days %v accepted", bad)
+		}
+	}
+	if err := run(context.Background(), []string{"days", "--workload", "matmul", "--backend", "kernel",
+		"--concurrency", "2", "--days", "2", "--runs", "5"}); err != nil {
+		t.Fatal(err)
+	}
+}

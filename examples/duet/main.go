@@ -31,14 +31,18 @@ func main() {
 	// Unpaired: two independent campaigns, compared after the fact.
 	launcher := core.NewLauncher()
 	measure := func(workload string) *core.Result {
-		res, err := launcher.Run(ctx, core.Experiment{
+		exp, err := core.Spec{
 			Name:     workload,
 			Workload: workload,
-			Backend:  backend.NewSim(m1, 7),
-			Rule:     stopping.NewFixed(100),
+			Backend:  core.BackendSpec{Kind: "sim", Machine: m1.Name, Seed: 7},
+			Rule:     stopping.Spec{Kind: "fixed", Threshold: 100},
 			Day:      1,
 			Seed:     7,
-		})
+		}.Experiment(nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := launcher.Run(ctx, exp)
 		if err != nil {
 			log.Fatal(err)
 		}

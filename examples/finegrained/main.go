@@ -14,27 +14,25 @@ import (
 	"fmt"
 	"log"
 
-	"sharp/internal/backend"
 	"sharp/internal/core"
-	"sharp/internal/machine"
 	"sharp/internal/report"
 	"sharp/internal/stats"
 	"sharp/internal/stopping"
 )
 
 func main() {
-	m1, err := machine.ByName("machine1")
+	exp, err := core.Spec{
+		Name:     "leukocyte-finegrained",
+		Workload: "leukocyte",
+		Backend:  core.BackendSpec{Kind: "sim", Machine: "machine1", Seed: 3},
+		Rule:     stopping.Spec{Kind: "fixed", Threshold: 1000},
+		Day:      1,
+		Seed:     3,
+	}.Experiment(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.NewLauncher().Run(context.Background(), core.Experiment{
-		Name:     "leukocyte-finegrained",
-		Workload: "leukocyte",
-		Backend:  backend.NewSim(m1, 3),
-		Rule:     stopping.NewFixed(1000),
-		Day:      1,
-		Seed:     3,
-	})
+	res, err := core.NewLauncher().Run(context.Background(), exp)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"sharp/internal/backend"
 	"sharp/internal/core"
 	"sharp/internal/machine"
 	"sharp/internal/report"
@@ -33,14 +32,18 @@ func main() {
 	}
 	launcher := core.NewLauncher()
 	measure := func(bench string, m *machine.Machine) *core.Result {
-		res, err := launcher.Run(context.Background(), core.Experiment{
+		exp, err := core.Spec{
 			Name:     bench + "@" + m.GPU.Model,
 			Workload: bench,
-			Backend:  backend.NewSim(m, 7),
-			Rule:     stopping.NewKS(0.1, stopping.Bounds{MaxSamples: 1000}),
+			Backend:  core.BackendSpec{Kind: "sim", Machine: m.Name, Seed: 7},
+			Rule:     stopping.Spec{Kind: "ks", Threshold: 0.1, Bounds: stopping.Bounds{MaxSamples: 1000}},
 			Day:      1,
 			Seed:     7,
-		})
+		}.Experiment(nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := launcher.Run(context.Background(), exp)
 		if err != nil {
 			log.Fatal(err)
 		}

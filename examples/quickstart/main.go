@@ -15,26 +15,25 @@ import (
 	"os"
 	"path/filepath"
 
-	"sharp/internal/backend"
 	"sharp/internal/core"
-	"sharp/internal/machine"
 	"sharp/internal/report"
 )
 
 func main() {
-	// 1. Pick a (simulated) machine and a workload from the Rodinia suite.
-	m, err := machine.ByName("machine1")
-	if err != nil {
-		log.Fatal(err)
-	}
-	exp := core.Experiment{
+	// 1. Describe the campaign: a workload from the Rodinia suite on a
+	// simulated machine. The spec is what the metadata records, so the
+	// experiment it builds can be recreated from its own record.
+	exp, err := core.Spec{
 		Name:     "quickstart-hotspot",
 		Workload: "hotspot",
-		Backend:  backend.NewSim(m, 42),
-		// Rule: nil -> the meta-heuristic classifies the distribution online
-		// and applies the most appropriate stopping criterion.
+		Backend:  core.BackendSpec{Kind: "sim", Machine: "machine1", Seed: 42},
+		// Rule: zero -> the meta-heuristic classifies the distribution
+		// online and applies the most appropriate stopping criterion.
 		Day:  1,
 		Seed: 42,
+	}.Experiment(nil)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// 2. Run. The launcher repeats the workload until the stopping rule is

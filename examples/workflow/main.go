@@ -13,9 +13,7 @@ import (
 	"runtime"
 	"strings"
 
-	"sharp/internal/backend"
 	"sharp/internal/core"
-	"sharp/internal/machine"
 	"sharp/internal/stopping"
 	"sharp/internal/workflow"
 )
@@ -45,20 +43,20 @@ func main() {
 
 	fmt.Println("## Native execution on the simulated testbed")
 	fmt.Println()
-	m1, err := machine.ByName("machine1")
-	if err != nil {
-		log.Fatal(err)
-	}
 	launcher := core.NewLauncher()
 	err = w.Execute(context.Background(), func(ctx context.Context, task string, act workflow.Action) error {
-		res, err := launcher.Run(ctx, core.Experiment{
+		exp, err := core.Spec{
 			Name:     task + "/" + act.Function,
 			Workload: act.Function,
-			Backend:  backend.NewSim(m1, 42),
-			Rule:     stopping.NewKS(0.1, stopping.Bounds{MaxSamples: 500}),
+			Backend:  core.BackendSpec{Kind: "sim", Machine: "machine1", Seed: 42},
+			Rule:     stopping.Spec{Kind: "ks", Threshold: 0.1, Bounds: stopping.Bounds{MaxSamples: 500}},
 			Day:      1,
 			Seed:     42,
-		})
+		}.Experiment(nil)
+		if err != nil {
+			return err
+		}
+		res, err := launcher.Run(ctx, exp)
 		if err != nil {
 			return err
 		}

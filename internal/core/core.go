@@ -8,18 +8,14 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
 	"sharp/internal/backend"
 	"sharp/internal/classify"
-	"sharp/internal/config"
-	"sharp/internal/machine"
 	"sharp/internal/obs"
 	"sharp/internal/record"
 	"sharp/internal/resilience"
@@ -79,6 +75,10 @@ type Experiment struct {
 	// aborts; the zero value applies the package defaults (10 consecutive
 	// failed runs, or >50% of runs failed after at least 10 runs).
 	FailureBudget FailureBudget
+
+	// spec is the Spec the experiment was built from (nil when assembled
+	// by hand); Result.Metadata records it.
+	spec *Spec
 }
 
 // FailureBudget is the launcher's graceful-degradation policy: instead of
@@ -88,13 +88,13 @@ type Experiment struct {
 type FailureBudget struct {
 	// MaxConsecutive aborts after this many consecutive failed runs
 	// (default 10; negative disables the check).
-	MaxConsecutive int
+	MaxConsecutive int `json:"max_consecutive,omitempty"`
 	// MaxFraction aborts when more than this fraction of runs failed,
 	// checked once MinRuns runs completed (default 0.5; negative disables).
-	MaxFraction float64
+	MaxFraction float64 `json:"max_fraction,omitempty"`
 	// MinRuns is the minimum number of runs before MaxFraction applies
 	// (default 10).
-	MinRuns int
+	MinRuns int `json:"min_runs,omitempty"`
 }
 
 func (fb FailureBudget) withDefaults() FailureBudget {
@@ -111,13 +111,19 @@ func (fb FailureBudget) withDefaults() FailureBudget {
 }
 
 // exceeded reports whether the budget is exhausted, with an explanation.
-func (fb FailureBudget) exceeded(consecutive, failed, total int) (bool, string) {
+// With both checks disabled, maxRuns consecutive failed runs (the rule's
+// MaxSamples) still exhaust it: a failed run adds no sample, so without
+// this bound a campaign whose every run fails would never stop.
+func (fb FailureBudget) exceeded(consecutive, failed, total, maxRuns int) (bool, string) {
 	if fb.MaxConsecutive > 0 && consecutive >= fb.MaxConsecutive {
 		return true, fmt.Sprintf("%d consecutive failed runs (budget %d)", consecutive, fb.MaxConsecutive)
 	}
 	if fb.MaxFraction > 0 && total >= fb.MinRuns &&
 		float64(failed) > fb.MaxFraction*float64(total) {
 		return true, fmt.Sprintf("%d/%d runs failed (budget %.0f%%)", failed, total, fb.MaxFraction*100)
+	}
+	if fb.MaxConsecutive < 0 && fb.MaxFraction < 0 && consecutive >= maxRuns {
+		return true, fmt.Sprintf("%d consecutive failed runs (the rule's cap, budget checks disabled)", consecutive)
 	}
 	return false, ""
 }
@@ -414,231 +420,36 @@ func (r *Result) SaveCSV(path string) error {
 	return record.WriteRowsAtomic(path, r.Rows)
 }
 
-// Metadata builds the experiment's metadata record, sufficient for
-// RecreateExperiment to rebuild and re-run the campaign. Its created stamp
-// is the campaign's start on the launcher clock, so a pinned clock
-// (SHARP_CLOCK) pins the metadata bytes too.
+// Metadata builds the campaign's metadata record: the spec it was built
+// from, in the canonical encoding RecreateExperiment decodes, and its
+// outcome (runs, stop reason, error counts). An Experiment assembled by hand
+// rather than by Spec.Experiment records no spec and cannot be recreated.
+// The created stamp is the campaign's start on the launcher clock, so a
+// pinned clock (SHARP_CLOCK) pins the metadata bytes too.
 func (r *Result) Metadata() *record.Metadata {
 	e := r.Experiment
 	m := record.NewMetadata(e.Name, e.SUT)
 	if !r.Started.IsZero() {
 		m.Created = r.Started.UTC()
 	}
-	m.Set("workload", e.Workload)
-	m.Set("backend", e.Backend.Name())
-	if sim, ok := backend.Unwrap(e.Backend).(*backend.Sim); ok {
-		m.Set("machine", sim.Machine.Name)
-		m.Set("backend_seed", sim.Seed)
+	if e.spec != nil {
+		if b, err := e.spec.Encode(); err == nil {
+			m.Set(paramSpec, string(b))
+		}
 	}
-	m.Set("rule", r.RuleName)
-	// Guard rails other than those the rule name alone rebuilds with are
-	// recorded, so a recreated rule stops where the original could.
-	b := e.Rule.Bounds()
-	if def, err := ruleFromName(r.RuleName, e.Seed, stopping.Bounds{}); err != nil || def == nil || def.Bounds() != b {
-		m.Set("min_samples", b.MinSamples)
-		m.Set("max_samples", b.MaxSamples)
-		m.Set("check_every", b.CheckEvery)
-	}
-	m.Set("metric", e.Metric)
-	m.Set("concurrency", e.Concurrency)
-	m.Set("warmup_runs", e.WarmupRuns)
-	m.Set("cold", e.Cold)
-	m.Set("day", e.Day)
-	m.Set("seed", e.Seed)
 	m.Set("runs", r.Runs)
 	m.Set("stop_reason", r.StopReason)
-	if e.Parallel > 1 {
-		m.Set("parallel", e.Parallel)
-	}
-	if e.Timeout > 0 {
-		m.Set("timeout", e.Timeout.String())
-	}
-	if e.Retry.Enabled() {
-		m.Set("retries", e.Retry.MaxAttempts)
-		if e.Retry.BaseDelay != 0 {
-			m.Set("retry_base_delay", e.Retry.BaseDelay.String())
-		}
-		if e.Retry.Seed != e.Seed {
-			m.Set("retry_seed", e.Retry.Seed)
-		}
-	}
-	if fb := e.FailureBudget; fb != (FailureBudget{}) && fb != (FailureBudget{}).withDefaults() {
-		m.Set("failure_budget", fb.MaxFraction)
-		m.Set("max_consecutive_failures", fb.MaxConsecutive)
-		m.Set("failure_min_runs", fb.MinRuns)
-	}
 	if r.Errors > 0 {
 		m.Set("errors", r.Errors)
 	}
 	if r.FailedRuns > 0 {
 		m.Set("failed_runs", r.FailedRuns)
 	}
-	if len(e.Args) > 0 {
-		// JSON array: lossless for args containing spaces or brackets (the
-		// previous %v rendering could not be parsed back).
-		if b, err := json.Marshal(e.Args); err == nil {
-			m.Set("args", string(b))
-		}
-	}
 	return m
 }
 
 // SaveMetadata writes the metadata Markdown file to path.
 func (r *Result) SaveMetadata(path string) error { return r.Metadata().WriteFile(path) }
-
-// RecreateExperiment rebuilds an Experiment from a metadata record written
-// by SaveMetadata. Backends are reconstructed for the reproducible kinds:
-// "sim" (with its machine) always; other backends must be supplied by the
-// caller via the backends map (keyed by backend name).
-func RecreateExperiment(m *record.Metadata, backends map[string]backend.Backend) (Experiment, error) {
-	e := Experiment{
-		Name:     m.Experiment,
-		Workload: m.Get("workload"),
-		Metric:   m.Get("metric"),
-	}
-	if e.Workload == "" {
-		return e, errors.New("core: metadata has no workload")
-	}
-	atoi := func(key string) int {
-		n, _ := strconv.Atoi(m.Get(key))
-		return n
-	}
-	e.Concurrency = atoi("concurrency")
-	e.WarmupRuns = atoi("warmup_runs")
-	e.Day = atoi("day")
-	e.Cold = m.Get("cold") == "true"
-	e.Parallel = atoi("parallel")
-	seed, _ := strconv.ParseUint(m.Get("seed"), 10, 64)
-	e.Seed = seed
-	if s := m.Get("args"); s != "" {
-		var args []string
-		if err := json.Unmarshal([]byte(s), &args); err == nil {
-			e.Args = args
-		} else if strings.HasPrefix(s, "[") && strings.HasSuffix(s, "]") {
-			// Legacy records rendered args with %v ("[a b c]"): lossy for
-			// values containing spaces, but recoverable for simple ones.
-			if inner := strings.TrimSpace(s[1 : len(s)-1]); inner != "" {
-				e.Args = strings.Fields(inner)
-			}
-		}
-	}
-	if t := m.Get("timeout"); t != "" {
-		if d, err := time.ParseDuration(t); err == nil {
-			e.Timeout = d
-		}
-	}
-	if r := atoi("retries"); r > 1 {
-		e.Retry = resilience.Policy{MaxAttempts: r, Seed: seed}
-		if s, err := strconv.ParseUint(m.Get("retry_seed"), 10, 64); err == nil {
-			e.Retry.Seed = s
-		}
-		if d, err := time.ParseDuration(m.Get("retry_base_delay")); err == nil {
-			e.Retry.BaseDelay = d
-		}
-	}
-	if m.Get("failure_budget") != "" || m.Get("max_consecutive_failures") != "" {
-		frac, _ := strconv.ParseFloat(m.Get("failure_budget"), 64)
-		e.FailureBudget = FailureBudget{
-			MaxFraction:    frac,
-			MaxConsecutive: atoi("max_consecutive_failures"),
-			MinRuns:        atoi("failure_min_runs"),
-		}
-	}
-
-	switch name := m.Get("backend"); name {
-	case "sim":
-		mach, err := machine.ByName(m.Get("machine"))
-		if err != nil {
-			return e, err
-		}
-		bseed := seed
-		if s, err := strconv.ParseUint(m.Get("backend_seed"), 10, 64); err == nil {
-			bseed = s
-		}
-		e.Backend = backend.NewSim(mach, bseed)
-	default:
-		b, ok := backends[name]
-		if !ok {
-			return e, fmt.Errorf("core: backend %q cannot be recreated automatically; supply it", name)
-		}
-		e.Backend = b
-	}
-	// Rebuild the stopping rule from its recorded name ("ks-0.1" etc.) and
-	// guard rails; absent ones take the rule's defaults.
-	rule, err := ruleFromName(m.Get("rule"), seed, stopping.Bounds{
-		MinSamples: atoi("min_samples"),
-		MaxSamples: atoi("max_samples"),
-		CheckEvery: atoi("check_every"),
-	})
-	if err != nil {
-		return e, err
-	}
-	e.Rule = rule
-	e.SUT = m.SUT
-	return e, nil
-}
-
-// ruleKinds are the known rule-name prefixes, longest first so compound
-// names ("median-stability") are never mistaken for shorter kinds.
-var ruleKinds = []string{
-	"modality-stability", "median-stability", "mean-stability",
-	"tail-stability", "self-similarity",
-	"fixed", "meta", "ess", "ci", "ks", "cv",
-}
-
-// ruleFromName parses rule names of the form "kind-threshold" produced by
-// the stopping rules' Name methods and builds the rule with bounds b (a
-// fixed rule's bounds follow from its count). The kind is matched against
-// the known prefixes rather than split at the last '-': thresholds rendered
-// in scientific notation ("ks-1e-05") contain a '-' inside the exponent,
-// which the old last-dash split parsed as kind "ks-1e" with threshold 5.
-func ruleFromName(name string, seed uint64, b stopping.Bounds) (stopping.Rule, error) {
-	if name == "" {
-		return nil, nil // default rule
-	}
-	kind := name
-	threshold := 0.0
-	for _, k := range ruleKinds {
-		if name == k {
-			kind = k
-			break
-		}
-		if strings.HasPrefix(name, k+"-") {
-			t, err := strconv.ParseFloat(name[len(k)+1:], 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: bad threshold in rule name %q: %w", name, err)
-			}
-			kind, threshold = k, t
-			break
-		}
-	}
-	switch kind {
-	case "fixed":
-		return stopping.NewFixed(int(threshold)), nil
-	case "ci":
-		return stopping.NewCI(0.95, threshold, b), nil
-	case "ks":
-		return stopping.NewKS(threshold, b), nil
-	case "cv":
-		return stopping.NewCV(threshold, b), nil
-	case "mean-stability":
-		return stopping.NewMeanStability(threshold, 0, b), nil
-	case "median-stability":
-		return stopping.NewMedianStability(threshold, 0, b), nil
-	case "tail-stability":
-		return stopping.NewTailStability(0.95, threshold, b), nil
-	case "modality-stability":
-		return stopping.NewModalityStability(int(threshold), b), nil
-	case "ess":
-		return stopping.NewESS(threshold, b), nil
-	case "self-similarity":
-		return stopping.NewSelfSimilarity(threshold, 0, seed, b), nil
-	case "meta":
-		return stopping.NewMeta(stopping.MetaConfig{Seed: seed}, b), nil
-	default:
-		return nil, fmt.Errorf("core: unknown rule name %q", name)
-	}
-}
 
 // Comparison is the distribution-level comparison of two results (§V-B):
 // both the point-summary metric (NAMD) and the distribution-based metrics,
@@ -723,97 +534,4 @@ func Compare(nameA string, a []float64, nameB string, b []float64) (Comparison, 
 // CompareResults compares the primary-metric distributions of two Results.
 func CompareResults(a, b *Result) (Comparison, error) {
 	return Compare(a.Experiment.Name, a.Samples, b.Experiment.Name, b.Samples)
-}
-
-// ExperimentFromConfig builds an Experiment from a configuration document —
-// the launcher's file-driven mode (§IV-a: behavior "controlled via the
-// command line ... or a JSON or YAML interface"). Expected structure:
-//
-//	experiment:
-//	  name: nightly-hotspot
-//	  workload: hotspot
-//	  rule: ks
-//	  threshold: 0.1
-//	  max_runs: 1000
-//	  min_runs: 10
-//	  warmup_runs: 2
-//	  concurrency: 1
-//	  day: 1
-//	  seed: 42
-//	  metric: exec_time
-//	  retries: 3              # total attempts per run (resilience.Wrap)
-//	  retry_base_delay: 10ms
-//	  failure_budget: 0.5     # abort past this failed-run fraction
-//	  max_consecutive_failures: 10
-//	  chaos:                  # optional deterministic fault injection
-//	    error_rate: 0.1
-//	    timeout_rate: 0.05
-//	    latency_rate: 0.05
-//	    panic_rate: 0
-//	    seed: 42
-//	  backend:
-//	    type: sim
-//	    machine: machine1
-func ExperimentFromConfig(doc *config.Document, path string) (Experiment, error) {
-	e := Experiment{
-		Name:        doc.String(path+".name", ""),
-		Workload:    doc.String(path+".workload", ""),
-		Args:        doc.Strings(path + ".args"),
-		Metric:      doc.String(path+".metric", ""),
-		Concurrency: doc.Int(path+".concurrency", 1),
-		WarmupRuns:  doc.Int(path+".warmup_runs", 0),
-		Cold:        doc.Bool(path+".cold", false),
-		Day:         doc.Int(path+".day", 1),
-		Seed:        uint64(doc.Int(path+".seed", 42)),
-		Parallel:    doc.Int(path+".parallel", 0),
-	}
-	if e.Workload == "" {
-		return e, errors.New("core: config: experiment needs a workload")
-	}
-	if t := doc.String(path+".timeout", ""); t != "" {
-		d, err := time.ParseDuration(t)
-		if err != nil {
-			return e, fmt.Errorf("core: config: bad timeout: %w", err)
-		}
-		e.Timeout = d
-	}
-	if r := doc.Int(path+".retries", 1); r > 1 {
-		e.Retry = resilience.Policy{MaxAttempts: r, Seed: e.Seed}
-		if d := doc.String(path+".retry_base_delay", ""); d != "" {
-			bd, err := time.ParseDuration(d)
-			if err != nil {
-				return e, fmt.Errorf("core: config: bad retry_base_delay: %w", err)
-			}
-			e.Retry.BaseDelay = bd
-		}
-	}
-	e.FailureBudget = FailureBudget{
-		MaxFraction:    doc.Float(path+".failure_budget", 0),
-		MaxConsecutive: doc.Int(path+".max_consecutive_failures", 0),
-	}
-	b, err := backend.FromConfig(doc, path+".backend")
-	if err != nil {
-		return e, err
-	}
-	if doc.Map(path+".chaos") != nil {
-		b = backend.NewChaos(b, backend.ChaosConfig{
-			Seed:         uint64(doc.Int(path+".chaos.seed", int(e.Seed))),
-			ErrorRate:    doc.Float(path+".chaos.error_rate", 0),
-			TimeoutRate:  doc.Float(path+".chaos.timeout_rate", 0),
-			LatencyRate:  doc.Float(path+".chaos.latency_rate", 0),
-			LatencySpike: doc.Float(path+".chaos.latency_spike", 0),
-			PanicRate:    doc.Float(path+".chaos.panic_rate", 0),
-		})
-	}
-	e.Backend = b
-	ruleName := doc.String(path+".rule", "meta")
-	rule, err := stopping.NewNamed(ruleName, doc.Float(path+".threshold", 0), stopping.Bounds{
-		MinSamples: doc.Int(path+".min_runs", 0),
-		MaxSamples: doc.Int(path+".max_runs", 0),
-	})
-	if err != nil {
-		return e, err
-	}
-	e.Rule = rule
-	return e, nil
 }

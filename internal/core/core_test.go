@@ -106,14 +106,18 @@ func TestLauncherPhaseMetricsLogged(t *testing.T) {
 func TestResultCSVAndMetadataRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l := NewLauncher()
-	res, err := l.Run(context.Background(), Experiment{
+	exp, err := Spec{
 		Name:     "roundtrip",
 		Workload: "bfs",
-		Backend:  simBackend(t, "machine2"),
-		Rule:     stopping.NewFixed(30),
+		Backend:  BackendSpec{Kind: "sim", Machine: "machine2", Seed: 42},
+		Rule:     stopping.Spec{Kind: "fixed", Threshold: 30},
 		Day:      2,
 		Seed:     99,
-	})
+	}.Experiment(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Run(context.Background(), exp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestRuleFromNameForms(t *testing.T) {
 		"median-stability-0.02", "modality-stability-3", "ess-100",
 		"self-similarity-0.08", "meta",
 	} {
-		r, err := ruleFromName(name, 1, stopping.Bounds{})
+		r, err := legacyRule(name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -186,7 +190,7 @@ func TestRuleFromNameForms(t *testing.T) {
 			t.Errorf("%s: nil rule", name)
 		}
 	}
-	if _, err := ruleFromName("bogus-1", 1, stopping.Bounds{}); err == nil {
+	if _, err := legacyRule("bogus-1"); err == nil {
 		t.Error("bogus rule accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -177,20 +178,24 @@ func TestUnknownWorkloadStillAborts(t *testing.T) {
 
 func TestMetadataRecordsResilience(t *testing.T) {
 	be := &countingBackend{failFirst: 1}
-	res, err := NewLauncher().Run(context.Background(), Experiment{
+	e, err := Spec{
 		Name:     "resilient",
 		Workload: "w",
-		Backend:  be,
-		Rule:     stopping.NewFixed(3),
+		Backend:  BackendSpec{Kind: be.Name()},
+		Rule:     stopping.Spec{Kind: "fixed", Threshold: 3},
 		Retry:    resilience.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond},
 		Seed:     11,
-	})
+	}.Experiment(be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewLauncher().Run(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	md := res.Metadata()
-	if md.Get("retries") != "3" {
-		t.Fatalf("retries = %q", md.Get("retries"))
+	if want := `"retry":{"max_attempts":3,"base_delay":1000}`; !strings.Contains(md.Get("spec"), want) {
+		t.Fatalf("spec = %s, want it to hold %s", md.Get("spec"), want)
 	}
 	if md.Get("errors") != "3" {
 		t.Fatalf("errors = %q", md.Get("errors"))
@@ -346,6 +351,32 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 		}
 		if sameRows {
 			t.Error("different seeds produced identical campaigns")
+		}
+	}
+}
+
+// TestFailureBudgetDisabledStillStops: with both failure-budget checks
+// disabled, a campaign whose every run fails used to run until its context
+// ended, since a failed run adds no sample and the rule's MaxSamples counts
+// samples. It now ends with ErrFailureBudget once the failed runs in a row
+// reach that cap, at any width.
+func TestFailureBudgetDisabledStillStops(t *testing.T) {
+	for _, parallel := range []int{1, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		res, err := NewLauncher().Run(ctx, Experiment{
+			Workload:      "w",
+			Backend:       &countingBackend{failFirst: math.MaxInt},
+			Rule:          stopping.NewFixed(12),
+			Parallel:      parallel,
+			FailureBudget: FailureBudget{MaxConsecutive: -1, MaxFraction: -1},
+		})
+		cancel()
+		if !errors.Is(err, ErrFailureBudget) {
+			t.Fatalf("parallel %d: err = %v, want ErrFailureBudget", parallel, err)
+		}
+		if res.Runs != 12 || res.FailedRuns != 12 || len(res.Rows) != 12 {
+			t.Errorf("parallel %d: runs %d, failed %d, rows %d; want 12 each",
+				parallel, res.Runs, res.FailedRuns, len(res.Rows))
 		}
 	}
 }

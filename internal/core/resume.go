@@ -142,7 +142,7 @@ func (l *Launcher) replayRows(e Experiment, res *Result, rows []record.Row) (las
 		if acc.ok == 0 {
 			res.FailedRuns++
 			consecutiveFailed++
-			overBudget, _ = e.FailureBudget.exceeded(consecutiveFailed, res.FailedRuns, run)
+			overBudget, _ = e.FailureBudget.exceeded(consecutiveFailed, res.FailedRuns, run, e.Rule.Bounds().MaxSamples)
 			return
 		}
 		consecutiveFailed = 0

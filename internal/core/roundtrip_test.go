@@ -8,41 +8,42 @@ import (
 	"time"
 
 	"sharp/internal/backend"
-	"sharp/internal/machine"
 	"sharp/internal/record"
 	"sharp/internal/resilience"
 	"sharp/internal/stopping"
 	"sharp/internal/sysinfo"
 )
 
-// TestMetadataRoundTrip is the bugfix acceptance test: every field that
-// Experiment exposes and Metadata records must survive
-// Metadata → WriteTo → ParseMetadata → RecreateExperiment without loss.
-// Args containing spaces, Parallel, Timeout, retry base delay, and the
-// failure budget were all dropped or mangled before the fix.
+// TestMetadataRoundTrip is the acceptance test of the metadata codec: the
+// spec an experiment was built from must survive Metadata → WriteTo →
+// ParseMetadata → RecreateExperiment without loss, and rebuild the same
+// campaign. Args with spaces, Parallel, Timeout, the retry policy, the
+// failure budget, chaos and the rule's guard rails were each dropped or
+// mangled by an earlier per-field record.
 func TestMetadataRoundTrip(t *testing.T) {
 	// A fixed rule, and a rule whose guard rails are not its defaults: a
 	// recreated rule used to lose them and stop elsewhere.
-	for _, rule := range []stopping.Rule{
-		stopping.NewFixed(12),
-		stopping.NewKS(0.1, stopping.Bounds{MinSamples: 20, MaxSamples: 60, CheckEvery: 5}),
+	for _, rule := range []stopping.Spec{
+		{Kind: "fixed", Threshold: 12},
+		{Kind: "ks", Threshold: 0.1, Bounds: stopping.Bounds{MinSamples: 20, MaxSamples: 60, CheckEvery: 5}},
 	} {
-		t.Run(rule.Name(), func(t *testing.T) { testMetadataRoundTrip(t, rule) })
+		r, err := rule.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(r.Name(), func(t *testing.T) { testMetadataRoundTrip(t, rule) })
 	}
 }
 
-func testMetadataRoundTrip(t *testing.T, rule stopping.Rule) {
-	m1, err := machine.ByName("machine1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := Experiment{
+func testMetadataRoundTrip(t *testing.T, rule stopping.Spec) {
+	spec := Spec{
 		Name:     "rt",
 		Workload: "bfs-CUDA",
-		// An arg with an embedded space: unrecoverable from the old %v
+		// An arg with an embedded space: unrecoverable from a %v
 		// rendering, lossless as JSON.
-		Args:        []string{"--size", "64 x", "--mode=[fast]"},
-		Backend:     backend.NewSim(m1, 99),
+		Args: []string{"--size", "64 x", "--mode=[fast]"},
+		Backend: BackendSpec{Kind: "sim", Machine: "machine1", Seed: 99,
+			Chaos: &backend.ChaosConfig{Seed: 5, LatencyRate: 0.1, LatencySpike: 0.5}},
 		Rule:        rule,
 		Metric:      backend.MetricExecTime,
 		Concurrency: 2,
@@ -51,10 +52,14 @@ func testMetadataRoundTrip(t *testing.T, rule stopping.Rule) {
 		Day:         3,
 		Seed:        2024,
 		Parallel:    4,
-		Retry:       resilience.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond},
+		Retry:       resilience.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Microsecond, Multiplier: 1.5},
 		FailureBudget: FailureBudget{
 			MaxConsecutive: 5, MaxFraction: 0.25, MinRuns: 7,
 		},
+	}
+	e, err := spec.Experiment(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := NewLauncher().Run(context.Background(), e)
 	if err != nil {
@@ -73,83 +78,80 @@ func testMetadataRoundTrip(t *testing.T, rule stopping.Rule) {
 	if err != nil {
 		t.Fatalf("RecreateExperiment: %v", err)
 	}
-
-	if got.Name != e.Name || got.Workload != e.Workload {
-		t.Errorf("identity: got %q/%q, want %q/%q", got.Name, got.Workload, e.Name, e.Workload)
+	if !reflect.DeepEqual(*got.spec, spec) {
+		t.Errorf("recreated spec\n%+v\nwant\n%+v", *got.spec, spec)
 	}
 	if !reflect.DeepEqual(got.Args, e.Args) {
 		t.Errorf("Args = %q, want %q (lossy round-trip)", got.Args, e.Args)
 	}
-	if got.Parallel != e.Parallel {
-		t.Errorf("Parallel = %d, want %d", got.Parallel, e.Parallel)
+	if got.Parallel != e.Parallel || got.Timeout != e.Timeout || got.Retry.Multiplier != 1.5 ||
+		got.FailureBudget != e.FailureBudget {
+		t.Errorf("recreated experiment %+v, want %+v", got, e)
 	}
-	if got.Timeout != e.Timeout {
-		t.Errorf("Timeout = %v, want %v", got.Timeout, e.Timeout)
+	if got.Rule.Name() != e.Rule.Name() || got.Rule.Bounds() != e.Rule.Bounds() {
+		t.Errorf("Rule = %s %+v, want %s %+v", got.Rule.Name(), got.Rule.Bounds(), e.Rule.Name(), e.Rule.Bounds())
 	}
-	if got.Concurrency != e.Concurrency || got.WarmupRuns != e.WarmupRuns ||
-		got.Day != e.Day || got.Seed != e.Seed {
-		t.Errorf("scalars: got conc=%d warmup=%d day=%d seed=%d",
-			got.Concurrency, got.WarmupRuns, got.Day, got.Seed)
+	// The simulated backend must be rebuilt with its machine and seed,
+	// under the same fault injection.
+	if _, ok := got.Backend.(*backend.Chaos); !ok {
+		t.Fatalf("backend = %T, want *backend.Chaos", got.Backend)
 	}
-	if got.Retry.MaxAttempts != 3 || got.Retry.BaseDelay != 5*time.Millisecond ||
-		got.Retry.Seed != e.Seed {
-		t.Errorf("Retry = {attempts=%d delay=%v seed=%d}, want {3 5ms %d}",
-			got.Retry.MaxAttempts, got.Retry.BaseDelay, got.Retry.Seed, e.Seed)
-	}
-	if got.FailureBudget != e.FailureBudget {
-		t.Errorf("FailureBudget = %+v, want %+v", got.FailureBudget, e.FailureBudget)
-	}
-	if got.Rule == nil || got.Rule.Name() != e.Rule.Name() {
-		t.Fatalf("Rule = %v, want %q", got.Rule, e.Rule.Name())
-	}
-	if got.Rule.Bounds() != e.Rule.Bounds() {
-		t.Errorf("Rule.Bounds() = %+v, want %+v", got.Rule.Bounds(), e.Rule.Bounds())
-	}
-	// The simulated backend must be rebuilt with its machine and seed.
 	sim, ok := backend.Unwrap(got.Backend).(*backend.Sim)
 	if !ok {
-		t.Fatalf("backend = %T, want *backend.Sim", got.Backend)
+		t.Fatalf("backend = %T, want a Sim under the chaos layer", got.Backend)
 	}
 	if sim.Machine.Name != "machine1" || sim.Seed != 99 {
 		t.Errorf("sim backend = %s/%d, want machine1/99", sim.Machine.Name, sim.Seed)
 	}
 
-	// Re-running the recreated experiment must be admissible (withDefaults
-	// accepts it) and produce the same number of runs under the same rule.
+	// The recreated campaign logs the same rows.
 	res2, err := NewLauncher().Run(context.Background(), got)
 	if err != nil {
 		t.Fatalf("re-run of recreated experiment: %v", err)
 	}
-	if res2.Runs != res.Runs {
-		t.Errorf("recreated campaign ran %d runs, original %d", res2.Runs, res.Runs)
+	if res2.Runs != res.Runs || len(res2.Rows) != len(res.Rows) {
+		t.Fatalf("recreated campaign ran %d runs / %d rows, original %d / %d",
+			res2.Runs, len(res2.Rows), res.Runs, len(res.Rows))
+	}
+	for i := range res.Rows {
+		a, b := res.Rows[i], res2.Rows[i]
+		a.Timestamp, b.Timestamp = time.Time{}, time.Time{}
+		if a != b {
+			t.Fatalf("row %d: recreated %+v, original %+v", i, b, a)
+		}
 	}
 }
 
-// TestMetadataDefaultsNotRecorded keeps results/ regeneration byte-stable:
-// default-valued fields must not add metadata keys.
+// TestMetadataDefaultsNotRecorded keeps the record small and stable:
+// default-valued spec fields are left out of the encoding, and none of the
+// per-field parameters of the older record form is written.
 func TestMetadataDefaultsNotRecorded(t *testing.T) {
-	m1, err := machine.ByName("machine1")
+	e, err := Spec{
+		Workload: "hotspot",
+		Backend:  BackendSpec{Kind: "sim", Machine: "machine1", Seed: 1},
+		Rule:     stopping.Spec{Kind: "fixed", Threshold: 5},
+		Seed:     1,
+	}.Experiment(nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	e := Experiment{
-		Workload: "hotspot",
-		Backend:  backend.NewSim(m1, 1),
-		Rule:     stopping.NewFixed(5),
-		Seed:     1,
 	}
 	res, err := NewLauncher().Run(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	md := res.Metadata()
+	const want = `{"workload":"hotspot","backend":{"kind":"sim","machine":"machine1","seed":1},` +
+		`"rule":{"kind":"fixed","threshold":5},"seed":1,"retry":{},"failure_budget":{}}`
+	if got := md.Get("spec"); got != want {
+		t.Errorf("spec = %s\nwant   %s", got, want)
+	}
 	for _, key := range []string{
-		"parallel", "timeout", "retries", "retry_base_delay", "retry_seed",
-		"failure_budget", "max_consecutive_failures", "failure_min_runs", "args",
+		"workload", "backend", "rule", "parallel", "timeout", "retries", "retry_base_delay",
+		"retry_seed", "failure_budget", "max_consecutive_failures", "failure_min_runs", "args",
 		"min_samples", "max_samples", "check_every",
 	} {
 		if v := md.Get(key); v != "" {
-			t.Errorf("default experiment recorded %s=%q; breaks byte-stable regeneration", key, v)
+			t.Errorf("metadata recorded %s=%q outside the spec", key, v)
 		}
 	}
 }
@@ -171,5 +173,47 @@ func TestRecreateLegacyArgs(t *testing.T) {
 	want := []string{"--size", "64"}
 	if !reflect.DeepEqual(e.Args, want) {
 		t.Errorf("legacy args = %q, want %q", e.Args, want)
+	}
+}
+
+// TestRecreateLegacyRecord recreates a metadata record written in the
+// per-field form that preceded the spec encoding (testdata/legacy_ks.md: a
+// sim KS campaign with non-default bounds, retries, a failure budget, a
+// timeout, warm-ups and two instances per run) and checks its rows against
+// those `sharp recreate` of that form logged
+// (testdata/legacy_ks_recreate.csv), timestamps aside.
+func TestRecreateLegacyRecord(t *testing.T) {
+	md, err := record.ParseMetadataFile("testdata/legacy_ks.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := record.ReadFile("testdata/legacy_ks_recreate.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := RecreateExperiment(md, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := e.Rule.Bounds(); b != (stopping.Bounds{MinSamples: 20, MaxSamples: 400, CheckEvery: 10}) {
+		t.Errorf("rule bounds = %+v", b)
+	}
+	if e.Retry.MaxAttempts != 3 || e.Retry.BaseDelay != 2*time.Millisecond || e.Timeout != 5*time.Second ||
+		e.FailureBudget != (FailureBudget{MaxConsecutive: 6, MaxFraction: 0.4, MinRuns: 10}) {
+		t.Errorf("recreated experiment %+v", e)
+	}
+	res, err := NewLauncher().Run(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("recreated %d rows, the record's recreate logged %d", len(res.Rows), len(want))
+	}
+	for i, got := range res.Rows {
+		w := want[i]
+		got.Timestamp, w.Timestamp = time.Time{}, time.Time{}
+		if got != w {
+			t.Fatalf("row %d: %+v, want %+v", i+1, got, w)
+		}
 	}
 }

@@ -3,14 +3,33 @@ package core
 import (
 	"testing"
 
+	"sharp/internal/record"
 	"sharp/internal/stopping"
+	"sharp/internal/sysinfo"
 )
 
-// TestRuleNameRoundTrip is the property test for the ruleFromName fix:
-// for every stopping-rule constructor, recreating the rule from its own
-// Name() must yield the same Name() again. The old parser split at the
-// LAST '-', so compound kinds ("median-stability-0.03") and scientific-
-// notation thresholds ("ks-1e-05") both failed the property.
+// legacyRule decodes the rule of a pre-spec metadata record whose "rule"
+// parameter is name, as RecreateExperiment does.
+func legacyRule(name string) (stopping.Rule, error) {
+	md := record.NewMetadata("legacy", sysinfo.SUT{})
+	md.Set("workload", "hotspot")
+	md.Set("backend", "sim")
+	md.Set("machine", "machine1")
+	if name != "" {
+		md.Set("rule", name)
+	}
+	s, err := legacySpec(md)
+	if err != nil || s.Rule.Kind == "" {
+		return nil, err
+	}
+	return s.Rule.New()
+}
+
+// TestRuleNameRoundTrip is the property test for reading old records'
+// rule names: for every stopping-rule constructor, decoding the rule from
+// its own Name() must yield the same Name() again. A parser splitting at
+// the LAST '-' failed compound kinds ("median-stability-0.03") and
+// scientific-notation thresholds ("ks-1e-05").
 func TestRuleNameRoundTrip(t *testing.T) {
 	const seed = 1
 	rules := []stopping.Rule{
@@ -30,13 +49,13 @@ func TestRuleNameRoundTrip(t *testing.T) {
 	}
 	for _, r := range rules {
 		name := r.Name()
-		got, err := ruleFromName(name, seed, stopping.Bounds{})
+		got, err := legacyRule(name)
 		if err != nil {
-			t.Errorf("ruleFromName(%q): %v", name, err)
+			t.Errorf("legacy rule %q: %v", name, err)
 			continue
 		}
 		if got == nil {
-			t.Errorf("ruleFromName(%q) = nil rule", name)
+			t.Errorf("legacy rule %q = nil rule", name)
 			continue
 		}
 		if got.Name() != name {
@@ -49,13 +68,13 @@ func TestRuleNameRoundTrip(t *testing.T) {
 // not silently parsed as zero.
 func TestRuleFromNameRejectsGarbage(t *testing.T) {
 	for _, name := range []string{"ks-banana", "fixed-1x", "warp-0.1"} {
-		if _, err := ruleFromName(name, 1, stopping.Bounds{}); err == nil {
-			t.Errorf("ruleFromName(%q) accepted a malformed name", name)
+		if _, err := legacyRule(name); err == nil {
+			t.Errorf("legacy rule %q accepted a malformed name", name)
 		}
 	}
-	// Empty means "use the default rule": nil rule, nil error.
-	r, err := ruleFromName("", 1, stopping.Bounds{})
+	// No rule recorded means the default rule: nil rule, nil error.
+	r, err := legacyRule("")
 	if r != nil || err != nil {
-		t.Errorf("ruleFromName(\"\") = %v, %v; want nil, nil", r, err)
+		t.Errorf("legacy rule \"\" = %v, %v; want nil, nil", r, err)
 	}
 }

@@ -478,7 +478,7 @@ func (s *Stepper) overBudget() error {
 	if s.consecutiveFailed == 0 {
 		return nil
 	}
-	over, why := s.e.FailureBudget.exceeded(s.consecutiveFailed, s.res.FailedRuns, s.run)
+	over, why := s.e.FailureBudget.exceeded(s.consecutiveFailed, s.res.FailedRuns, s.run, s.e.Rule.Bounds().MaxSamples)
 	if !over {
 		return nil
 	}

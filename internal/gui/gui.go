@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"time"
 
-	"sharp/internal/backend"
 	"sharp/internal/core"
 	"sharp/internal/experiments"
 	"sharp/internal/machine"
@@ -140,14 +139,21 @@ func (s *Server) runParams(r *http.Request) (workload string, seed uint64, maxRu
 	return workload, seed, maxRuns, nil
 }
 
+// simSpec is the campaign the GUI's forms run: workload on a simulated
+// machine, day 1, under rule.
+func simSpec(workload, machName string, seed uint64, rule stopping.Spec) core.Spec {
+	return core.Spec{
+		Name:     fmt.Sprintf("%s@%s", workload, machName),
+		Workload: workload,
+		Backend:  core.BackendSpec{Kind: "sim", Machine: machName, Seed: seed},
+		Rule:     rule,
+		Day:      1,
+		Seed:     seed,
+	}
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	workload, seed, maxRuns, err := s.runParams(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	machName := r.FormValue("machine")
-	m, err := machine.ByName(machName)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -157,21 +163,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ruleName = "meta"
 	}
 	threshold, _ := strconv.ParseFloat(r.FormValue("threshold"), 64)
-	rule, err := stopping.NewNamed(ruleName, threshold, stopping.Bounds{MaxSamples: maxRuns})
+	e, err := simSpec(workload, r.FormValue("machine"), seed, stopping.Spec{
+		Kind: ruleName, Threshold: threshold, Bounds: stopping.Bounds{MaxSamples: maxRuns},
+	}).Experiment(nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.Timeout)
 	defer cancel()
-	res, err := core.NewLauncher().Run(ctx, core.Experiment{
-		Name:     fmt.Sprintf("%s@%s", workload, machName),
-		Workload: workload,
-		Backend:  backend.NewSim(m, seed),
-		Rule:     rule,
-		Day:      1,
-		Seed:     seed,
-	})
+	res, err := core.NewLauncher().Run(ctx, e)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -198,18 +199,12 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	launcher := core.NewLauncher()
 	measure := func(machName string) (*core.Result, error) {
-		m, err := machine.ByName(machName)
+		e, err := simSpec(workload, machName, seed,
+			stopping.Spec{Kind: "fixed", Threshold: float64(runs)}).Experiment(nil)
 		if err != nil {
 			return nil, err
 		}
-		return launcher.Run(ctx, core.Experiment{
-			Name:     fmt.Sprintf("%s@%s", workload, machName),
-			Workload: workload,
-			Backend:  backend.NewSim(m, seed),
-			Rule:     stopping.NewFixed(runs),
-			Day:      1,
-			Seed:     seed,
-		})
+		return launcher.Run(ctx, e)
 	}
 	ra, err := measure(r.FormValue("a"))
 	if err != nil {

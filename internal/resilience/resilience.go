@@ -29,23 +29,23 @@ import (
 type Policy struct {
 	// MaxAttempts is the total number of attempts including the first;
 	// values <= 1 disable retrying.
-	MaxAttempts int
+	MaxAttempts int `json:"max_attempts,omitempty"`
 	// BaseDelay is the backoff before the first retry (default 10ms when
 	// retrying is enabled).
-	BaseDelay time.Duration
+	BaseDelay time.Duration `json:"base_delay,omitempty"`
 	// MaxDelay caps the exponential backoff (default 5s).
-	MaxDelay time.Duration
+	MaxDelay time.Duration `json:"max_delay,omitempty"`
 	// Multiplier is the backoff growth factor (default 2).
-	Multiplier float64
+	Multiplier float64 `json:"multiplier,omitempty"`
 	// Jitter is the fraction of each delay that is randomized: the actual
 	// delay is d * (1 - Jitter/2 + Jitter*u) for u ~ U[0,1). Default 0.1.
 	// Negative disables jitter.
-	Jitter float64
+	Jitter float64 `json:"jitter,omitempty"`
 	// Seed seeds the jitter stream so retried campaigns stay deterministic.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Retryable classifies errors; nil retries everything except errors
 	// marked Permanent and context cancellation.
-	Retryable func(error) bool
+	Retryable func(error) bool `json:"-"`
 }
 
 // Enabled reports whether the policy performs any retries.

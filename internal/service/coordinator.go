@@ -433,7 +433,7 @@ func (c *Coordinator) runner(cp *campaign, resume bool) {
 	}
 
 	db := &dispatchBackend{campID: cp.id, sched: c.sched}
-	e, err := cp.spec.dispatchExperiment(db)
+	e, err := cp.spec.experimentSpec().Experiment(db)
 	if err != nil {
 		c.finish(cp, nil, err)
 		return
@@ -517,7 +517,7 @@ func (c *Coordinator) tryCache(cp *campaign) bool {
 	if err != nil || rows == nil {
 		return false
 	}
-	e, err := cp.spec.ReferenceExperiment()
+	e, err := cp.spec.experimentSpec().Experiment(nil)
 	if err != nil {
 		return false
 	}

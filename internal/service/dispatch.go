@@ -26,7 +26,13 @@ type dispatchBackend struct {
 
 func (d *dispatchBackend) Name() string { return "sim" }
 
+// Invoke dispatches a measured run. A warm-up request (run < 1) is a no-op:
+// warm-ups run on each worker's fresh backend (Worker.backendFor), where
+// they put the draw stream where the sequential campaign's was.
 func (d *dispatchBackend) Invoke(ctx context.Context, req backend.Request) ([]backend.Invocation, error) {
+	if req.Run < 1 {
+		return nil, nil
+	}
 	t := &task{
 		campID: d.campID,
 		run:    req.Run,

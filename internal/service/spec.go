@@ -31,9 +31,7 @@ import (
 	"fmt"
 
 	"sharp/internal/backend"
-	"sharp/internal/cache"
 	"sharp/internal/core"
-	"sharp/internal/machine"
 	"sharp/internal/perfmodel"
 	"sharp/internal/stopping"
 )
@@ -41,7 +39,7 @@ import (
 // campaignCacheKind versions the service campaign cache namespace; bump it
 // if campaign execution semantics change in a way that invalidates cached
 // rows.
-const campaignCacheKind = "service-campaign/v1"
+const campaignCacheKind = "service-campaign/v2"
 
 // ChaosSpec configures deterministic fault injection for a campaign. Rates
 // follow backend.ChaosConfig; the seed defaults to the campaign seed.
@@ -138,16 +136,13 @@ func (s CampaignSpec) Validate() error {
 	if _, ok := perfmodel.For(s.Workload); !ok {
 		return fmt.Errorf("service: unknown workload %q", s.Workload)
 	}
-	if _, err := machine.ByName(s.Machine); err != nil {
+	if err := s.experimentSpec().Validate(); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	if _, err := s.rule(); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	if s.Chaos != nil {
-		c := s.Chaos
+	if c := s.Chaos; c != nil {
+		// A rate of 1 fails every run: a campaign doomed to abort.
 		for _, r := range []float64{c.ErrorRate, c.TimeoutRate, c.LatencyRate} {
-			if r < 0 || r >= 1 {
+			if r >= 1 {
 				return fmt.Errorf("service: chaos rate %v out of range [0,1)", r)
 			}
 		}
@@ -155,62 +150,57 @@ func (s CampaignSpec) Validate() error {
 	return nil
 }
 
-// cacheKey derives the campaign's content address: every normalized spec
-// field the result bytes depend on. Tenant and Parallel are deliberately
-// absent — neither affects row bytes (service results are byte-identical to
-// the sequential reference at any batch width), so campaigns submitted by
-// different tenants or at different widths share cache entries.
-func (s CampaignSpec) cacheKey() string {
+// experimentSpec is the campaign as a core.Spec: the one description its
+// reference experiment, coordinator experiment, worker backends, cache key
+// and metadata all come from.
+func (s CampaignSpec) experimentSpec() core.Spec {
 	s = s.withDefaults()
-	parts := []string{
-		"name=" + s.Name,
-		"workload=" + s.Workload,
-		"machine=" + s.Machine,
-		fmt.Sprintf("rule=%s@%g", s.Rule, s.Threshold),
-		fmt.Sprintf("runs=%d..%d", s.MinRuns, s.MaxRuns),
-		fmt.Sprintf("seed=%d", s.Seed),
-		fmt.Sprintf("day=%d", s.Day),
-		fmt.Sprintf("concurrency=%d", s.Concurrency),
-		fmt.Sprintf("warmups=%d", s.WarmupRuns),
+	cs := core.Spec{
+		Name:     s.Name,
+		Workload: s.Workload,
+		Backend:  core.BackendSpec{Kind: "sim", Machine: s.Machine, Seed: s.Seed},
+		Rule: stopping.Spec{Kind: s.Rule, Threshold: s.Threshold, Bounds: stopping.Bounds{
+			MinSamples: s.MinRuns,
+			MaxSamples: s.MaxRuns,
+		}},
+		Concurrency: s.Concurrency,
+		WarmupRuns:  s.WarmupRuns,
+		Day:         s.Day,
+		Seed:        s.Seed,
+		Parallel:    s.Parallel,
 	}
 	if c := s.Chaos; c != nil {
-		parts = append(parts, fmt.Sprintf("chaos=%d:%g:%g:%g:%g",
-			c.Seed, c.ErrorRate, c.TimeoutRate, c.LatencyRate, c.LatencySpike))
-	}
-	return cache.Key(campaignCacheKind, parts...)
-}
-
-// rule builds a fresh stopping rule (rules are stateful accumulators; every
-// experiment needs its own).
-func (s CampaignSpec) rule() (stopping.Rule, error) {
-	return stopping.NewNamed(s.Rule, s.Threshold, stopping.Bounds{
-		MinSamples: s.MinRuns,
-		MaxSamples: s.MaxRuns,
-	})
-}
-
-// WorkerBackend builds the fresh deterministic backend a worker uses to
-// compute measured runs of this campaign: a run-ordered Sim (plus Chaos when
-// configured) with the spec's warm-up requests already replayed, putting the
-// stream exactly where the sequential campaign's stream was when run 1
-// began. Any measured run the worker is subsequently leased draws values
-// bit-identical to the sequential campaign's — regardless of arrival order,
-// other workers' progress, or how many earlier leases died.
-func (s CampaignSpec) WorkerBackend() (backend.Backend, error) {
-	s = s.withDefaults()
-	m, err := machine.ByName(s.Machine)
-	if err != nil {
-		return nil, err
-	}
-	var b backend.Backend = backend.NewSim(m, s.Seed)
-	if c := s.Chaos; c != nil {
-		b = backend.NewChaos(b, backend.ChaosConfig{
+		cs.Backend.Chaos = &backend.ChaosConfig{
 			Seed:         c.Seed,
 			ErrorRate:    c.ErrorRate,
 			TimeoutRate:  c.TimeoutRate,
 			LatencyRate:  c.LatencyRate,
 			LatencySpike: c.LatencySpike,
-		})
+		}
+	}
+	return cs
+}
+
+// cacheKey derives the campaign's content address from its spec's
+// canonical encoding. Tenant and Parallel are deliberately absent — neither
+// affects row bytes (service results are byte-identical to the sequential
+// reference at any batch width), so campaigns submitted by different
+// tenants or at different widths share cache entries.
+func (s CampaignSpec) cacheKey() string {
+	return s.experimentSpec().CacheKey(campaignCacheKind)
+}
+
+// WorkerBackend builds the fresh deterministic backend a worker uses to
+// compute measured runs of this campaign: a run-ordered Sim (plus Chaos when
+// configured). The worker then replays the spec's warm-up requests, putting
+// the stream exactly where the sequential campaign's stream was when run 1
+// began. Any measured run the worker is subsequently leased draws values
+// bit-identical to the sequential campaign's — regardless of arrival order,
+// other workers' progress, or how many earlier leases died.
+func (s CampaignSpec) WorkerBackend() (backend.Backend, error) {
+	b, err := s.experimentSpec().Backend.Build(nil)
+	if err != nil {
+		return nil, err
 	}
 	backend.SetRunOrdered(b, true)
 	return b, nil
@@ -221,66 +211,10 @@ func (s CampaignSpec) WorkerBackend() (backend.Backend, error) {
 // backend, no service involved. The differential tests compare service
 // output bytes against it; operators can use it to audit a service result.
 func (s CampaignSpec) ReferenceExperiment() (core.Experiment, error) {
-	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
+	if err := s.withDefaults().Validate(); err != nil {
 		return core.Experiment{}, err
 	}
-	m, err := machine.ByName(s.Machine)
-	if err != nil {
-		return core.Experiment{}, err
-	}
-	var b backend.Backend = backend.NewSim(m, s.Seed)
-	if c := s.Chaos; c != nil {
-		b = backend.NewChaos(b, backend.ChaosConfig{
-			Seed:         c.Seed,
-			ErrorRate:    c.ErrorRate,
-			TimeoutRate:  c.TimeoutRate,
-			LatencyRate:  c.LatencyRate,
-			LatencySpike: c.LatencySpike,
-		})
-	}
-	rule, err := s.rule()
-	if err != nil {
-		return core.Experiment{}, err
-	}
-	return core.Experiment{
-		Name:        s.Name,
-		Workload:    s.Workload,
-		Backend:     b,
-		Rule:        rule,
-		Concurrency: s.Concurrency,
-		WarmupRuns:  s.WarmupRuns,
-		Day:         s.Day,
-		Seed:        s.Seed,
-		SUT:         m.SUT(),
-	}, nil
-}
-
-// dispatchExperiment assembles the coordinator-side experiment: the same
-// campaign, but executed over a dispatch backend that hands runs to leased
-// workers. Launcher-level WarmupRuns is zero on purpose — warm-ups belong to
-// each worker's fresh backend (WorkerBackend), not to the dispatch stream;
-// dispatching them would desynchronize every worker's draw position.
-func (s CampaignSpec) dispatchExperiment(b backend.Backend) (core.Experiment, error) {
-	s = s.withDefaults()
-	m, err := machine.ByName(s.Machine)
-	if err != nil {
-		return core.Experiment{}, err
-	}
-	rule, err := s.rule()
-	if err != nil {
-		return core.Experiment{}, err
-	}
-	return core.Experiment{
-		Name:        s.Name,
-		Workload:    s.Workload,
-		Backend:     b,
-		Rule:        rule,
-		Concurrency: s.Concurrency,
-		WarmupRuns:  0,
-		Day:         s.Day,
-		Seed:        s.Seed,
-		Parallel:    s.Parallel,
-		SUT:         m.SUT(),
-	}, nil
+	cs := s.experimentSpec()
+	cs.Parallel = 0
+	return cs.Experiment(nil)
 }

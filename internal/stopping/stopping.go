@@ -47,15 +47,15 @@ type Rule interface {
 // Bounds are the sample-count guard rails shared by every rule.
 type Bounds struct {
 	// MinSamples is the floor before any rule may stop (default 10).
-	MinSamples int
+	MinSamples int `json:"min_samples,omitempty"`
 	// MaxSamples is the hard cap; Done becomes true at the cap regardless
 	// of convergence (default 1000, the paper's ground-truth budget).
-	MaxSamples int
+	MaxSamples int `json:"max_samples,omitempty"`
 	// CheckEvery controls how often the (possibly O(n log n)) convergence
 	// statistic is recomputed (default 10). A rule decides only at these
 	// boundaries and at MaxSamples, so the launcher runs the samples between
 	// two decision points concurrently without speculating on the answer.
-	CheckEvery int
+	CheckEvery int `json:"check_every,omitempty"`
 }
 
 // withDefaults fills zero fields.

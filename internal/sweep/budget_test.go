@@ -90,7 +90,7 @@ func oracle(t *testing.T, d Design) *Outcome {
 	}
 	out := &Outcome{Design: d}
 	for _, p := range plans {
-		e, err := d.experimentFor(p)
+		e, err := p.Experiment(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +99,8 @@ func oracle(t *testing.T, d Design) *Outcome {
 			t.Fatal(err)
 		}
 		out.Cells = append(out.Cells, Cell{
-			Workload: p.workload, Machine: p.machineName,
-			Day: p.day, Concurrency: p.concurrency, Result: res,
+			Workload: p.Workload, Machine: p.Backend.Machine,
+			Day: p.Day, Concurrency: p.Concurrency, Result: res,
 		})
 	}
 	return out

@@ -21,7 +21,6 @@ import (
 	"sharp/internal/budget"
 	"sharp/internal/cache"
 	"sharp/internal/core"
-	"sharp/internal/machine"
 	"sharp/internal/obs"
 	"sharp/internal/record"
 	"sharp/internal/stats"
@@ -32,30 +31,7 @@ import (
 
 // cellCacheKind versions the sweep cell cache namespace; bump it if the
 // cell execution semantics change in a way that invalidates cached rows.
-const cellCacheKind = "sweep-cell/v1"
-
-// cellKey derives the content address of one cell: every input the cell's
-// rows depend on, spelled explicitly so a new factor can never silently
-// alias an old entry.
-func (d Design) cellKey(p cellPlan) string {
-	parts := []string{
-		"name=" + d.Name,
-		"workload=" + p.workload,
-		"machine=" + p.machineName,
-		fmt.Sprintf("day=%d", p.day),
-		fmt.Sprintf("concurrency=%d", p.concurrency),
-		fmt.Sprintf("rule=%s@%g", d.RuleName, d.Threshold),
-		fmt.Sprintf("maxruns=%d", d.MaxRuns),
-		fmt.Sprintf("seed=%d", d.Seed),
-	}
-	// Chaos changes every row a cell produces; key it explicitly. Appended
-	// only when set so pre-existing cache entries keep their addresses.
-	if c := d.Chaos; c != nil {
-		parts = append(parts, fmt.Sprintf("chaos=%g,%g,%g,%g,%g@%d",
-			c.ErrorRate, c.TimeoutRate, c.LatencyRate, c.LatencySpike, c.PanicRate, c.Seed))
-	}
-	return cache.Key(cellCacheKind, parts...)
-}
+const cellCacheKind = "sweep-cell/v2"
 
 // Design is a full-factorial experiment plan.
 type Design struct {
@@ -171,65 +147,38 @@ type Outcome struct {
 	Budget *budget.Ledger
 }
 
-// cellPlan is one expanded factor combination awaiting measurement.
-type cellPlan struct {
-	workload    string
-	machineName string
-	day         int
-	concurrency int
-}
-
 // plans expands the factor grid in canonical order (workload, machine, day,
-// concurrency — the cell order of every Outcome), validating machine names.
-func (d Design) plans() ([]cellPlan, error) {
-	var plans []cellPlan
+// concurrency — the cell order of every Outcome) into the cells' campaigns,
+// validating each: a private, seeded sim backend on the cell's machine
+// (cells share no state, which is what makes any execution order produce
+// identical results) under the design's rule. A cell's canonical spec
+// encoding is its cache key, so a new factor can never silently alias an
+// old entry.
+func (d Design) plans() ([]core.Spec, error) {
+	var plans []core.Spec
 	for _, wl := range d.Workloads {
 		for _, machName := range d.Machines {
-			if _, err := machine.ByName(machName); err != nil {
-				return nil, err
-			}
 			for _, day := range d.Days {
 				for _, conc := range d.Concurrencies {
-					plans = append(plans, cellPlan{wl, machName, day, conc})
+					s := core.Spec{
+						Name:     fmt.Sprintf("%s/%s@%s", d.Name, wl, machName),
+						Workload: wl,
+						Backend:  core.BackendSpec{Kind: "sim", Machine: machName, Seed: d.Seed, Chaos: d.Chaos},
+						Rule: stopping.Spec{Kind: d.RuleName, Threshold: d.Threshold,
+							Bounds: stopping.Bounds{MaxSamples: d.MaxRuns}},
+						Concurrency: conc,
+						Day:         day,
+						Seed:        d.Seed,
+					}
+					if err := s.Validate(); err != nil {
+						return nil, err
+					}
+					plans = append(plans, s)
 				}
 			}
 		}
 	}
 	return plans, nil
-}
-
-// cellName labels one cell's campaign in logs and the cache.
-func (d Design) cellName(p cellPlan) string {
-	return fmt.Sprintf("%s/%s@%s", d.Name, p.workload, p.machineName)
-}
-
-// experimentFor builds the cell configuration with a fresh stopping rule
-// (rules are stateful accumulators; replay and measurement each need their
-// own) and a private, seeded backend — cells share no state, which is what
-// makes any execution order produce identical results.
-func (d Design) experimentFor(p cellPlan) (core.Experiment, error) {
-	m, err := machine.ByName(p.machineName)
-	if err != nil {
-		return core.Experiment{}, err
-	}
-	rule, err := stopping.NewNamed(d.RuleName, d.Threshold,
-		stopping.Bounds{MaxSamples: d.MaxRuns})
-	if err != nil {
-		return core.Experiment{}, err
-	}
-	var b backend.Backend = backend.NewSim(m, d.Seed)
-	if d.Chaos != nil {
-		b = backend.NewChaos(b, *d.Chaos)
-	}
-	return core.Experiment{
-		Name:        d.cellName(p),
-		Workload:    p.workload,
-		Backend:     b,
-		Rule:        rule,
-		Concurrency: p.concurrency,
-		Day:         p.day,
-		Seed:        d.Seed,
-	}, nil
 }
 
 // newLauncher builds the sweep's launcher with the design's tracer and
@@ -282,7 +231,7 @@ func Run(ctx context.Context, d Design) (*Outcome, error) {
 	// its parallelism lives.
 	cells := make([]sweepCell, len(plans))
 	if err := budget.Each(len(plans), d.Parallel, func(i int) error {
-		return cells[i].resolve(d, launcher, store, plans[i])
+		return cells[i].resolve(launcher, store, plans[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -330,7 +279,7 @@ func Run(ctx context.Context, d Design) (*Outcome, error) {
 // on the first Step, so a cell's campaign.start marks when its measurement
 // begins, not when the sweep does.
 type sweepCell struct {
-	plan     cellPlan
+	spec     core.Spec
 	key      string // cache key; empty without a cache
 	launcher *core.Launcher
 	store    *cache.Store
@@ -348,21 +297,21 @@ type sweepCell struct {
 // commit-point JSON) and an unreplayable one (semantics drifted) both
 // degrade to a miss: the fresh measurement overwrites them. One bad entry
 // must never abort the sweep.
-func (c *sweepCell) resolve(d Design, l *core.Launcher, store *cache.Store, p cellPlan) error {
-	*c = sweepCell{plan: p, launcher: l, store: store}
-	e, err := d.experimentFor(p)
+func (c *sweepCell) resolve(l *core.Launcher, store *cache.Store, s core.Spec) error {
+	*c = sweepCell{spec: s, launcher: l, store: store}
+	e, err := s.Experiment(nil)
 	if err != nil {
 		return err
 	}
 	if store != nil {
-		c.key = d.cellKey(p)
+		c.key = s.CacheKey(cellCacheKind)
 		if rows, _, err := store.Get(c.key, e.Name); err == nil && rows != nil {
 			if res, err := l.ReplayLog(e, rows); err == nil {
 				c.res = res
 				return nil
 			}
 			// Replay consumed the stateful rule: measure on a fresh one.
-			if e, err = d.experimentFor(p); err != nil {
+			if e, err = s.Experiment(nil); err != nil {
 				return err
 			}
 		}
@@ -373,10 +322,10 @@ func (c *sweepCell) resolve(d Design, l *core.Launcher, store *cache.Store, p ce
 
 // cell renders the sweep cell with its result.
 func (c *sweepCell) cell() Cell {
-	p := c.plan
+	s := c.spec
 	return Cell{
-		Workload: p.workload, Machine: p.machineName,
-		Day: p.day, Concurrency: p.concurrency, Result: c.res,
+		Workload: s.Workload, Machine: s.Backend.Machine,
+		Day: s.Day, Concurrency: s.Concurrency, Result: c.res,
 	}
 }
 
