@@ -297,7 +297,7 @@ func BenchmarkAblationSplit(b *testing.B) {
 func BenchmarkAblationMeta(b *testing.B) {
 	mk := map[string]func() stopping.Rule{
 		"meta": func() stopping.Rule {
-			return stopping.NewMeta(stopping.MetaConfig{Seed: benchSeed}, stopping.Bounds{MaxSamples: 5000})
+			return stopping.NewMeta(stopping.MetaConfig{}, stopping.Bounds{MaxSamples: 5000})
 		},
 		"always-ks": func() stopping.Rule {
 			return stopping.NewKS(0.1, stopping.Bounds{MaxSamples: 5000})
@@ -419,12 +419,15 @@ func BenchmarkLauncherOverhead(b *testing.B) {
 // DESIGN.md):
 //
 //   - check-*: one check at n=1000 in isolation. The incremental rule keeps
-//     block summaries of both prefix halves, so a check folds O(n/32) of
+//     block summaries of both prefix halves, so a check folds O(n/48) of
 //     them; the pre-rewrite recompute policy re-sorts both halves first,
-//     O(n log n) with two fresh copies.
+//     O(n log n) with two fresh copies. The incremental variant's first
+//     check builds the blocks from the 1000 queued samples, so at
+//     -benchtime 1x it times that build, not the fold.
 //   - campaign-*: a full 1000-sample campaign with an unreachable threshold,
 //     paying for all 100 checks at growing n (amortizing the incremental
-//     path's per-sample block inserts against the repeated re-sorts).
+//     path's settling of 10 new samples per check against the repeated
+//     re-sorts).
 func BenchmarkStoppingCheckIncrementalVsRecompute(b *testing.B) {
 	const n = 1000
 	data := randx.SampleN(randx.NewBimodalNormal(randx.New(benchSeed), 1.0, 0.01, 1.06, 0.01, 0.55), n)

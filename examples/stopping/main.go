@@ -28,7 +28,7 @@ func main() {
 		profile := classify.Classify(randx.SampleN(fresh(i), 1000))
 
 		// Drive three rules over identical deterministic streams.
-		meta := stopping.NewMeta(stopping.MetaConfig{Seed: seed}, bounds)
+		meta := stopping.NewMeta(stopping.MetaConfig{}, bounds)
 		metaSamples := stopping.Drive(fresh(i).Next, meta)
 
 		ks := stopping.NewKS(0.1, bounds)

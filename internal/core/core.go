@@ -145,7 +145,7 @@ func (e Experiment) withDefaults() (Experiment, error) {
 		e.Name = e.Workload
 	}
 	if e.Rule == nil {
-		e.Rule = stopping.NewMeta(stopping.MetaConfig{Seed: e.Seed}, stopping.Bounds{})
+		e.Rule = stopping.NewMeta(stopping.MetaConfig{}, stopping.Bounds{})
 	}
 	if e.Metric == "" {
 		e.Metric = backend.MetricExecTime

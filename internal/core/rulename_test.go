@@ -45,7 +45,7 @@ func TestRuleNameRoundTrip(t *testing.T) {
 		stopping.NewModalityStability(3, stopping.Bounds{}),
 		stopping.NewESS(200, stopping.Bounds{}),
 		stopping.NewSelfSimilarity(0.1, 0, seed, stopping.Bounds{}),
-		stopping.NewMeta(stopping.MetaConfig{Seed: seed}, stopping.Bounds{}),
+		stopping.NewMeta(stopping.MetaConfig{}, stopping.Bounds{}),
 	}
 	for _, r := range rules {
 		name := r.Name()

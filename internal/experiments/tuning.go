@@ -71,7 +71,7 @@ func Tuning(seed uint64) (*TuningResult, error) {
 		profile := classify.Classify(ref)
 		row := TuningRow{Distribution: name, Detected: profile.Class}
 		// Meta rule.
-		meta := stopping.NewMeta(stopping.MetaConfig{Seed: seed}, bounds)
+		meta := stopping.NewMeta(stopping.MetaConfig{}, bounds)
 		row.MetaRuns = len(stopping.Drive(freshSampler(seed, i).Next, meta))
 		row.MetaReason = meta.Explain()
 		// Generic self-similarity rule.

@@ -2,7 +2,8 @@
 // the statistics the stopping rules in internal/stopping evaluate at every
 // CheckEvery boundary. The recompute path in internal/stats re-sorts and
 // re-scans the full sample prefix on each check — O(n log n) per check,
-// O(n^2 log n) per experiment. The accumulators here update on Add:
+// O(n^2 log n) per experiment. The accumulators here update on Add, or, for
+// Halves, settle the samples added since the last query when queried:
 //
 //	structure    Add          query                 replaces
 //	KahanSum     O(1)         Mean O(1)             stats.Mean (bit-identical)
@@ -10,8 +11,10 @@
 //	OrderStats   O(log n)+mv  Quantile/Median O(1)  stats.Quantile (bit-identical)
 //	                          ECDF Eval O(log n)    stats.ECDF (bit-identical)
 //	                          MAD O(n)              stats.MAD (bit-identical)
-//	Halves       O(log n+B)   prefix-halves KS      stats.KSStatistic (bit-identical,
-//	                          O(n/B+B), B = 32      no sorts)
+//	Halves       O(1)         prefix-halves KS      stats.KSStatistic (bit-identical,
+//	                          O(n/B + b log b + bB) b samples since the last
+//	                          after b new samples   query sorted, the rest not)
+//	                          B = 48
 //
 // Bit-identity notes. KahanSum replays exactly the compensated summation
 // stats.Sum performs, in the same element order, so Mean is bit-identical to

@@ -83,8 +83,6 @@ type MetaConfig struct {
 	// SelfThreshold configures the fallback self-similarity rule
 	// (default 0.08).
 	SelfThreshold float64
-	// Seed drives the self-similarity splits.
-	Seed uint64
 }
 
 func (c MetaConfig) withDefaults() MetaConfig {
@@ -140,7 +138,7 @@ type Meta struct {
 	// answered incrementally.
 	mom    stream.Moments    // CI family
 	logMom stream.Moments    // log-CI family (fed log(x) for x > 0)
-	halves stream.Halves     // KS / self-similarity families
+	halves stream.Halves     // KS / self-similarity families; queues samples until one asks
 	order  stream.OrderStats // heavy-tailed family (median, MAD, min)
 }
 

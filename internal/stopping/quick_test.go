@@ -22,7 +22,7 @@ func TestRuleBoundsProperty(t *testing.T) {
 			NewModalityStability(3, b),
 			NewESS(50, b),
 			NewSelfSimilarity(0.08, 3, seed, b),
-			NewMeta(MetaConfig{Seed: seed}, b),
+			NewMeta(MetaConfig{}, b),
 		}
 	}
 	f := func(seed16 uint16, minRaw, maxRaw uint8, distIdx uint8) bool {
@@ -64,7 +64,7 @@ func TestRuleDeterminismProperty(t *testing.T) {
 		runOnce := func() int {
 			set := randx.TuningSet(randx.New(seed))
 			s := set[int(distIdx)%len(set)]
-			r := NewMeta(MetaConfig{Seed: seed}, b)
+			r := NewMeta(MetaConfig{}, b)
 			return len(Drive(s.Next, r))
 		}
 		return runOnce() == runOnce()

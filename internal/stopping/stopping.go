@@ -278,9 +278,10 @@ func NewKS(threshold float64, b Bounds) *KS {
 func (r *KS) Name() string { return fmt.Sprintf("ks-%g", r.Threshold) }
 
 // Add implements Rule. The half-vs-half partition is maintained
-// incrementally (stream.Halves keeps block summaries of both halves across
-// the moving midpoint), so each check folds O(n/32) summaries with no
-// sorting — the recompute path sorted both halves on every check.
+// incrementally: stream.Halves only queues a sample on Add, and each check
+// settles the queued ones into block summaries of both halves across the
+// moving midpoint, sorting just those, then folds O(n/48) summaries — the
+// recompute path sorted both halves on every check.
 func (r *KS) Add(x float64) {
 	if r.done {
 		return

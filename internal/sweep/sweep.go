@@ -80,9 +80,10 @@ type Design struct {
 	// Chaos, when non-nil, wraps every cell backend in deterministic fault
 	// injection — the sweep-level knob for measuring under failures.
 	Chaos *backend.ChaosConfig
-	// Tracer receives campaign and budget events (nil disables).
+	// Tracer receives campaign, budget and cache events (nil disables).
 	Tracer obs.Tracer
-	// Registry exports budget gauges (nil disables).
+	// Registry exports budget gauges and cache lookup counters (nil
+	// disables).
 	Registry *obs.Registry
 	// clock overrides the launcher time source (tests pin it to make sweep
 	// logs byte-comparable across execution strategies).
@@ -221,6 +222,7 @@ func Run(ctx context.Context, d Design) (*Outcome, error) {
 		if store, err = cache.Open(d.CacheDir); err != nil {
 			return nil, err
 		}
+		store.Tracer, store.Registry = d.Tracer, d.Registry
 		// Persist the lookup counters before returning; they are advisory,
 		// so a failed write never fails the sweep.
 		defer store.Close()

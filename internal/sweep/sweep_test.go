@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sharp/internal/cache"
+	"sharp/internal/obs"
 	"sharp/internal/record"
 )
 
@@ -210,6 +212,55 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 			!reflect.DeepEqual(cell.Result.Samples, first.Cells[i].Result.Samples) {
 			t.Fatalf("cell %s: replayed result differs", cell.Key())
 		}
+	}
+}
+
+// eventCounter counts trace events by type; sweep cells emit concurrently.
+type eventCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *eventCounter) Emit(typ string, _ map[string]any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n[typ]++
+}
+
+// TestTracedSweepEmitsCacheEvents holds sweep.Run to handing its tracer and
+// registry to the cache store: a cold sweep misses and stores every cell, a
+// warm one hits every cell, and the lookup counter follows.
+func TestTracedSweepEmitsCacheEvents(t *testing.T) {
+	d := smallDesign()
+	d.CacheDir = t.TempDir()
+	reg := obs.NewRegistry()
+	d.Registry = reg
+	for _, pass := range []struct {
+		name string
+		want map[string]int
+	}{
+		{"cold", map[string]int{obs.EventCacheMiss: 8, obs.EventCacheStore: 8, obs.EventCacheHit: 0}},
+		{"warm", map[string]int{obs.EventCacheMiss: 0, obs.EventCacheStore: 0, obs.EventCacheHit: 8}},
+	} {
+		tr := &eventCounter{n: map[string]int{}}
+		d.Tracer = tr
+		out, err := Run(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Cells) != 8 {
+			t.Fatalf("%s: %d cells, want 8", pass.name, len(out.Cells))
+		}
+		for typ, want := range pass.want {
+			if got := tr.n[typ]; got != want {
+				t.Errorf("%s sweep: %d %s events, want %d", pass.name, got, typ, want)
+			}
+		}
+	}
+	hits := reg.Counter("sharp_cache_requests_total", "", "result", "hit").Value()
+	misses := reg.Counter("sharp_cache_requests_total", "", "result", "miss").Value()
+	if hits != 8 || misses != 8 {
+		t.Errorf("sharp_cache_requests_total: %v hits, %v misses, want 8 and 8", hits, misses)
 	}
 }
 
