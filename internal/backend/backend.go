@@ -45,8 +45,6 @@ type Request struct {
 type Invocation struct {
 	// Instance is the 1-based concurrent instance index.
 	Instance int
-	// Start is when the instance began.
-	Start time.Time
 	// Metrics holds every collected metric, always including exec_time
 	// (in seconds).
 	Metrics map[string]float64
@@ -258,7 +256,6 @@ func (b *InProcess) Invoke(ctx context.Context, req Request) ([]Invocation, erro
 			}
 			out[inst] = Invocation{
 				Instance: inst + 1,
-				Start:    start,
 				Metrics:  metrics,
 				Worker:   "local",
 				Err:      err,

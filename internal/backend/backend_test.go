@@ -134,6 +134,67 @@ func TestSimBackendPhases(t *testing.T) {
 	}
 }
 
+// TestSimInvokeAllocs bounds the Sim's per-run garbage: a single-metric
+// Invoke allocates the returned invocations and one metrics map per
+// instance (a small map is two objects), nothing else, and skipping runs
+// on resume draws values without allocating.
+func TestSimInvokeAllocs(t *testing.T) {
+	m, _ := machine.ByName("machine1")
+	ctx := context.Background()
+	for _, conc := range []int{1, 2, 4} {
+		b := NewSim(m, 3)
+		run := 0
+		got := testing.AllocsPerRun(200, func() {
+			run++
+			if _, err := b.Invoke(ctx, Request{Workload: "bfs", Run: run, Day: 1, Concurrency: conc}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(1 + 2*conc); got > limit {
+			t.Errorf("conc %d: Invoke makes %.1f allocations, want at most %.0f", conc, got, limit)
+		}
+	}
+	for _, wl := range []string{"bfs", "leukocyte"} {
+		b := NewSim(m, 3)
+		got := testing.AllocsPerRun(50, func() {
+			if err := b.SkipRuns(wl, 1, 2, 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 1 {
+			t.Errorf("%s: SkipRuns of 10 runs makes %.1f allocations, want at most 1", wl, got)
+		}
+	}
+}
+
+// TestSimSkipMatchesInvoke holds SkipRuns to the draws Invoke would have
+// consumed, phase-decomposed streams included.
+func TestSimSkipMatchesInvoke(t *testing.T) {
+	m, _ := machine.ByName("machine1")
+	ctx := context.Background()
+	for _, wl := range []string{"bfs", "leukocyte"} {
+		live, skipped := NewSim(m, 9), NewSim(m, 9)
+		var want []Invocation
+		for run := 1; run <= 7; run++ {
+			invs, err := live.Invoke(ctx, Request{Workload: wl, Run: run, Day: 2, Concurrency: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = invs
+		}
+		if err := skipped.SkipRuns(wl, 2, 3, 6); err != nil {
+			t.Fatal(err)
+		}
+		got, err := skipped.Invoke(ctx, Request{Workload: wl, Run: 7, Day: 2, Concurrency: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: run 7 after SkipRuns = %v, want %v", wl, got, want)
+		}
+	}
+}
+
 func TestSimBackendUnknownAndCUDAErrors(t *testing.T) {
 	m2, _ := machine.ByName("machine2")
 	b := NewSim(m2, 1)

@@ -67,14 +67,12 @@ func (b *Process) Invoke(ctx context.Context, req Request) ([]Invocation, error)
 		wg.Add(1)
 		go func(inst int) {
 			defer wg.Done()
-			start := time.Now()
 			// Recover panics (e.g. from a misbehaving metric collector) into
 			// the instance error instead of crashing the launcher.
 			defer func() {
 				if r := recover(); r != nil {
 					out[inst] = Invocation{
 						Instance: inst + 1,
-						Start:    start,
 						Metrics:  map[string]float64{},
 						Worker:   "local",
 						Err:      fmt.Errorf("backend: process instance panic: %v", r),
@@ -95,7 +93,7 @@ func (b *Process) Invoke(ctx context.Context, req Request) ([]Invocation, error)
 			var output bytes.Buffer
 			cmd.Stdout = &output
 			cmd.Stderr = &output // collectors like time -v write to stderr
-			start = time.Now()
+			start := time.Now()
 			err := cmd.Run()
 			elapsed := time.Since(start).Seconds()
 			if err == nil && ictx.Err() != nil {
@@ -113,7 +111,6 @@ func (b *Process) Invoke(ctx context.Context, req Request) ([]Invocation, error)
 			}
 			out[inst] = Invocation{
 				Instance: inst + 1,
-				Start:    start,
 				Metrics:  collected,
 				Worker:   "local",
 				Err:      err,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"sharp/internal/machine"
 	"sharp/internal/perfmodel"
@@ -39,7 +38,13 @@ type Sim struct {
 
 	mu         sync.Mutex
 	runOrdered bool
-	streams    map[string]*simStream // keyed by workload|day
+	streams    map[streamKey]*simStream
+}
+
+// streamKey names one workload/day sample stream.
+type streamKey struct {
+	workload string
+	day      int
 }
 
 // SetRunOrdered toggles canonical run-order draw synthesis (see the type
@@ -59,8 +64,10 @@ type simStream struct {
 	// next is the lowest measured run index that has not drawn yet.
 	next int
 	// pending holds draws synthesized ahead for not-yet-arrived runs:
-	// one metrics map per instance.
-	pending map[int][]map[string]float64
+	// the run's invocations, one per instance.
+	pending map[int][]Invocation
+	// phases is the per-draw scratch of a phase-decomposed stream.
+	phases []float64
 }
 
 // NewSim returns a simulated backend on the given machine.
@@ -68,7 +75,7 @@ func NewSim(m *machine.Machine, seed uint64) *Sim {
 	return &Sim{
 		Machine: m,
 		Seed:    seed,
-		streams: map[string]*simStream{},
+		streams: map[streamKey]*simStream{},
 	}
 }
 
@@ -78,7 +85,7 @@ func (b *Sim) Name() string { return "sim" }
 // stream returns (creating if needed) the sampler stream for a workload/day
 // pair. The caller must hold b.mu.
 func (b *Sim) stream(workload string, day int) (*simStream, error) {
-	key := fmt.Sprintf("%s|%d", workload, day)
+	key := streamKey{workload, day}
 	if s, ok := b.streams[key]; ok {
 		return s, nil
 	}
@@ -90,7 +97,7 @@ func (b *Sim) stream(workload string, day int) (*simStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &simStream{g: g, next: 1, pending: map[int][]map[string]float64{}}
+	s := &simStream{g: g, next: 1, pending: map[int][]Invocation{}}
 	if len(model.Phases) > 0 {
 		pg, err := model.PhaseSampler(b.Machine, day, b.Seed)
 		if err != nil {
@@ -102,29 +109,50 @@ func (b *Sim) stream(workload string, day int) (*simStream, error) {
 	return s, nil
 }
 
+// skipOne consumes the next stream draw and discards it.
+func (s *simStream) skipOne() {
+	if s.pg != nil {
+		_, s.phases = s.pg.Next(s.phases)
+	} else {
+		s.g.Next()
+	}
+}
+
 // drawOne consumes the next stream draw: the full metrics map one instance
 // observes.
 func (s *simStream) drawOne() map[string]float64 {
-	metrics := map[string]float64{}
-	if s.pg != nil {
-		total, phases := s.pg.Next()
-		metrics[MetricExecTime] = total
-		for j, name := range s.pg.PhaseNames() {
-			metrics[name] = phases[j]
-		}
-	} else {
+	if s.pg == nil {
+		metrics := make(map[string]float64, 1)
 		metrics[MetricExecTime] = s.g.Next()
+		return metrics
+	}
+	var total float64
+	total, s.phases = s.pg.Next(s.phases)
+	metrics := make(map[string]float64, 1+len(s.phases))
+	metrics[MetricExecTime] = total
+	for j, name := range s.pg.PhaseNames() {
+		metrics[name] = s.phases[j]
 	}
 	return metrics
 }
 
-// drawRun returns the conc metrics maps for one request. In run-ordered
+// draw returns one run's conc invocations on worker, one stream draw per
+// instance.
+func (s *simStream) draw(conc int, worker string) []Invocation {
+	out := make([]Invocation, conc)
+	for i := range out {
+		out[i] = Invocation{Instance: i + 1, Metrics: s.drawOne(), Worker: worker}
+	}
+	return out
+}
+
+// drawRun returns the conc invocations of one request. In run-ordered
 // mode it enforces canonical run order for measured runs (run >= 1):
 // out-of-order arrivals synthesize the draws of intervening runs into the
 // pending cache. Warmup requests (run < 1), replays of already-drawn runs
 // (retries), and all requests outside run-ordered mode consume the stream
 // at arrival, preserving the sequential launcher's behavior.
-func (s *simStream) drawRun(run, conc int, runOrdered bool) []map[string]float64 {
+func (s *simStream) drawRun(run, conc int, worker string, runOrdered bool) []Invocation {
 	if runOrdered && run >= 1 {
 		if d, ok := s.pending[run]; ok {
 			delete(s.pending, run)
@@ -132,20 +160,12 @@ func (s *simStream) drawRun(run, conc int, runOrdered bool) []map[string]float64
 		}
 		if run >= s.next {
 			for q := s.next; q < run; q++ {
-				d := make([]map[string]float64, conc)
-				for i := range d {
-					d[i] = s.drawOne()
-				}
-				s.pending[q] = d
+				s.pending[q] = s.draw(conc, worker)
 			}
 			s.next = run + 1
 		}
 	}
-	d := make([]map[string]float64, conc)
-	for i := range d {
-		d[i] = s.drawOne()
-	}
-	return d
+	return s.draw(conc, worker)
 }
 
 // SkipRuns implements RunSkipper: it consumes (and discards) the draws that
@@ -164,10 +184,8 @@ func (b *Sim) SkipRuns(workload string, day, conc, n int) error {
 	if err != nil {
 		return err
 	}
-	for r := 0; r < n; r++ {
-		for i := 0; i < conc; i++ {
-			s.drawOne()
-		}
+	for range n * conc {
+		s.skipOne()
 	}
 	s.next += n
 	return nil
@@ -189,18 +207,8 @@ func (b *Sim) Invoke(ctx context.Context, req Request) ([]Invocation, error) {
 		b.mu.Unlock()
 		return nil, err
 	}
-	draws := s.drawRun(req.Run, conc, b.runOrdered)
+	out := s.drawRun(req.Run, conc, b.Machine.Name, b.runOrdered)
 	b.mu.Unlock()
-	out := make([]Invocation, conc)
-	now := time.Now()
-	for i := 0; i < conc; i++ {
-		out[i] = Invocation{
-			Instance: i + 1,
-			Start:    now,
-			Metrics:  draws[i],
-			Worker:   b.Machine.Name,
-		}
-	}
 	return out, nil
 }
 

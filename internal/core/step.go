@@ -15,12 +15,15 @@ package core
 // decision point — a CheckEvery boundary or its MaxSamples cap, both read
 // from its Bounds; a Fixed rule's cap is its only one — so the runs up to
 // the next decision point are known to be needed before they start. A span
-// is those runs, capped by the runs Step may still attempt. Before a span
-// the stepper reserves its rows in Result.Rows at once, so a fixed campaign
-// allocates its log once.
+// is those runs, capped by the runs Step may still attempt. Before the first
+// span (once a run's row count is known) the stepper reserves Result.Rows up
+// to the rule's MaxSamples cap, so a campaign allocates its log once whatever
+// its rule; an adaptive campaign that stops early keeps the unused tail as
+// slack.
 //
 //   - Experiment.Parallel <= 1: each run is invoked inline on the calling
-//     goroutine — no goroutine and no per-run allocation.
+//     goroutine — the stepper itself allocates nothing per run; the backend
+//     allocates the run's invocations.
 //   - Experiment.Parallel > 1: a window. Parallel workers live for the whole
 //     Step call and invoke the runs the merge loop hands them, in run order,
 //     never past the span's decision point and never more than the window
@@ -49,6 +52,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"sharp/internal/backend"
@@ -68,17 +72,23 @@ type Stepper struct {
 	run int
 	// consecutiveFailed threads the failure-budget counter across spans.
 	consecutiveFailed int
-	// rowsPerRun is the row count of the last merged run: the estimate a
-	// span's row reservation is sized by (0 = nothing merged yet).
+	// rowsPerRun is the row count of the last merged run: the estimate the
+	// row reservation is sized by (0 = nothing merged yet).
 	rowsPerRun int
-	// names is processRun's metric-name scratch, reused across
+	// metrics is processRun's (name, value) scratch, reused across
 	// invocations.
-	names []string
+	metrics []metricValue
 	// terminal is set once the campaign reached a final state mid-Step
 	// (failure budget, interrupt, sink error); the matching error is
 	// returned from any further Step.
 	terminal error
 	final    bool
+}
+
+// metricValue is one metric of an invocation, as processRun logs it.
+type metricValue struct {
+	name  string
+	value float64
 }
 
 // outcome is one run's invocation result.
@@ -208,8 +218,12 @@ func (s *Stepper) Step(ctx context.Context, n int) (int, error) {
 			}
 			if !reserved && s.rowsPerRun > 0 {
 				// Sized by the last merged run, so a fresh campaign
-				// reserves once its first run is in.
-				s.res.Rows = reserveRows(s.res.Rows, s.rowsPerRun*(end-s.run))
+				// reserves once its first run is in, and to the rule's
+				// cap, so an adaptive campaign reserves once, as a fixed
+				// one does; only failed runs, which add no sample, can
+				// take it past that.
+				runs := max(end-s.run, min(s.e.Rule.Bounds().MaxSamples-s.e.Rule.N(), capReserveRuns))
+				s.res.Rows = reserveRows(s.res.Rows, s.rowsPerRun*runs)
 				reserved = true
 			}
 			var o outcome
@@ -269,10 +283,17 @@ func (s *Stepper) span(limit int) int {
 	return max(1, min(span, limit))
 }
 
+// capReserveRuns bounds the runs reserved ahead of an adaptive rule's
+// decision points: a cap far above what a campaign ever reaches (a "no
+// limit" --max) must not allocate its rows up front. Past it the log grows
+// by span, as appending would.
+const capReserveRuns = 1 << 16
+
 // reserveRows makes room for n more rows. A reservation past twice the
-// current capacity is allocated exactly, so a fixed campaign's log is
-// allocated once; a smaller one takes append's amortized growth, so the short
-// spans of adaptive rules copy no more than appending row by row would.
+// current capacity is allocated exactly, so a campaign's log is allocated
+// once, at its rule's cap; a smaller one — the spans that failed runs push
+// past the cap — takes append's amortized growth, so they copy no more than
+// appending row by row would.
 func reserveRows(rows []record.Row, n int) []record.Row {
 	if need := len(rows) + n; need > 2*cap(rows) {
 		grown := make([]record.Row, len(rows), need)
@@ -410,12 +431,14 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 		// Deterministic row order: metrics sorted by name, not map order —
 		// byte-identical logs are what make crash recovery and resume
 		// differential-testable.
-		s.names = s.names[:0]
-		for metricName := range inv.Metrics {
-			s.names = append(s.names, metricName)
+		s.metrics = s.metrics[:0]
+		for name, v := range inv.Metrics {
+			s.metrics = append(s.metrics, metricValue{name, v})
 		}
-		slices.Sort(s.names)
-		for _, metricName := range s.names {
+		if len(s.metrics) > 1 {
+			slices.SortFunc(s.metrics, func(a, b metricValue) int { return strings.Compare(a.name, b.name) })
+		}
+		for _, m := range s.metrics {
 			res.Rows = append(res.Rows, record.Row{
 				Timestamp:  now,
 				Experiment: s.e.Name,
@@ -425,16 +448,16 @@ func (s *Stepper) processRun(ctx context.Context, invs []backend.Invocation, inv
 				Day:        s.e.Day,
 				Run:        run,
 				Instance:   inv.Instance,
-				Metric:     metricName,
-				Value:      inv.Metrics[metricName],
-				Unit:       unitFor(metricName),
+				Metric:     m.name,
+				Value:      m.value,
+				Unit:       unitFor(m.name),
 				Status:     record.StatusOK,
 				Attempt:    attempts(inv),
 			})
-		}
-		if v, has := inv.Metrics[s.e.Metric]; has {
-			sum += v
-			ok++
+			if m.name == s.e.Metric {
+				sum += m.value
+				ok++
+			}
 		}
 	}
 	if err := l.sinkRows(res.Rows[start:]); err != nil {

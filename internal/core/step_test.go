@@ -217,3 +217,40 @@ func TestStepperSinkErrorFinalizes(t *testing.T) {
 		t.Fatalf("stepping an aborted stepper: %v, want %v", again, err)
 	}
 }
+
+// TestSequentialCampaignAllocs bounds the garbage of a sequential campaign
+// on the Sim: per run, the backend's invocation slice and metrics map (three
+// objects) and nothing of the launcher's own beyond amortized growth. An
+// adaptive campaign reserves its rows once, at its rule's cap.
+func TestSequentialCampaignAllocs(t *testing.T) {
+	const maxSamples = 4000
+	m := simBackend(t, "machine1").Machine
+	for _, tc := range []struct {
+		name, workload string
+		rule           func() stopping.Rule
+	}{
+		{"fixed", "bfs", func() stopping.Rule { return stopping.NewFixed(1000) }},
+		{"ks", "hotspot", func() stopping.Rule { return stopping.NewKS(0.02, stopping.Bounds{MaxSamples: maxSamples}) }},
+	} {
+		var res *Result
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			res, err = NewLauncher().Run(context.Background(), Experiment{
+				Workload: tc.workload,
+				Backend:  backend.NewSim(m, 7),
+				Rule:     tc.rule(),
+				Seed:     7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRun := allocs / float64(res.Runs); perRun > 3.1 {
+			t.Errorf("%s: %.0f allocations over %d runs, %.2f per run; want at most 3.1", tc.name, allocs, res.Runs, perRun)
+		}
+		if tc.name == "ks" && (res.Runs >= maxSamples || cap(res.Rows) != maxSamples) {
+			t.Errorf("ks: %d runs, %d rows in a capacity of %d; want a campaign stopped before its cap with rows reserved to it",
+				res.Runs, len(res.Rows), cap(res.Rows))
+		}
+	}
+}

@@ -29,7 +29,7 @@ func Fig7(seed uint64) (*Fig7Result, error) {
 	const n = 3000
 	r := &Fig7Result{}
 	for i := 0; i < n; i++ {
-		tot, phases := pg.Next()
+		tot, phases := pg.Next(nil)
 		r.Total = append(r.Total, tot)
 		r.Detection = append(r.Detection, phases[0])
 		r.Tracking = append(r.Tracking, phases[1])

@@ -161,14 +161,13 @@ func (c *Client) Invoke(ctx context.Context, req backend.Request) ([]backend.Inv
 			defer wg.Done()
 			ictx, cancel := c.deadlineFor(ctx, req)
 			defer cancel()
-			start := time.Now()
 			resp, err := c.post(ictx, InvokeRequest{
 				Workload: req.Workload,
 				Day:      req.Day,
 				Cold:     req.Cold,
 				Run:      req.Run,
 			})
-			inv := backend.Invocation{Instance: inst + 1, Start: start}
+			inv := backend.Invocation{Instance: inst + 1}
 			if err != nil {
 				inv.Err = err
 				inv.Metrics = map[string]float64{}

@@ -190,7 +190,7 @@ func TestLeukocytePhases(t *testing.T) {
 	det := make([]float64, n)
 	track := make([]float64, n)
 	for i := 0; i < n; i++ {
-		tot, phases := pg.Next()
+		tot, phases := pg.Next(nil)
 		totals[i] = tot
 		det[i] = phases[0]
 		track[i] = phases[1]

@@ -209,12 +209,15 @@ func (m *Model) PhaseSampler(mach *machine.Machine, day int, seed uint64) (*Phas
 func (pg *PhaseGen) PhaseNames() []string { return pg.names }
 
 // Next draws one run, returning the total execution time and the per-phase
-// times (aligned with PhaseNames).
-func (pg *PhaseGen) Next() (total float64, phases []float64) {
-	phases = make([]float64, len(pg.gens))
-	for i, g := range pg.gens {
-		phases[i] = g.Next()
-		total += phases[i]
+// times (aligned with PhaseNames). The phase times are stored in buf when it
+// has room (pass nil for a fresh slice), so a caller that discards or copies
+// them can draw without allocating.
+func (pg *PhaseGen) Next(buf []float64) (total float64, phases []float64) {
+	phases = buf[:0]
+	for _, g := range pg.gens {
+		v := g.Next()
+		phases = append(phases, v)
+		total += v
 	}
 	return total, phases
 }

@@ -128,7 +128,7 @@ func BenchmarkTornRepair1e6(b *testing.B) {
 		b.Fatal(err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	w := newBinWriterCore(bw)
+	w := newBinWriterCore(bw, binBlockRows)
 	if _, err := bw.WriteString(binMagic); err != nil {
 		b.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func BenchmarkRecordReplaySpeedup1e6(b *testing.B) {
 	binCycle := func(buf *bytes.Buffer) int64 {
 		buf.Reset()
 		bw := bufio.NewWriterSize(buf, 1<<16)
-		w := newBinWriterCore(bw)
+		w := newBinWriterCore(bw, binBlockRows)
 		if _, err := bw.WriteString(binMagic); err != nil {
 			b.Fatal(err)
 		}

@@ -254,18 +254,20 @@ type binWriter struct {
 }
 
 // newBinWriterCore initializes the dictionary and block scratch around an
-// output stream positioned just past the magic.
-func newBinWriterCore(bw *bufio.Writer) *binWriter {
+// output stream positioned just past the magic. The column buffers hold
+// blockRows rows: binBlockRows for a writer that streams an unknown number
+// of rows, fewer when the writer will see no more than that many in all.
+func newBinWriterCore(bw *bufio.Writer, blockRows int) *binWriter {
 	w := &binWriter{
 		bw: bw, dict: map[string]uint32{}, off: int64(len(binMagic)),
-		sec:  make([]int64, binBlockRows),
-		nsec: make([]uint32, binBlockRows),
-		day:  make([]int32, binBlockRows),
-		run:  make([]int32, binBlockRows),
-		inst: make([]int32, binBlockRows),
-		att:  make([]int32, binBlockRows),
-		val:  make([]uint64, binBlockRows),
-		ids:  make([]uint32, 8*binBlockRows),
+		sec:  make([]int64, blockRows),
+		nsec: make([]uint32, blockRows),
+		day:  make([]int32, blockRows),
+		run:  make([]int32, blockRows),
+		inst: make([]int32, blockRows),
+		att:  make([]int32, blockRows),
+		val:  make([]uint64, blockRows),
+		ids:  make([]uint32, 8*blockRows),
 	}
 	for c := range w.lastStr {
 		for k := range w.lastStr[c] {
@@ -282,7 +284,7 @@ func createBinary(path string, o Options) (*binWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := newBinWriterCore(bufio.NewWriterSize(f, 1<<16))
+	w := newBinWriterCore(bufio.NewWriterSize(f, 1<<16), binBlockRows)
 	w.f, w.sync = f, o.Sync
 	if _, err := w.bw.WriteString(binMagic); err != nil {
 		f.Close()
@@ -693,7 +695,7 @@ func appendAt(f *os.File, sc binScan, o Options) (*binWriter, error) {
 	if _, err := f.Seek(sc.dataEnd, io.SeekStart); err != nil {
 		return nil, err
 	}
-	bw := newBinWriterCore(bufio.NewWriterSize(f, 1<<16))
+	bw := newBinWriterCore(bufio.NewWriterSize(f, 1<<16), binBlockRows)
 	bw.f, bw.sync = f, o.Sync
 	bw.off, bw.rows = sc.dataEnd, sc.rows
 	bw.lastRun, bw.runStartRows = sc.lastRun, sc.runStartRows
@@ -800,7 +802,10 @@ func writeRowsAtomicBinary(path string, rows []Row) error {
 	if err != nil {
 		return err
 	}
-	w := newBinWriterCore(bufio.NewWriterSize(f, 1<<16))
+	// All rows are known, so a set shorter than a block gets buffers its
+	// size; add still cuts blocks at binBlockRows, so the bytes are those of
+	// a streamed log.
+	w := newBinWriterCore(bufio.NewWriterSize(f, 1<<16), min(len(rows), binBlockRows))
 	if _, err := w.bw.WriteString(binMagic); err != nil {
 		f.Abort()
 		return err

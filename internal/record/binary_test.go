@@ -1,9 +1,11 @@
 package record
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -267,6 +269,51 @@ func TestWriteRowsAtomicBinary(t *testing.T) {
 		if e.Name() != filepath.Base(path) {
 			t.Fatalf("unexpected leftover file %q", e.Name())
 		}
+	}
+}
+
+// TestWriteRowsAtomicBinaryMatchesStreamed holds the one-shot writer, whose
+// column buffers are sized to the rows it is given, to the bytes of a
+// streamed log of the same rows: blocks are cut at binBlockRows either way.
+func TestWriteRowsAtomicBinaryMatchesStreamed(t *testing.T) {
+	for _, n := range []int{0, 1, 25, binBlockRows - 1, binBlockRows, binBlockRows + 7, 2*binBlockRows + 1} {
+		rows := runRows(n, 1)
+		atomic, streamed := binPath(t, "atomic.sharpb"), binPath(t, "streamed.sharpb")
+		if err := WriteRowsAtomic(atomic, rows); err != nil {
+			t.Fatal(err)
+		}
+		writeBinary(t, streamed, rows, Options{})
+		a, err := os.ReadFile(atomic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(streamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%d rows: atomic log (%d bytes) differs from the streamed one (%d bytes)", n, len(a), len(b))
+		}
+	}
+}
+
+// TestWriteRowsAtomicBinarySmallSet bounds the memory a one-shot write of a
+// short set (a cache entry) allocates: its column buffers hold its rows, not
+// a full block of binBlockRows (about 278 KB).
+func TestWriteRowsAtomicBinarySmallSet(t *testing.T) {
+	const writes = 10
+	rows := runRows(25, 1)
+	path := binPath(t, "small.sharpb")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < writes; i++ {
+		if err := WriteRowsAtomic(path, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perWrite := (after.TotalAlloc - before.TotalAlloc) / writes; perWrite > 128<<10 {
+		t.Errorf("writing %d rows allocates %d bytes, want at most %d", len(rows), perWrite, 128<<10)
 	}
 }
 

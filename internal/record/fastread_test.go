@@ -302,7 +302,7 @@ func writeOversizedBlockLog(t *testing.T, path string, rows []Row) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	bw := newBinWriterCore(bufio.NewWriterSize(f, 1<<16))
+	bw := newBinWriterCore(bufio.NewWriterSize(f, 1<<16), binBlockRows)
 	bw.f = f
 	if _, err := bw.bw.WriteString(binMagic); err != nil {
 		t.Fatal(err)

@@ -180,7 +180,7 @@ func TestFlushBatchOneWritePerCall(t *testing.T) {
 					w.opts.FlushEvery = 1
 					return w
 				}
-				bw := newBinWriterCore(bufio.NewWriterSize(cw, 1<<16))
+				bw := newBinWriterCore(bufio.NewWriterSize(cw, 1<<16), binBlockRows)
 				return &Writer{bin: bw, opts: Options{FlushEvery: 1}}
 			}
 			var batched, perRow countingWriter

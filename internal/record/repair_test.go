@@ -17,7 +17,7 @@ func blockLog(t testing.TB, rows []Row, per int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	w := newBinWriterCore(bw)
+	w := newBinWriterCore(bw, binBlockRows)
 	if _, err := bw.WriteString(binMagic); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -39,4 +41,36 @@ func BenchmarkSweepWarm(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(runs*b.N)/b.Elapsed().Seconds(), "runs/s")
+}
+
+// BenchmarkSweepCold times a cold sweep of the BenchmarkSweepWarm design:
+// every iteration starts from an empty cache directory, so every cell is
+// measured on the Sim and stored. runs/s counts measured runs.
+func BenchmarkSweepCold(b *testing.B) {
+	d := Design{
+		Name:      "bench-cold",
+		Workloads: []string{"hotspot", "lud", "bfs"},
+		Machines:  []string{"machine1", "machine2", "machine3"},
+		Days:      []int{1, 2, 3, 4, 5},
+		RuleName:  "ks",
+		Threshold: 0.02,
+		MaxRuns:   4000,
+		Seed:      11,
+	}
+	d.SetClock(func() time.Time { return time.Unix(1735776000, 0).UTC() })
+	base := b.TempDir()
+	runs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.CacheDir = filepath.Join(base, strconv.Itoa(i))
+		out, err := Run(context.Background(), d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range out.Cells {
+			runs += c.Result.Runs
+		}
+	}
+	b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
 }

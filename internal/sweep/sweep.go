@@ -223,6 +223,11 @@ func Run(ctx context.Context, d Design) (*Outcome, error) {
 			return nil, err
 		}
 		store.Tracer, store.Registry = d.Tracer, d.Registry
+		if d.clock != nil {
+			// The pinned clock stamps the entries too, so a repeated
+			// sweep writes the same cache bytes.
+			store.Clock = d.clock
+		}
 		// Persist the lookup counters before returning; they are advisory,
 		// so a failed write never fails the sweep.
 		defer store.Close()

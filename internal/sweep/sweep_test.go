@@ -3,12 +3,14 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sharp/internal/cache"
 	"sharp/internal/obs"
@@ -211,6 +213,45 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 			cell.Result.Runs != first.Cells[i].Result.Runs ||
 			!reflect.DeepEqual(cell.Result.Samples, first.Cells[i].Result.Samples) {
 			t.Fatalf("cell %s: replayed result differs", cell.Key())
+		}
+	}
+}
+
+// TestPinnedClockCacheBytes holds a sweep under a pinned clock to writing
+// the same cache directory twice: the clock stamps the cache entries too,
+// not only the rows.
+func TestPinnedClockCacheBytes(t *testing.T) {
+	var trees [2]map[string][]byte
+	for i := range trees {
+		d := smallDesign()
+		d.CacheDir = t.TempDir()
+		d.SetClock(func() time.Time { return time.Unix(1735776000, 0).UTC() })
+		if _, err := Run(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = map[string][]byte{}
+		err := filepath.WalkDir(d.CacheDir, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(d.CacheDir, path)
+			trees[i][rel] = data
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(trees[0]) < 2 {
+		t.Fatalf("cache holds %d files, want entries", len(trees[0]))
+	}
+	if len(trees[0]) != len(trees[1]) {
+		t.Fatalf("the two sweeps wrote %d and %d cache files", len(trees[0]), len(trees[1]))
+	}
+	for name, data := range trees[0] {
+		if !bytes.Equal(data, trees[1][name]) {
+			t.Errorf("%s differs between two pinned-clock sweeps", name)
 		}
 	}
 }
